@@ -107,6 +107,8 @@ def parse_config(data: dict) -> ChainConfig:
             not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in positions):
         raise ConfigError("'positions' must be a non-empty list of numbers")
     positions = tuple(float(p) for p in positions)
+    if not all(math.isfinite(p) for p in positions):
+        raise ConfigError("'positions' must be finite numbers")
 
     couplings = data["couplings"]
     if couplings == "infinite":
@@ -114,6 +116,9 @@ def parse_config(data: dict) -> ChainConfig:
     elif isinstance(couplings, list) and \
             all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in couplings):
         couplings_val = tuple(float(c) for c in couplings)
+        if not all(math.isfinite(c) for c in couplings_val):
+            raise ConfigError("'couplings' must be finite numbers; use \"infinite\" for "
+                              "impenetrable walls")
     else:
         raise ConfigError("'couplings' must be a list of numbers or the string \"infinite\"")
 

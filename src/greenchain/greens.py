@@ -14,6 +14,11 @@ All prefactors are fixed by the unit jump condition of the measure-weighted
 radial derivative at coincidence (equivalently by the Wronskian of the two
 homogeneous solutions), so every kernel here feeds the same chain algebra
 without per-geometry rescaling.
+
+Each kernel has the form g0(x, x') = p(x_<) q(x_>).  The `*_factors`
+functions return that pair at one position, in SignLog form so it survives
+any magnitude; the `g0_*` kernels are built from them, and the chain algebra
+uses them directly.
 """
 
 from __future__ import annotations
@@ -118,47 +123,77 @@ def weight(geometry, position: float) -> float:
     return 1.0
 
 
-def g0_rect(z: float, zp: float, k0) -> float:
-    """Rectangular free kernel exp(-k0 |z - z'|) / (2 k0)."""
+def _kernel(factors, x: float, xp: float, *args) -> specfun.SignLog:
+    """g0(x, x') = p(x_<) q(x_>) from a factor pair."""
+    lo, hi = (x, xp) if x <= xp else (xp, x)
+    p, _ = factors(lo, *args)
+    _, q = factors(hi, *args)
+    return p * q
+
+
+def rect_factors(z: float, k0) -> Tuple[specfun.SignLog, specfun.SignLog]:
+    """Rectangular factor pair (exp(k0 z), exp(-k0 z) / (2 k0)), kept in log form."""
     k = _k0_value(k0)
-    return math.exp(-k * abs(z - zp)) / (2.0 * k)
+    return specfun.SignLog(1, k * z), specfun.SignLog(1, -k * z - math.log(2.0 * k))
 
 
-def g0_cyl(rho: float, rhop: float, k0, mode: int = 0) -> float:
-    """Cylindrical free kernel I_m(k0 rho_<) K_m(k0 rho_>) for azimuthal order `mode`."""
+def cyl_factors(rho: float, k0, mode: int = 0) -> Tuple[specfun.SignLog, specfun.SignLog]:
+    """Cylindrical factor pair (I_m(k0 rho), K_m(k0 rho))."""
     k = _k0_value(k0)
-    if not (rho > 0.0 and rhop > 0.0):
-        raise DomainError(f"cylindrical radii must be positive, got ({rho}, {rhop})")
-    lo, hi = (rho, rhop) if rho <= rhop else (rhop, rho)
-    return specfun.bessel_i(mode, k * lo) * specfun.bessel_k(mode, k * hi)
+    if not rho > 0.0:
+        raise DomainError(f"cylindrical radius must be positive, got {rho}")
+    return (specfun.SignLog.from_value(specfun.bessel_i(mode, k * rho)),
+            specfun.SignLog.from_value(specfun.bessel_k(mode, k * rho)))
 
 
-def g0_sph(r: float, rp: float, k0, mode: int = 0) -> float:
-    """Spherical free kernel (2 k0/pi) i_l(k0 r_<) k_l(k0 r_>) for angular order `mode`.
+def sph_factors(r: float, k0, mode: int = 0) -> Tuple[specfun.SignLog, specfun.SignLog]:
+    """Spherical factor pair ((2 k0/pi) i_l(k0 r), k_l(k0 r)).
 
     The 2 k0/pi prefactor and overall sign are pinned by the jump condition
     r'^2 [d_r g]_{r'-}^{r'+} = -1 for the -delta(r - r')/r^2 source in the
     i_l/k_l convention of :mod:`greenchain.specfun`.
     """
     k = _k0_value(k0)
-    if not (r > 0.0 and rp > 0.0):
-        raise DomainError(f"spherical radii must be positive, got ({r}, {rp})")
-    lo, hi = (r, rp) if r <= rp else (rp, r)
-    il, _ = specfun.sph_modified(mode, k * lo)
-    _, kl = specfun.sph_modified(mode, k * hi)
-    return (2.0 * k / math.pi) * il * kl
+    if not r > 0.0:
+        raise DomainError(f"spherical radius must be positive, got {r}")
+    il, kl = specfun.sph_modified(mode, k * r)
+    return specfun.SignLog.from_value((2.0 * k / math.pi) * il), specfun.SignLog.from_value(kl)
+
+
+def osc_factors(z: float, v: float, units: UnitSystem = NATURAL_UNITS,
+                center: float = 0.0) -> Tuple[specfun.SignLog, specfun.SignLog]:
+    """Oscillator factor pair ((1/2) sqrt(hbar/(pi m w0)) Gamma(-v) D_v(-y), D_v(y)).
+
+    y = sqrt(2 m w0 / hbar) (z - center).  The prefactor gives the unit
+    derivative jump that the chain algebra assumes; Gamma(-v) makes
+    non-negative integer v a pole (DomainError).
+    """
+    beta = math.sqrt(2.0 * units.mass * units.omega0 / units.hbar)
+    y = beta * (z - center)
+    pref = 0.5 * math.sqrt(units.hbar / (math.pi * units.mass * units.omega0))
+    p = (specfun.gamma_signlog(-v) * specfun.pcf_d_signlog(v, -y)).scaled(pref)
+    return p, specfun.pcf_d_signlog(v, y)
+
+
+def g0_rect(z: float, zp: float, k0) -> float:
+    """Rectangular free kernel exp(-k0 |z - z'|) / (2 k0)."""
+    return _kernel(rect_factors, z, zp, k0).value()
+
+
+def g0_cyl(rho: float, rhop: float, k0, mode: int = 0) -> float:
+    """Cylindrical free kernel I_m(k0 rho_<) K_m(k0 rho_>) for azimuthal order `mode`."""
+    return _kernel(cyl_factors, rho, rhop, k0, mode).value()
+
+
+def g0_sph(r: float, rp: float, k0, mode: int = 0) -> float:
+    """Spherical free kernel (2 k0/pi) i_l(k0 r_<) k_l(k0 r_>) for angular order `mode`."""
+    return _kernel(sph_factors, r, rp, k0, mode).value()
 
 
 def g0_osc_signlog(z: float, zp: float, v: float,
                    units: UnitSystem = NATURAL_UNITS, center: float = 0.0) -> specfun.SignLog:
     """Unconstrained-oscillator kernel as a SignLog (overflow-safe for large v)."""
-    beta = math.sqrt(2.0 * units.mass * units.omega0 / units.hbar)
-    y1 = beta * (z - center)
-    y2 = beta * (zp - center)
-    ylo, yhi = (y1, y2) if y1 <= y2 else (y2, y1)
-    pref = 0.5 * math.sqrt(units.hbar / (math.pi * units.mass * units.omega0))
-    sl = specfun.gamma_signlog(-v) * specfun.pcf_d_signlog(v, -ylo) * specfun.pcf_d_signlog(v, yhi)
-    return sl.scaled(pref)
+    return _kernel(osc_factors, z, zp, v, units, center)
 
 
 def g0_osc(z: float, zp: float, v: float,
@@ -166,8 +201,7 @@ def g0_osc(z: float, zp: float, v: float,
     """Unconstrained harmonic oscillator kernel at energy E = (v + 1/2) hbar w0.
 
     Finite at coincidence; Gamma(-v) makes non-negative integer v a pole of
-    the kernel (DomainError).  The prefactor (1/2) sqrt(hbar/(pi m w0)) gives
-    the unit derivative jump that the chain algebra assumes.
+    the kernel (DomainError).
     """
     return g0_osc_signlog(z, zp, v, units, center).value()
 
@@ -181,18 +215,19 @@ class FreeGreens:
     the Lambda matrix (1, rho, or r^2 for the concrete geometries).  Any
     linear Hermitian 1D operator with those properties plugs into the chain
     algebra through this type.
+
+    `factors(x, param)`, when present, returns the pair (p(x), q(x)) as
+    SignLogs such that g0(x, x') = p(x_<) q(x_>): p is the solution regular
+    at the lower end, q the one regular at the upper end.  With it the chain
+    algebra runs in O(n) kernel-factor evaluations; without it (custom
+    kernels) the chain falls back to the dense boundary matrix.
     """
 
     geometry: Geometry
     evaluate: Callable[[float, float, float], float]
     weight: Callable[[float], float]
-    domain: Tuple[float, float] = (-math.inf, math.inf)
     mode: Optional[int] = None
-
-    def check_position(self, x: float) -> None:
-        lo, hi = self.domain
-        if not (lo < x < hi):
-            raise DomainError(f"position {x} outside the kernel domain ({lo}, {hi})")
+    factors: Optional[Callable[[float, float], Tuple[specfun.SignLog, specfun.SignLog]]] = None
 
     def bound(self, param: float) -> Callable[[float, float], float]:
         """Two-argument view g0(x, x') at a frozen spectral parameter."""
@@ -204,6 +239,7 @@ def rect_free_greens() -> FreeGreens:
         geometry=Geometry.RECTANGULAR,
         evaluate=lambda z, zp, k0: g0_rect(z, zp, k0),
         weight=lambda a: 1.0,
+        factors=rect_factors,
     )
 
 
@@ -212,8 +248,8 @@ def cyl_free_greens(mode: int = 0) -> FreeGreens:
         geometry=Geometry.CYLINDRICAL,
         evaluate=lambda r, rp, k0, _m=mode: g0_cyl(r, rp, k0, _m),
         weight=lambda a: weight(Geometry.CYLINDRICAL, a),
-        domain=(0.0, math.inf),
         mode=mode,
+        factors=lambda r, k0, _m=mode: cyl_factors(r, k0, _m),
     )
 
 
@@ -222,8 +258,8 @@ def sph_free_greens(mode: int = 0) -> FreeGreens:
         geometry=Geometry.SPHERICAL,
         evaluate=lambda r, rp, k0, _m=mode: g0_sph(r, rp, k0, _m),
         weight=lambda a: weight(Geometry.SPHERICAL, a),
-        domain=(0.0, math.inf),
         mode=mode,
+        factors=lambda r, k0, _m=mode: sph_factors(r, k0, _m),
     )
 
 
@@ -232,19 +268,18 @@ def osc_free_greens(units: UnitSystem = NATURAL_UNITS, center: float = 0.0) -> F
         geometry=Geometry.OSCILLATOR,
         evaluate=lambda z, zp, v, _u=units, _c=center: g0_osc(z, zp, v, _u, _c),
         weight=lambda a: 1.0,
+        factors=lambda z, v, _u=units, _c=center: osc_factors(z, v, _u, _c),
     )
 
 
 def custom_free_greens(evaluate: Callable[[float, float, float], float],
                        weight_fn: Optional[Callable[[float], float]] = None,
-                       domain: Tuple[float, float] = (-math.inf, math.inf),
                        mode: Optional[int] = None) -> FreeGreens:
-    """Wrap an arbitrary-operator kernel for use with the chain algebra."""
+    """Wrap an arbitrary-operator kernel for use with the (dense) chain algebra."""
     return FreeGreens(
         geometry=Geometry.CUSTOM,
         evaluate=evaluate,
         weight=weight_fn if weight_fn is not None else (lambda a: 1.0),
-        domain=domain,
         mode=mode,
     )
 

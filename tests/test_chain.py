@@ -1,5 +1,6 @@
 """Chain algebra tests: boundary matrices, LU, corrections, characteristic functions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from greenchain import (
     custom_free_greens,
     cyl_free_greens,
     det,
+    free_greens_for,
     greens_finite,
     greens_strong,
     lambda_matrix,
@@ -65,6 +67,21 @@ def test_chain_from_couplings_rescales():
     assert ch.lambdas == (2.0 * 3.0 * 4.0 / 4.0,)
     ch = DeltaChain.from_couplings("rectangular", (0.0,), ALL_INFINITE)
     assert ch.is_strong
+
+
+def test_chain_rejects_non_finite_positions():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            DeltaChain("rectangular", (0.0, bad), (1.0, 1.0))
+
+
+def test_dense_path_keeps_its_64_row_cap_for_custom_kernels():
+    g0 = custom_free_greens(lambda x, xp, k: math.exp(-k * abs(x - xp)) / (2.0 * k))
+    ch = DeltaChain("custom", tuple(0.1 * i for i in range(65)), ALL_INFINITE)
+    with pytest.raises(DomainError, match="at most 64"):
+        greens_strong(ch, g0, 0.05, 0.15, 1.0)
+    with pytest.raises(DomainError, match="at most 64"):
+        char_func(ch, g0, 1.0)
 
 
 def test_chain_allows_attractive_couplings():
@@ -389,3 +406,225 @@ def test_char_func_rescaling_shifts_log_keeps_brackets():
     # the bracket pattern on this grid straddles the first root near 4.45
     flips = [i for i, (s1, s2) in enumerate(zip(base_signs, base_signs[1:])) if s1 != s2]
     assert len(flips) >= 1
+
+
+# ----------------------------------------------------------------------
+# Structured (factor-pair) path against the dense reference
+# ----------------------------------------------------------------------
+
+KERNELS = [("rectangular", 0), ("oscillator", 0)] + [
+    (geometry, mode) for geometry in ("cylindrical", "spherical") for mode in range(4)
+]
+
+
+def _random_chain(geometry, n, rng, span=1.0):
+    """n jittered walls over `span`, a spectral parameter, and the cell edges."""
+    a0 = 0.5 if geometry in ("cylindrical", "spherical") else 0.0
+    h = span / n
+    positions = [a0 + (i + 0.5 + rng.uniform(-0.3, 0.3)) * h for i in range(n)]
+    if geometry == "oscillator":
+        param = rng.uniform(-0.9, 5.9)  # order v, walls in a box centred at 0.5
+    else:
+        param = math.exp(rng.uniform(math.log(0.5), math.log(16.0)))  # k0
+    edges = [positions[0] - 0.5 * h] + positions + [positions[-1] + 0.5 * h]
+    return positions, param, edges
+
+
+def _placements(positions, edges):
+    """(x, x') in one cell, in distant cells, and left/right of the chain."""
+    n = len(positions)
+
+    def point(cell, frac):
+        return edges[cell] + frac * (edges[cell + 1] - edges[cell])
+
+    mid = max(1, n // 2) if n > 1 else 0
+    return {
+        "same": (point(mid, 0.3), point(mid, 0.7)),
+        "distant": (point(min(1, n - 1), 0.6), point(n, 0.4)),
+        "left": (positions[0] - 0.3, positions[0] - 0.1),
+        "right": (positions[-1] + 0.5, positions[-1] + 0.2),
+    }
+
+
+def _dense_strong(G0, g0, positions, x, xp, param):
+    u = np.array([g0.evaluate(x, a, param) for a in positions])
+    v = np.array([g0.evaluate(a, xp, param) for a in positions])
+    return g0.evaluate(x, xp, param) - float(u @ solve(lu(G0.entries), v))
+
+
+def _dense_finite(G0, chain, g0, x, xp, param):
+    lam = lambda_matrix(G0, chain, weight_fn=g0.weight)
+    u = np.array([g0.evaluate(x, a, param) for a in chain.positions])
+    v = np.array([g0.evaluate(a, xp, param) for a in chain.positions])
+    t = solve(lu(lam.entries), v)
+    return g0.evaluate(x, xp, param) - float(u @ (lam.w_lambda * t))
+
+
+def _assert_close(got, want, g_free):
+    assert abs(got - want) <= 1e-10 * max(abs(g_free), abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+@pytest.mark.parametrize("geometry,mode", KERNELS)
+def test_structured_matches_dense(geometry, mode, n):
+    rng = np.random.RandomState(1000 * n + 10 * mode + len(geometry))
+    g0 = free_greens_for(geometry, mode=mode, center=0.5)
+    positions, param, edges = _random_chain(geometry, n, rng)
+    strong = DeltaChain(geometry, positions, ALL_INFINITE)
+    G0 = boundary_matrix(strong, g0, param)
+
+    want = det(lu(G0.entries))
+    got = char_func(strong, g0, param)
+    assert got.sign == want.sign
+    assert abs(got.log_mag - want.log_mag) <= 1e-10 * max(1.0, abs(want.log_mag))
+
+    couplings = {
+        "repulsive": rng.uniform(0.1, 10.0, n),
+        "zero": np.zeros(n),
+        "attractive": -rng.uniform(0.1, 3.0, n),
+    }
+    for x, xp in _placements(positions, edges).values():
+        g_free = g0.evaluate(x, xp, param)
+        _assert_close(greens_strong(strong, g0, x, xp, param),
+                      _dense_strong(G0, g0, positions, x, xp, param), g_free)
+        for lams in couplings.values():
+            chain = DeltaChain(geometry, positions, tuple(lams))
+            _assert_close(greens_finite(chain, g0, x, xp, param),
+                          _dense_finite(G0, chain, g0, x, xp, param), g_free)
+
+
+def _numpy_boundary_matrix(g0, positions, param):
+    """G0[i, j] = p(a_min) q(a_max), assembled with numpy from one factor pair per wall."""
+    pairs = [g0.factors(a, param) for a in positions]
+    sp = np.array([p.sign for p, _ in pairs])
+    lp = np.array([p.log_mag for p, _ in pairs])
+    sq = np.array([q.sign for _, q in pairs])
+    lq = np.array([q.log_mag for _, q in pairs])
+    upper = np.outer(sp, sq) * np.exp(lp[:, None] + lq[None, :])
+    return np.triu(upper) + np.triu(upper, 1).T
+
+
+@pytest.mark.parametrize("geometry,mode", [("rectangular", 0), ("oscillator", 0),
+                                           ("cylindrical", 1), ("spherical", 2)])
+def test_structured_matches_numpy_at_512_walls(geometry, mode):
+    rng = np.random.RandomState(512 + mode)
+    g0 = free_greens_for(geometry, mode=mode, center=0.5)
+    n = 512
+    positions, param, edges = _random_chain(geometry, n, rng, span=4.0)
+    strong = DeltaChain(geometry, positions, ALL_INFINITE)
+    G0 = _numpy_boundary_matrix(g0, positions, param)
+
+    sign, logdet = np.linalg.slogdet(G0)
+    got = char_func(strong, g0, param)
+    assert got.sign == sign
+    assert abs(got.log_mag - logdet) <= 1e-10 * max(1.0, abs(logdet))
+
+    lams = rng.uniform(0.1, 10.0, n)
+    chain = DeltaChain(geometry, positions, tuple(lams))
+    w = np.array([g0.weight(a) for a in positions]) * lams
+    for x, xp in _placements(positions, edges).values():
+        u = np.array([g0.evaluate(x, a, param) for a in positions])
+        v = np.array([g0.evaluate(a, xp, param) for a in positions])
+        g_free = g0.evaluate(x, xp, param)
+        _assert_close(greens_strong(strong, g0, x, xp, param),
+                      g_free - float(u @ np.linalg.solve(G0, v)), g_free)
+        _assert_close(greens_finite(chain, g0, x, xp, param),
+                      g_free - float(u @ (w * np.linalg.solve(np.eye(n) + G0 * w, v))), g_free)
+
+
+def _both_paths(chain, g0, x, xp, param):
+    """(structured, dense) results of the chain's call; an error stands for its class."""
+    dense_g0 = dataclasses.replace(g0, factors=None)
+    out = []
+    for kernel in (g0, dense_g0):
+        try:
+            if chain.is_strong:
+                out.append(greens_strong(chain, kernel, x, xp, param))
+            else:
+                out.append(greens_finite(chain, kernel, x, xp, param))
+        except NumericError as exc:
+            out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("positions,k0", [
+    ([1000.0 + 0.1 * i for i in range(8)], 1.0),  # raw e^{k0 z} would overflow
+    ([100.0 + 0.01 * i for i in range(8)], 10.0),
+    ([-1000.0, 0.0, 1000.0], 1.0),  # off-diagonal entries underflow to zero
+])
+def test_rectangular_walls_far_out(positions, k0):
+    g0 = rect_free_greens()
+    x, xp = positions[0] + 0.03, positions[1] + 0.05
+    for lams in (ALL_INFINITE, (1.0,) * len(positions)):
+        chain = DeltaChain("rectangular", positions, lams)
+        got, want = _both_paths(chain, g0, x, xp, k0)
+        _assert_close(got, want, g0.evaluate(x, xp, k0))
+    strong = DeltaChain("rectangular", positions, ALL_INFINITE)
+    want = det(lu(boundary_matrix(strong, g0, k0).entries))
+    got = char_func(strong, g0, k0)
+    assert got.sign == want.sign
+    assert got.log_mag == pytest.approx(want.log_mag, rel=1e-10)
+
+
+@pytest.mark.parametrize("v", [190.3, 199.5])
+def test_oscillator_near_order_200(v):
+    g0 = osc_free_greens(center=0.5)
+    for positions in ((0.0, 0.45, 1.0), (-4.0, 0.45, 5.0)):
+        for lams in (ALL_INFINITE, (1.0, 2.0, 0.5)):
+            chain = DeltaChain("oscillator", positions, lams)
+            got, want = _both_paths(chain, g0, 0.2, 0.3, v)
+            if isinstance(want, type):
+                assert got is want  # the far walls leave D_v's accurate range
+            else:
+                _assert_close(got, want, g0.evaluate(0.2, 0.3, v))
+
+
+def test_structured_path_is_linear_in_walls():
+    # a counting factor pair: n walls cost n + 2 factor evaluations and no g0 call
+    n = 64
+    calls = []
+
+    def counting(z, k0):
+        calls.append(z)
+        return rect_free_greens().factors(z, k0)
+
+    def forbidden(*args):
+        raise AssertionError("the structured path must not evaluate g0 pairwise")
+
+    g0 = dataclasses.replace(rect_free_greens(), factors=counting, evaluate=forbidden)
+    positions = tuple(0.05 * i for i in range(n))
+    strong = DeltaChain("rectangular", positions, ALL_INFINITE)
+    finite = DeltaChain("rectangular", positions, (1.5,) * n)
+    for call, limit in ((lambda: char_func(strong, g0, 1.3), n),
+                        (lambda: greens_strong(strong, g0, 0.31, 2.2, 1.3), n + 2),
+                        (lambda: greens_finite(finite, g0, 0.31, 2.2, 1.3), n + 2)):
+        calls.clear()
+        call()
+        assert len(calls) == limit
+
+
+def test_finite_attractive_wall_with_nearly_singular_leading_block():
+    # lambda_1 puts a bound state on [-inf, a_2] with wall 2 impenetrable: the first
+    # pivot of T + W (nearly) vanishes although Lambda is regular, so the
+    # tridiagonal solve must swap rows
+    g0 = rect_free_greens()
+    k, gap = 1.3, 0.4
+    for eps in (1e-6, 1e-8, 1e-10):
+        lam1 = -k * (1.0 + 1.0 / math.tanh(k * gap)) * (1.0 - eps)
+        chain = DeltaChain("rectangular", (0.0, gap), (lam1, 2.0))
+        want = _dense_finite(boundary_matrix(chain, g0, k), chain, g0, 0.1, 0.3, k)
+        _assert_close(greens_finite(chain, g0, 0.1, 0.3, k), want, g0.evaluate(0.1, 0.3, k))
+
+
+def test_finite_falls_back_to_dense_near_an_interval_level():
+    # walls 1e-9 apart cancel their interval factor; Lambda stays regular
+    g0 = rect_free_greens()
+    chain = DeltaChain("rectangular", (0.0, 1e-9, 0.5), (1.5, -0.4, 2.0))
+    got = greens_finite(chain, g0, 0.2, 0.3, 1.3)
+    want = _dense_finite(boundary_matrix(chain, g0, 1.3), chain, g0, 0.2, 0.3, 1.3)
+    assert got == want
+    # past the dense path's 64 rows there is no fallback: refuse rather than lose digits
+    many = DeltaChain("rectangular", (0.0, 1e-9) + tuple(0.1 * i for i in range(1, 64)),
+                      (1.0,) * 65)
+    with pytest.raises(NumericError):
+        greens_finite(many, g0, 0.2, 0.3, 1.3)

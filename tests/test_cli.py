@@ -102,6 +102,41 @@ def test_greens_numeric_failure_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_greens_512_wall_chain(tmp_path, capsys):
+    # finite couplings on 512 walls, checked against a dense numpy solve of I + G0 W
+    import numpy as np
+
+    positions = [0.01 * i for i in range(512)]
+    couplings = [0.5 + 0.001 * i for i in range(512)]
+    cfg = write_config(tmp_path, {"geometry": "rectangular", "positions": positions,
+                                  "couplings": couplings})
+    k, x, xp = 2.0, 1.234, 3.456
+    assert main(["greens", cfg, repr(x), repr(xp), repr(k)]) == 0
+    got = float(capsys.readouterr().out)
+    a = np.array(positions)
+    g0 = lambda s, t: np.exp(-k * np.abs(s - t)) / (2.0 * k)
+    w = 2.0 * np.array(couplings)  # lambda = 2 m mu / hbar^2
+    t = np.linalg.solve(np.eye(512) + g0(a[:, None], a[None, :]) * w, g0(a, xp))
+    want = g0(x, xp) - float(g0(x, a) @ (w * t))
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("field,values", [
+    ("positions", [0.0, math.nan]),
+    ("positions", [0.0, math.inf]),
+    ("couplings", [1.0, math.nan]),
+    ("couplings", [1.0, -math.inf]),
+])
+def test_greens_non_finite_config_exits_1(tmp_path, capsys, field, values):
+    data = {"geometry": "rectangular", "positions": [0.0, 1.0], "couplings": [1.0, 1.0]}
+    data[field] = values
+    cfg = write_config(tmp_path, data)  # json writes NaN / Infinity, which json reads back
+    assert main(["greens", cfg, "0.2", "0.4", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert err.count("\n") == 1
+
+
 def test_greens_missing_config_exits_1(capsys):
     assert main(["greens", "/nonexistent.json", "0", "0", "1.0"]) == 1
 
