@@ -2,9 +2,9 @@
 
 The package splits into five layers:
 
-* :mod:`greenchain.specfun` — scalar special functions (gamma, Bessel,
-  spherical Bessel, Kummer M, parabolic cylinder D_v, Hermite) plus the
-  overflow-safe SignLog scalar;
+* :mod:`greenchain.specfun` — special functions (gamma, Bessel, spherical
+  Bessel, Kummer M, parabolic cylinder D_v, Hermite), array paths for
+  Kummer M and the D_v(+-y) pair, and the overflow-safe SignLog scalar;
 * :mod:`greenchain.greens` — the four concrete free-space kernels and the
   pluggable FreeGreens interface;
 * :mod:`greenchain.chain` — boundary matrices, finite/strong coupling
@@ -74,6 +74,8 @@ from .spectrum import (
     oscillator_char_full,
     oscillator_char_reduced,
     oscillator_spectrum,
+    pointwise,
+    scan_grid,
     scan_sign_changes,
     sph_dirichlet_spectrum,
     sph_shell_spectrum,

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage/configuration error, 2 numeric failure.
 CSV output prints every number with 12 significant digits, '.' decimal
 separator, ',' field separator and '\\n' line terminator; non-finite values
-become empty cells.  Output is byte-identical across runs and thread counts.
+become empty cells.  Output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from typing import Optional, Tuple, Union
 
 from . import chain as chain_mod
 from . import greens as greens_mod
+from . import specfun
 from . import spectrum as spectrum_mod
-from .errors import ConfigError, GreenChainError
+from .errors import ConfigError, DomainError, GreenChainError
 from .greens import Geometry, UnitSystem
 
 EXIT_OK = 0
@@ -84,6 +85,13 @@ class ChainConfig:
         if self.box_length is not None:
             out["oscillator"] = {"box_length": self.box_length, "center": self.center}
         return out
+
+
+def _finite_number(value, name: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or not math.isfinite(value):
+        raise ConfigError(f"'{name}' must be a finite number, got {value!r}")
+    return float(value)
 
 
 def parse_config(data: dict) -> ChainConfig:
@@ -153,10 +161,10 @@ def parse_config(data: dict) -> ChainConfig:
             raise ConfigError(f"unknown oscillator fields: {sorted(unknown)}")
         if "box_length" not in osc_data:
             raise ConfigError("'oscillator.box_length' is required when the section is present")
-        box_length = float(osc_data["box_length"])
+        box_length = _finite_number(osc_data["box_length"], "oscillator.box_length")
         if box_length <= 0.0:
             raise ConfigError("'oscillator.box_length' must be positive")
-        center = float(osc_data.get("center", box_length / 2.0))
+        center = _finite_number(osc_data.get("center", box_length / 2.0), "oscillator.center")
     if geometry is Geometry.OSCILLATOR and box_length is None:
         raise ConfigError("oscillator geometry requires the 'oscillator' section")
 
@@ -282,18 +290,29 @@ def cmd_greens(args) -> int:
     return EXIT_OK
 
 
+def _check_finite(args, *flags: str) -> None:
+    """Reject NaN and infinite values of the given float flags (None means unset)."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{flag} must be a finite number, got {value}")
+
+
 def cmd_scan(args) -> int:
-    if args.step <= 0.0:
-        raise ConfigError(f"--step must be positive, got {args.step}")
-    if args.hi < args.lo:
-        raise ConfigError(f"--lo must not exceed --hi, got [{args.lo}, {args.hi}]")
+    _check_finite(args, "a", "lo", "hi", "step")
+    try:
+        grid = spectrum_mod.scan_grid(args.lo, args.hi, args.step)
+    except DomainError as exc:
+        raise ConfigError(f"bad --lo/--hi/--step: {exc}") from None
     units = _units_from_args(args)
     prob = spectrum_mod.OscillatorProblem(args.a, units)
+    # one D_v(-alpha), D_v(alpha) series pass over the window serves both columns
+    dv = specfun.pcf_d_pair_signlog(grid, prob.alpha)
     reduced_rows = spectrum_mod.char_scan_table(
-        lambda v: spectrum_mod.oscillator_char_reduced(v, prob), args.lo, args.hi, args.step
+        lambda v: spectrum_mod.oscillator_char_reduced(v, prob, dv), args.lo, args.hi, args.step
     )
     full_rows = spectrum_mod.char_scan_table(
-        lambda v: spectrum_mod.oscillator_char_full(v, prob), args.lo, args.hi, args.step
+        lambda v: spectrum_mod.oscillator_char_full(v, prob, dv), args.lo, args.hi, args.step
     )
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -327,6 +346,7 @@ def _spectrum_lines(args, units: UnitSystem):
 
 
 def cmd_spectrum(args) -> int:
+    _check_finite(args, "a", "radius", "mu", "tol")
     if not 1 <= args.n_roots <= 12:
         raise ConfigError(f"--n-roots must be in [1, 12], got {args.n_roots}")
     units = _units_from_args(args)

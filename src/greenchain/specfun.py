@@ -1,9 +1,16 @@
-"""Scalar special functions in double precision.
+"""Special functions in double precision.
 
 Everything here is a pure function of its arguments: no caching, no global
 state, safe to call from any number of threads.  Every infinite series uses
 a term recurrence with compensated (Kahan) summation and stops once three
 consecutive terms fall below 1e-16 of the running partial sum.
+
+The functions take scalars, except for two array paths used by grid scans:
+:func:`kummer_m` also accepts an array of ``a``, and
+:func:`pcf_d_pair_signlog` gives ``D_v(-y)`` and ``D_v(y)`` over an array of
+orders.  Both sum each element with exactly the operations of the scalar
+series, so their values are bitwise equal to the scalar ones, and both mark
+with NaN the elements where the scalar function raises.
 
 Conventions fixed by this module:
 
@@ -25,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NumericError, RangeError
 
@@ -568,18 +577,66 @@ def _kummer_series(a: float, b: float, x: float) -> tuple[float, float]:
     raise NumericError(f"kummer_m({a}, {b}, {x}) did not converge within {_MAX_TERMS} terms")
 
 
-def kummer_m(a: float, b: float, x: float) -> float:
+def _kummer_series_array(a: np.ndarray, b: float, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_kummer_series` over an array of ``a``: sums and peaks, NaN where it raises.
+
+    Every element runs the scalar recurrence, operation for operation, with
+    its own Kahan compensation, peak and run of small terms; an element
+    leaves the working set as soon as its run reaches three.
+    """
+    sums = np.full(a.shape, np.nan)
+    peaks = np.full(a.shape, np.nan)
+    idx = np.arange(a.size)
+    a = a.ravel()
+    term = np.ones(a.size)
+    total = np.ones(a.size)
+    comp = np.zeros(a.size)
+    peak = np.ones(a.size)
+    small = np.zeros(a.size, dtype=np.int64)
+    k = 0
+    while k < _MAX_TERMS and idx.size:
+        term *= (a + k) * x / ((b + k) * (k + 1.0))
+        at = np.abs(term)
+        np.maximum(peak, at, out=peak)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        k += 1
+        small = np.where(at <= _REL_EPS * np.abs(total), small + 1, 0)
+        done = small >= _SMALL_RUN
+        if done.any():
+            sums.flat[idx[done]] = total[done]
+            peaks.flat[idx[done]] = peak[done]
+            keep = ~done
+            idx, a, term, total, comp, peak, small = (
+                arr[keep] for arr in (idx, a, term, total, comp, peak, small))
+    return sums, peaks
+
+
+def kummer_m(a, b: float, x: float):
     """Confluent hypergeometric M(a, b, x) by the ascending series.
 
     Term recurrence with compensated summation; stops after three
     consecutive terms below 1e-16 of the partial sum.  Validated for
     |x| <= 50 and |a| <= 300 with b away from non-positive integers.
+
+    ``a`` may be a numpy array: the result is then an array of the same
+    shape, bitwise equal to the scalar values, with NaN at every element
+    where the scalar call would raise (``|a| > 300``, non-finite ``a``, or
+    no convergence).  ``b`` and ``x`` stay scalars and raise as above.
     """
     if b <= 0.0 and b == math.floor(b):
         raise DomainError(f"kummer_m: b={b} is a non-positive integer (pole)")
-    if abs(x) > 50.0:
+    if not abs(x) <= 50.0:
         raise DomainError(f"kummer_m: |x|={abs(x)} outside the validated range 50")
-    if abs(a) > 300.0:
+    if isinstance(a, np.ndarray):
+        a = a.astype(float)
+        valid = np.abs(a) <= 300.0
+        out = np.full(a.shape, np.nan)
+        out[valid] = _kummer_series_array(a[valid], b, x)[0]
+        return out
+    if not abs(a) <= 300.0:
         raise DomainError(f"kummer_m: |a|={abs(a)} outside the validated range 300")
     return _kummer_series(a, b, x)[0]
 
@@ -645,6 +702,58 @@ def pcf_d_signlog(v: float, y: float) -> SignLog:
         return sl
     log_pref = 0.5 * v * _LN_2 - 0.25 * y * y + 0.5 * math.log(math.pi)
     return SignLog(sl.sign, sl.log_mag + log_pref)
+
+
+def _rgamma_or_nan(x: float) -> float:
+    try:
+        return _rgamma(x)
+    except RangeError:
+        return math.nan
+
+
+def _log_or_nan(x: float) -> float:
+    return math.log(x) if x > 0.0 else math.nan
+
+
+def pcf_d_pair_signlog(v: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray,
+                                                          np.ndarray, np.ndarray]:
+    """D_v(-y) and D_v(y) over an array of orders v, in SignLog parts.
+
+    Returns ``(sign_minus, log_minus, sign_plus, log_plus)``: element i of
+    ``sign_minus`` and ``log_minus`` are the ``sign`` and ``log_mag`` of
+    ``pcf_d_signlog(v[i], -y)``, bitwise, and likewise for ``+y``.  Both
+    signs share q = y^2/2, so the two Kummer series run once for the pair.
+    All four arrays hold NaN where :func:`pcf_d_signlog` would raise: v
+    outside [-1, 200], the series cancellation guard, or a series that does
+    not converge.  ``|y| > 10`` raises DomainError as in the scalar call.
+    """
+    if abs(y) > 10.0:
+        raise DomainError(f"pcf_d: |y|={abs(y)} outside the validated range 10")
+    v = np.asarray(v, dtype=float)
+    ok = (v >= -1.0) & (v <= 200.0)
+    w = v[ok]
+    q = 0.5 * y * y
+    m_even, peak_even = _kummer_series_array(-0.5 * w, 0.5, q)
+    m_odd, peak_odd = _kummer_series_array(0.5 * (1.0 - w), 1.5, q)
+    rg_even = np.array([_rgamma_or_nan(x) for x in (0.5 * (1.0 - w)).tolist()])
+    rg_odd = np.array([_rgamma_or_nan(x) for x in (-0.5 * w).tolist()])
+    t_even = m_even * rg_even
+    noise = _REL_EPS * (peak_even * np.abs(rg_even)
+                        + _SQRT_2 * abs(y) * peak_odd * np.abs(rg_odd))
+    log_pref = 0.5 * w * _LN_2 - 0.25 * y * y + 0.5 * math.log(math.pi)
+    out = []
+    for s in (-y, y):
+        t_odd = _SQRT_2 * s * m_odd * rg_odd
+        scale = np.maximum(np.abs(t_even), np.abs(t_odd))
+        bracket = np.where(scale == 0.0, 0.0, t_even - t_odd)
+        bracket[~(noise <= 1e-8 * scale) & (scale != 0.0)] = np.nan
+        log_abs = np.array([_log_or_nan(b) for b in np.abs(bracket).tolist()])
+        sign = np.full(v.shape, np.nan)
+        log_mag = np.full(v.shape, np.nan)
+        sign[ok] = np.sign(bracket)
+        log_mag[ok] = np.where(bracket == 0.0, 0.0, log_abs + log_pref)
+        out += [sign, log_mag]
+    return tuple(out)
 
 
 def hermite(n: int, x: float) -> float:

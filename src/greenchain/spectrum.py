@@ -18,26 +18,34 @@ The spectrum therefore scans the even/odd wall-value factors
 whose zeros are exactly the physical levels (the even/odd solutions of the
 oscillator equation vanishing at both walls); every root of either factor is
 also a sign change of r(v).
+
+Grid scans hand the function the whole grid as one float64 array and read
+back an array of the same length, NaN or infinite where a point has no
+value; the oscillator factors take arrays of v natively (one Kummer series
+pass per factor and grid), and `pointwise` lifts any scalar function.
+Brent refinement evaluates the scalar path.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
-from .errors import ConfigError, DomainError, GreenChainError, NumericError, RangeError
+import numpy as np
+
+from .errors import DomainError, GreenChainError, NumericError, RangeError
 from .greens import NATURAL_UNITS, UnitSystem
-from .specfun import SignLog, bessel_jy, kummer_m, gamma_signlog, pcf_d_signlog, sph_ordinary
+from .specfun import (SignLog, bessel_jy, gamma_signlog, kummer_m, pcf_d_pair_signlog,
+                      pcf_d_signlog, sph_ordinary)
 
 _EPS = 2.220446049250313e-16
 _V_MAX = 200.0  # validated parabolic-cylinder order range
 _LOG_MAX = 709.0
+_MAX_SCAN_ROWS = 10_000_000  # a scan table is held in memory whole
 
 
 class RootKind(str, Enum):
@@ -115,77 +123,57 @@ class OscillatorProblem:
 # Grid scanning and Brent refinement
 # ----------------------------------------------------------------------
 
-def _max_workers() -> int:
-    """Worker cap for grid scans, from GREENCHAIN_THREADS.
+def pointwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Lift a scalar f to the array contract of the scans.
 
-    The built-in kernels are pure Python and hold the GIL, so extra threads
-    only slow them down; the pool is therefore engaged only when the caller
-    raises the cap explicitly (worthwhile for custom GIL-releasing
-    evaluators).  Unset means one worker.
-    """
-    raw = os.environ.get("GREENCHAIN_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"GREENCHAIN_THREADS must be an integer >= 1, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"GREENCHAIN_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _grid_eval(f: Callable[[float], float], xs: Sequence[float]) -> list:
-    """Evaluate f over an ordered grid, optionally with threads.
-
-    Results come back in grid order regardless of worker count, as
-    (ok, value_or_exception) pairs, so everything downstream is a
-    deterministic ordered reduction.
+    The lifted function evaluates f at each grid point in order and returns
+    a float array, with NaN wherever f raises a GreenChainError.
     """
 
-    def one(x):
-        try:
-            return True, f(x)
-        except GreenChainError as exc:
-            return False, exc
+    def lifted(xs: np.ndarray) -> np.ndarray:
+        out = np.empty(len(xs))
+        for i, x in enumerate(xs.tolist()):
+            try:
+                out[i] = f(x)
+            except GreenChainError:
+                out[i] = math.nan
+        return out
 
-    workers = _max_workers()
-    if workers <= 1 or len(xs) < 256:
-        return [one(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, xs, chunksize=max(1, len(xs) // (4 * workers))))
+    return lifted
 
 
-def scan_sign_changes(f: Callable[[float], float], lo: float, hi: float,
+def _grid_values(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise DomainError(f"scan function returned shape {vals.shape} for a grid of {xs.shape}")
+    return vals
+
+
+def scan_sign_changes(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                       n_grid: int) -> List[Bracket]:
     """Brackets around every sign change of f on a uniform n_grid-point grid.
 
-    Grid points where f raises or returns a non-finite value are skipped
-    with a warning; a grid point where f is exactly zero is bracketed
-    between its nearest non-zero neighbours.
+    f is called once with the float64 grid and returns an array of the same
+    length (wrap a scalar function with :func:`pointwise`).  Grid points
+    where f is NaN or infinite are skipped with a warning; a grid point where
+    f is exactly zero is bracketed between its nearest non-zero neighbours.
     """
     if n_grid < 2:
         raise DomainError(f"scan needs n_grid >= 2, got {n_grid}")
     if not lo < hi:
         raise DomainError(f"scan needs lo < hi, got [{lo}, {hi}]")
     step = (hi - lo) / (n_grid - 1)
-    xs = [lo + i * step for i in range(n_grid)]
+    xs = lo + np.arange(n_grid) * step
     xs[-1] = hi
-    results = _grid_eval(f, xs)
-    brackets: List[Bracket] = []
-    prev: Optional[Tuple[float, float]] = None
-    for x, (ok, val) in zip(xs, results):
-        if not ok or not math.isfinite(val):
-            warnings.warn(f"scan: skipping grid point {x} ({val if ok else 'evaluation error'})")
-            continue
-        if val == 0.0:
-            continue  # the root lands between the surrounding non-zero points
-        if prev is not None:
-            x0, f0 = prev
-            if (f0 < 0.0 < val) or (val < 0.0 < f0):
-                brackets.append(Bracket(x0, x, f0, val))
-        prev = (x, val)
-    return brackets
+    vals = _grid_values(f, xs)
+    finite = np.isfinite(vals)
+    for x, val in zip(xs[~finite].tolist(), vals[~finite].tolist()):
+        warnings.warn(f"scan: skipping grid point {x} ({val})")
+    kept = finite & (vals != 0.0)  # a zero lands between the surrounding kept points
+    negative = vals[kept] < 0.0
+    flips = np.flatnonzero(negative[1:] != negative[:-1]).tolist()
+    x_kept, f_kept = xs[kept].tolist(), vals[kept].tolist()
+    return [Bracket(x_kept[i], x_kept[i + 1], f_kept[i], f_kept[i + 1]) for i in flips]
 
 
 def brent(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10,
@@ -195,8 +183,8 @@ def brent(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10,
     Stops once the bracket width falls below `tol` plus machine-epsilon
     padding; never steps outside the original bracket.
     """
-    if tol <= 0.0:
-        raise DomainError(f"brent tolerance must be positive, got {tol}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"brent tolerance must be positive and finite, got {tol}")
     a, b = bracket.lo, bracket.hi
     fa, fb = bracket.f_lo, bracket.f_hi
     c, fc = a, fa
@@ -250,19 +238,39 @@ def brent(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10,
 # Boxed-oscillator characteristic functions
 # ----------------------------------------------------------------------
 
+_Orders = Union[float, np.ndarray]
+_DvPair = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 def _dv_pair(v: float, alpha: float) -> Tuple[SignLog, SignLog]:
     return pcf_d_signlog(v, -alpha), pcf_d_signlog(v, alpha)
 
 
-def oscillator_char_full(v: float, prob: OscillatorProblem) -> float:
-    """Determinant Delta(v) of the two-wall oscillator boundary matrix.
+def _over_pairs(combine, v: np.ndarray, prob: OscillatorProblem,
+                dv: Optional[_DvPair]) -> np.ndarray:
+    """combine(v, D_v(-alpha), D_v(alpha), prob) at every order of v.
 
-    Evaluated through SignLog and exponentiated at the end; diverges at the
-    Gamma(-v) poles (DomainError at non-negative integer v) and overflows
-    double range once v is large (RangeError suggesting the reduced form).
+    The pair comes from one array evaluation (or `dv`, the same pair passed
+    in by a caller that needs it twice); elements where the pair is NaN or
+    where combine raises a GreenChainError are NaN.
     """
+    if dv is None:
+        dv = pcf_d_pair_signlog(v, prob.alpha)
+    if any(len(part) != len(v) for part in dv):
+        raise DomainError("the D_v pair was evaluated on a different grid")
+    out = np.full(len(v), math.nan)
+    for i, (vi, sm, lm, sp, lp) in enumerate(zip(v.tolist(), *(part.tolist() for part in dv))):
+        if math.isnan(lm) or math.isnan(lp):
+            continue
+        try:
+            out[i] = combine(vi, SignLog(int(sm), lm), SignLog(int(sp), lp), prob)
+        except GreenChainError:
+            pass
+    return out
+
+
+def _char_full(v: float, dm: SignLog, dp: SignLog, prob: OscillatorProblem) -> float:
     u = prob.units
-    dm, dp = _dv_pair(v, prob.alpha)
     g = gamma_signlog(-v)
     dm2, dp2 = dm * dm, dp * dp
     # bracket = D_v(-a)^2 - D_v(a)^2, rescaled by the larger square
@@ -286,16 +294,7 @@ def oscillator_char_full(v: float, prob: OscillatorProblem) -> float:
     return total.value()
 
 
-def oscillator_char_reduced(v: float, prob: OscillatorProblem) -> float:
-    """Bounded reduced ratio r(v) in [-1, 1] sharing the sign of Delta(v).
-
-    Computed from SignLog squares rescaled by their common maximum, so it is
-    overflow-free across the whole validated order range.  Note r(v) also
-    vanishes at every non-negative integer v, where the two parabolic
-    cylinder solutions degenerate; those crossings are not spectrum points
-    (see oscillator_spectrum).
-    """
-    dm, dp = _dv_pair(v, prob.alpha)
+def _char_reduced(v: float, dm: SignLog, dp: SignLog, prob: OscillatorProblem) -> float:
     lm = 2.0 * dm.log_mag if dm.sign else -math.inf
     lp = 2.0 * dp.log_mag if dp.sign else -math.inf
     lead = max(lm, lp)
@@ -304,21 +303,56 @@ def oscillator_char_reduced(v: float, prob: OscillatorProblem) -> float:
     return (em - ep) / (em + ep)
 
 
-def even_wall_value(v: float, prob: OscillatorProblem) -> float:
+def oscillator_char_full(v: _Orders, prob: OscillatorProblem,
+                         dv: Optional[_DvPair] = None) -> _Orders:
+    """Determinant Delta(v) of the two-wall oscillator boundary matrix.
+
+    Evaluated through SignLog and exponentiated at the end; diverges at the
+    Gamma(-v) poles (DomainError at non-negative integer v) and overflows
+    double range once v is large (RangeError suggesting the reduced form).
+
+    For an array of orders the result is an array, NaN wherever the scalar
+    call raises; `dv`, if given, is ``pcf_d_pair_signlog(v, prob.alpha)``
+    already evaluated on the same orders.
+    """
+    if isinstance(v, np.ndarray):
+        return _over_pairs(_char_full, v, prob, dv)
+    return _char_full(v, *_dv_pair(v, prob.alpha), prob)
+
+
+def oscillator_char_reduced(v: _Orders, prob: OscillatorProblem,
+                            dv: Optional[_DvPair] = None) -> _Orders:
+    """Bounded reduced ratio r(v) in [-1, 1] sharing the sign of Delta(v).
+
+    Computed from SignLog squares rescaled by their common maximum, so it is
+    overflow-free across the whole validated order range.  Note r(v) also
+    vanishes at every non-negative integer v, where the two parabolic
+    cylinder solutions degenerate; those crossings are not spectrum points
+    (see oscillator_spectrum).  Arrays of orders and `dv` work as in
+    :func:`oscillator_char_full`.
+    """
+    if isinstance(v, np.ndarray):
+        return _over_pairs(_char_reduced, v, prob, dv)
+    return _char_reduced(v, *_dv_pair(v, prob.alpha), prob)
+
+
+def even_wall_value(v: _Orders, prob: OscillatorProblem) -> _Orders:
     """Wall value of the even-parity oscillator solution, M(-v/2, 1/2, alpha^2/2).
 
     Proportional to D_v(-alpha) + D_v(alpha) with a factor that never
     vanishes at non-integer v; its zeros are exactly the even levels of the
-    boxed oscillator.
+    boxed oscillator.  An array of orders gives the array of values, each
+    bitwise equal to the scalar one.
     """
     a2 = prob.alpha * prob.alpha
     return kummer_m(-0.5 * v, 0.5, 0.5 * a2)
 
 
-def odd_wall_value(v: float, prob: OscillatorProblem) -> float:
+def odd_wall_value(v: _Orders, prob: OscillatorProblem) -> _Orders:
     """Wall value of the odd-parity oscillator solution, M((1-v)/2, 3/2, alpha^2/2).
 
     Proportional to D_v(-alpha) - D_v(alpha); its zeros are the odd levels.
+    Takes an array of orders like :func:`even_wall_value`.
     """
     a2 = prob.alpha * prob.alpha
     return kummer_m(0.5 * (1.0 - v), 1.5, 0.5 * a2)
@@ -415,7 +449,7 @@ def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-1
 def _kappa_spectrum(f: Callable[[float], float], lo: float, hi: float, step: float,
                     n_roots: int, tol: float, energy_of) -> List[SpectrumLine]:
     n_grid = int(round((hi - lo) / step)) + 1
-    brackets = scan_sign_changes(f, lo, hi, n_grid)
+    brackets = scan_sign_changes(pointwise(f), lo, hi, n_grid)
     lines: List[SpectrumLine] = []
     for br in brackets[:n_roots]:
         try:
@@ -551,25 +585,41 @@ def delta_well_bound_state(mu: float, units: UnitSystem = NATURAL_UNITS) -> Opti
     return SpectrumLine(root=root, energy=energy)
 
 
-def char_scan_table(f: Callable[[float], float], lo: float, hi: float,
-                    step: float) -> List[Tuple[float, Optional[float], Optional[int]]]:
-    """Deterministic (param, |f|, sign) rows for CSV emission.
+def scan_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The orders lo, lo + step, ... of a scan table; empty when lo == hi.
 
-    Rows where f raises or returns a non-finite value carry None cells.
-    An empty range (lo == hi) yields no rows.
+    The last point is lo + n step with n = round((hi - lo) / step); more
+    than ten million points raise DomainError.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"scan range must be finite, got [{lo}, {hi}]")
     if hi < lo:
         raise DomainError(f"scan range needs lo <= hi, got [{lo}, {hi}]")
     if hi == lo:
+        return np.empty(0)
+    steps = (hi - lo) / step
+    if not steps < _MAX_SCAN_ROWS:
+        raise DomainError(f"[{lo}, {hi}] at step {step} exceeds {_MAX_SCAN_ROWS} rows")
+    return lo + np.arange(int(round(steps)) + 1) * step
+
+
+def char_scan_table(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                    step: float) -> List[Tuple[float, Optional[float], Optional[int]]]:
+    """Deterministic (param, |f|, sign) rows for CSV emission.
+
+    f is called once with the :func:`scan_grid` array and returns an array
+    of the same length (wrap a scalar function with :func:`pointwise`).
+    Rows where f is NaN or infinite carry None cells.  An empty range
+    (lo == hi) yields no rows.
+    """
+    xs = scan_grid(lo, hi, step)
+    if not xs.size:
         return []
-    n = int(round((hi - lo) / step))
-    xs = [lo + i * step for i in range(n + 1)]
-    results = _grid_eval(f, xs)
     rows: List[Tuple[float, Optional[float], Optional[int]]] = []
-    for x, (ok, val) in zip(xs, results):
-        if ok and math.isfinite(val):
+    for x, val in zip(xs.tolist(), _grid_values(f, xs).tolist()):
+        if math.isfinite(val):
             sign = 0 if val == 0.0 else (1 if val > 0.0 else -1)
             rows.append((x, abs(val), sign))
         else:

@@ -69,6 +69,32 @@ def test_config_infinite_couplings():
     assert cfg.to_chain().is_strong
 
 
+OSC_CHAIN = {"geometry": "oscillator", "positions": [0.0, 1.0], "couplings": "infinite"}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("box_length", "x"),
+    ("box_length", None),
+    ("box_length", True),
+    ("box_length", math.nan),
+    ("box_length", math.inf),
+    ("center", None),
+    ("center", "0.5"),
+    ("center", False),
+    ("center", math.nan),
+    ("center", -math.inf),
+])
+def test_oscillator_config_rejects_bad_numbers(tmp_path, capsys, field, value):
+    osc = {"box_length": 1.0, field: value}
+    with pytest.raises(ConfigError):
+        parse_config({**OSC_CHAIN, "oscillator": osc})
+    cfg = write_config(tmp_path, {**OSC_CHAIN, "oscillator": osc})
+    assert main(["greens", cfg, "0.2", "0.4", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert f"oscillator.{field}" in err
+    assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # greens command
 # ----------------------------------------------------------------------
@@ -204,6 +230,107 @@ def test_scan_full_range_data_product(tmp_path):
     reduced = {round(float(r[0]), 2): float(r[1]) for r in rows}
     for root in (4.45, 19.27, 43.95, 78.49, 122.91, 177.19):
         assert min(reduced[round(root + d, 2)] for d in (-0.01, 0.0, 0.01)) < 2e-2
+
+
+@pytest.mark.parametrize("box_length", [1.0, 2.0, 3.0])
+def test_scan_csv_equals_scalar_composition(tmp_path, monkeypatch, box_length):
+    # the whole 0..200 lattice, against rows composed point by point from the
+    # scalar characteristic functions (D_v memoized: both columns share it)
+    import functools
+
+    import greenchain.spectrum as spectrum_mod
+    from greenchain.cli import _csv_row
+    from greenchain.errors import GreenChainError
+
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--geometry", "oscillator", "--a", repr(box_length), "--lo", "0",
+                 "--hi", "200", "--step", "0.01", "--out", str(out)]) == 0
+
+    monkeypatch.setattr(spectrum_mod, "pcf_d_signlog",
+                        functools.lru_cache(maxsize=None)(spectrum_mod.pcf_d_signlog))
+    prob = spectrum_mod.OscillatorProblem(box_length)
+
+    def cell(fn, v):
+        try:
+            val = fn(v, prob)
+        except GreenChainError:
+            return None
+        return abs(val) if math.isfinite(val) else None
+
+    want = ["v,abs_reduced,abs_full"]
+    for i in range(20001):
+        v = 0.0 + i * 0.01
+        want.append(_csv_row((v, cell(spectrum_mod.oscillator_char_reduced, v),
+                              cell(spectrum_mod.oscillator_char_full, v))))
+    assert out.read_text() == "\n".join(want) + "\n"
+
+
+def test_scan_runs_one_series_pass_per_factor(tmp_path, monkeypatch):
+    # a 1001-row window: the two Kummer series run once each over the whole
+    # window, instead of 8 scalar series per row
+    from greenchain import specfun
+
+    calls = {"array": 0, "scalar": 0}
+    real_array, real_scalar = specfun._kummer_series_array, specfun._kummer_series
+
+    def array_spy(a, b, x):
+        calls["array"] += 1
+        return real_array(a, b, x)
+
+    def scalar_spy(a, b, x):
+        calls["scalar"] += 1
+        return real_scalar(a, b, x)
+
+    monkeypatch.setattr(specfun, "_kummer_series_array", array_spy)
+    monkeypatch.setattr(specfun, "_kummer_series", scalar_spy)
+    out = tmp_path / "window.csv"
+    assert main(["scan", "--geometry", "oscillator", "--a", "3", "--lo", "40",
+                 "--hi", "50", "--step", "0.01", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 1001
+    assert calls == {"array": 2, "scalar": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--geometry", "oscillator", "--a", "1", "--lo", "0", "--hi", "1",
+     "--step", "nan"],
+    ["scan", "--geometry", "oscillator", "--a", "1", "--lo", "0", "--hi", "inf",
+     "--step", "0.1"],
+    ["scan", "--geometry", "oscillator", "--a", "1", "--lo=-inf", "--hi", "1",
+     "--step", "0.1"],
+    ["scan", "--geometry", "oscillator", "--a", "nan", "--lo", "0", "--hi", "1",
+     "--step", "0.1"],
+    ["spectrum", "--geometry", "box", "--a", "inf"],
+    ["spectrum", "--geometry", "oscillator", "--a", "nan"],
+    ["spectrum", "--geometry", "cylinder", "--radius", "nan"],
+    ["spectrum", "--geometry", "delta-well", "--mu", "nan"],
+    ["spectrum", "--geometry", "oscillator", "--tol", "nan"],
+    ["spectrum", "--geometry", "box", "--tol", "inf"],
+])
+def test_non_finite_flags_exit_1(tmp_path, capsys, argv):
+    if argv[0] == "scan":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "must be a finite number" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("lo,hi,step", [("0", "1", "0"), ("0", "1", "-0.1"), ("2", "1", "0.1"),
+                                         ("0", "1e300", "0.01"), ("0", "1", "1e-8")])
+def test_scan_bad_window_exits_1(tmp_path, capsys, lo, hi, step):
+    out = tmp_path / "x.csv"
+    assert main(["scan", "--geometry", "oscillator", "--a", "1", "--lo", lo, "--hi", hi,
+                 "--step", step, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_spectrum_oscillator_beyond_kummer_range_exits_2(capsys):
+    assert main(["spectrum", "--geometry", "oscillator", "--a", "20", "--n-roots", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["index,root_param,energy,residual,classification"]
+    assert "kummer_m" in captured.err and captured.err.count("\n") == 1
 
 
 def test_scan_bytes_deterministic_across_runs_and_processes(tmp_path):

@@ -280,6 +280,87 @@ def test_kummer_domain_errors():
         sf.kummer_m(301.0, 0.5, 1.0)
 
 
+def bits(values):
+    """The float64 bit patterns of a sequence, so NaN == NaN and -0.0 != 0.0."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+V_LATTICE = np.arange(20001) * 0.01  # v in [0, 200] at step 0.01
+
+
+@pytest.mark.parametrize("box_length", [1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
+def test_kummer_array_bitwise_equals_scalar(box_length):
+    # the two oscillator wall factors M(-v/2, 1/2, x) and M((1-v)/2, 3/2, x),
+    # x = alpha^2 / 2 with alpha = L / sqrt(2) in natural units
+    x = 0.5 * (box_length / math.sqrt(2.0)) ** 2
+    for a, b in ((-0.5 * V_LATTICE, 0.5), (0.5 * (1.0 - V_LATTICE), 1.5)):
+        got = sf.kummer_m(a, b, x)
+        want = [sf.kummer_m(ai, b, x) for ai in a.tolist()]
+        assert np.array_equal(bits(got), bits(want))
+
+
+def test_kummer_array_marks_scalar_errors_with_nan():
+    a = np.array([[1.0, 301.0], [math.nan, -300.0]])
+    got = sf.kummer_m(a, 0.5, 2.0)
+    assert got.shape == a.shape
+    assert np.isnan(got[0, 1]) and np.isnan(got[1, 0])
+    assert bits(got[0, 0]) == bits(sf.kummer_m(1.0, 0.5, 2.0))
+    assert bits(got[1, 1]) == bits(sf.kummer_m(-300.0, 0.5, 2.0))
+    assert sf.kummer_m(np.empty(0), 0.5, 2.0).shape == (0,)
+    # the scalar arguments raise as in the scalar call
+    with pytest.raises(DomainError):
+        sf.kummer_m(a, 0.5, 51.0)
+    with pytest.raises(DomainError):
+        sf.kummer_m(a, -1.0, 2.0)
+    with pytest.raises(DomainError):
+        sf.kummer_m(math.nan, 0.5, 2.0)
+
+
+def test_kummer_array_nan_where_the_series_does_not_converge(monkeypatch):
+    monkeypatch.setattr(sf, "_MAX_TERMS", 20)
+    a = np.array([-2.0, -40.5])  # M(-2, 1/2, x) is a quadratic: three terms, then zeros
+    got = sf.kummer_m(a, 0.5, 30.0)
+    with pytest.raises(NumericError):
+        sf.kummer_m(-40.5, 0.5, 30.0)
+    assert bits(got[0]) == bits(sf.kummer_m(-2.0, 0.5, 30.0))
+    assert np.isnan(got[1])
+
+
+def _pair_matches_scalar(v, y):
+    """Element by element: NaN where pcf_d_signlog raises, else the same bits."""
+    sign_m, log_m, sign_p, log_p = sf.pcf_d_pair_signlog(v, y)
+    raised = 0
+    for i, vi in enumerate(v.tolist()):
+        for sign, log_mag, yy in ((sign_m, log_m, -y), (sign_p, log_p, y)):
+            try:
+                sl = sf.pcf_d_signlog(vi, yy)
+            except (DomainError, NumericError):
+                assert np.isnan(sign[i]) and np.isnan(log_mag[i]), (vi, yy)
+                raised += 1
+                continue
+            assert sign[i] == sl.sign and bits(log_mag[i]) == bits(sl.log_mag), (vi, yy)
+    return raised
+
+
+def test_pcf_pair_nan_mask_is_where_scalar_raises():
+    # L = 3: the cancellation guard trips on a large share of the lattice
+    alpha = 3.0 / math.sqrt(2.0)
+    assert _pair_matches_scalar(V_LATTICE, alpha) > 10000
+    # orders past 200 (and below -1) are outside the validated range
+    outside = np.concatenate([200.0 + np.arange(1, 200) * 0.01, [-1.5, -1.0, math.nan]])
+    assert _pair_matches_scalar(outside, alpha) == 2 * (len(outside) - 1)
+
+
+def test_pcf_pair_at_small_y_and_integer_orders():
+    # integer v: one of the reciprocal gammas is an exact zero; y = 0 and the
+    # D_2 node at y = 1 give exact-zero values
+    v = np.arange(-1.0, 30.0, 0.25)
+    for y in (0.0, 1.0, 2.5):
+        assert _pair_matches_scalar(v, y) == 0
+    with pytest.raises(DomainError):
+        sf.pcf_d_pair_signlog(v, 10.5)
+
+
 # ----------------------------------------------------------------------
 # Parabolic cylinder D_v
 # ----------------------------------------------------------------------

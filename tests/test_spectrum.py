@@ -22,11 +22,12 @@ from greenchain import (
     oscillator_char_full,
     oscillator_char_reduced,
     oscillator_spectrum,
+    pointwise,
     scan_sign_changes,
     sph_dirichlet_spectrum,
     sph_shell_spectrum,
 )
-from greenchain.errors import ConfigError, DomainError, GreenChainError, NumericError
+from greenchain.errors import DomainError, GreenChainError, NumericError
 from greenchain.specfun import gamma, pcf_d
 
 FIG1_ROOTS = (4.45, 19.27, 43.95, 78.49, 122.91, 177.19)
@@ -70,7 +71,7 @@ J0_ZEROS = (2.404825557695773, 5.5200781102863115, 8.65372791291098)
 # ----------------------------------------------------------------------
 
 def test_scan_finds_sin_zeros():
-    brackets = scan_sign_changes(math.sin, 0.1, 7.0, 1000)
+    brackets = scan_sign_changes(np.sin, 0.1, 7.0, 1000)
     assert len(brackets) == 2
     assert brackets[0].lo < math.pi < brackets[0].hi
     assert brackets[1].lo < 2.0 * math.pi < brackets[1].hi
@@ -88,10 +89,58 @@ def test_scan_skips_raising_points_with_warning():
 
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        brackets = scan_sign_changes(f, 0.0, 2.0, 101)
+        brackets = scan_sign_changes(pointwise(f), 0.0, 2.0, 101)
     assert len(rec) >= 1
     assert len(brackets) == 1
     assert brackets[0].lo < 1.1 < brackets[0].hi
+
+
+def test_scan_sign_change_semantics():
+    # skip non-finite points (with a warning each) and exact zeros; bracket
+    # between consecutive kept points
+    vals = np.array([1.0, math.nan, 0.0, -1.0, math.inf, -2.0, 3.0, 0.0, 0.0, -4.0])
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        brackets = scan_sign_changes(lambda xs: vals, 0.0, 9.0, 10)
+    skipped = [str(w.message) for w in rec]
+    assert skipped == ["scan: skipping grid point 1.0 (nan)", "scan: skipping grid point 4.0 (inf)"]
+    assert [(b.lo, b.hi, b.f_lo, b.f_hi) for b in brackets] == \
+        [(0.0, 3.0, 1.0, -1.0), (5.0, 6.0, -2.0, 3.0), (6.0, 9.0, 3.0, -4.0)]
+
+
+def test_scan_calls_f_once_on_the_grid():
+    calls = []
+
+    def f(xs):
+        calls.append(xs)
+        return np.cos(xs)
+
+    brackets = scan_sign_changes(f, 0.0, 4.0, 401)
+    assert len(calls) == 1
+    assert calls[0].dtype == np.float64 and calls[0].shape == (401,)
+    assert calls[0][0] == 0.0 and calls[0][-1] == 4.0
+    assert len(brackets) == 1
+    assert brackets[0].lo < 0.5 * math.pi < brackets[0].hi
+
+
+def test_scan_rejects_a_wrong_length_result():
+    with pytest.raises(DomainError):
+        scan_sign_changes(lambda xs: xs[:-1], 0.0, 1.0, 11)
+    with pytest.raises(DomainError):
+        char_scan_table(lambda xs: 1.0, 0.0, 1.0, 0.1)
+
+
+def test_pointwise_maps_library_errors_to_nan():
+    def f(x):
+        if x > 0.5:
+            raise NumericError("no value here")
+        return 2.0 * x
+
+    got = pointwise(f)(np.array([0.25, 0.5, 0.75]))
+    assert got[:2].tolist() == [0.5, 1.0]
+    assert math.isnan(got[2])
+    with pytest.raises(ZeroDivisionError):
+        pointwise(lambda x: 1.0 / x)(np.array([1.0, 0.0]))
 
 
 def test_bracket_validation():
@@ -113,6 +162,13 @@ def test_brent_linear_converges_fast():
     root = brent(f, Bracket(0.0, 4.0, f(0.0), f(4.0)), tol=1e-12)
     assert root.value == pytest.approx(2.5, abs=1e-12)
     assert root.iterations <= 3
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_brent_rejects_bad_tolerance(tol):
+    br = Bracket(3.0, 3.3, math.sin(3.0), math.sin(3.3))
+    with pytest.raises(DomainError):
+        brent(math.sin, br, tol=tol)
 
 
 def test_brent_nonconvergence_attaches_best():
@@ -258,6 +314,81 @@ def test_wide_box_recovers_free_oscillator():
     lines = oscillator_spectrum(OscillatorProblem(10.0), 2)
     assert abs(lines[0].root.value - 0.0) <= 0.05
     assert abs(lines[1].root.value - 1.0) <= 0.05
+
+
+def _scalar_grid(monkeypatch):
+    """Evaluate the wall factors point by point through the scalar kummer_m."""
+    import greenchain.spectrum as spectrum_mod
+
+    scalar = spectrum_mod.kummer_m
+
+    def per_point(a, b, x):
+        if isinstance(a, np.ndarray):
+            return np.array([scalar(ai, b, x) for ai in a.tolist()])
+        return scalar(a, b, x)
+
+    monkeypatch.setattr(spectrum_mod, "kummer_m", per_point)
+
+
+@pytest.mark.parametrize("box_length", [1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
+def test_spectrum_equals_scalar_grid_reference(monkeypatch, box_length):
+    prob = OscillatorProblem(box_length)
+    n = min(12, int(20.0 * box_length / math.pi))
+    got = oscillator_spectrum(prob, n, include_node_factor=box_length == 1.0)
+    _scalar_grid(monkeypatch)
+    want = oscillator_spectrum(prob, n, include_node_factor=box_length == 1.0)
+    assert len(got) >= n
+    assert got == want
+
+
+def test_spectrum_kummer_call_counts(monkeypatch, unit_box):
+    # deterministic work gate: the grid costs one array call per factor and
+    # 20-wide chunk; scalar calls come from Brent alone
+    import greenchain.spectrum as spectrum_mod
+
+    real_kummer, real_brent = spectrum_mod.kummer_m, spectrum_mod.brent
+    calls = {"array": 0, "scalar": 0, "brent_evals": 0}
+
+    def kummer_spy(a, b, x):
+        calls["array" if isinstance(a, np.ndarray) else "scalar"] += 1
+        return real_kummer(a, b, x)
+
+    def brent_spy(f, bracket, tol=1e-10, max_iter=200):
+        root = real_brent(f, bracket, tol=tol, max_iter=max_iter)
+        calls["brent_evals"] += root.iterations - 1  # one evaluation per non-final iteration
+        return root
+
+    monkeypatch.setattr(spectrum_mod, "kummer_m", kummer_spy)
+    monkeypatch.setattr(spectrum_mod, "brent", brent_spy)
+    lines = oscillator_spectrum(unit_box, 6)
+    assert len(lines) == 6
+    assert calls["array"] == 9 * 2  # chunks [0, 20] ... [160, 180] hold the six levels
+    assert calls["scalar"] == calls["brent_evals"]
+    assert 0 < calls["scalar"] < 200
+
+
+def test_array_char_functions_match_scalar(unit_box):
+    # NaN exactly where the scalar call raises (Gamma poles at integer v for
+    # Delta, orders past 200 for both); bitwise equal values elsewhere
+    v = np.concatenate([np.arange(0.0, 6.0, 0.125), [176.5, 199.5, 200.0, 200.25]])
+    for fn in (oscillator_char_full, oscillator_char_reduced):
+        got = fn(v, unit_box)
+        for vi, gi in zip(v.tolist(), got.tolist()):
+            try:
+                want = fn(vi, unit_box)
+            except GreenChainError:
+                assert math.isnan(gi), (fn.__name__, vi)
+                continue
+            assert np.float64(gi).view(np.int64) == np.float64(want).view(np.int64), \
+                (fn.__name__, vi)
+    assert np.isnan(oscillator_char_full(np.arange(0.0, 6.0), unit_box)).all()
+
+
+def test_oscillator_spectrum_beyond_the_kummer_range_raises():
+    # alpha^2 / 2 = L^2 / 4 > 50: the wall factors are outside the validated
+    # Kummer range, so the spectrum raises instead of returning no levels
+    with pytest.raises(DomainError):
+        oscillator_spectrum(OscillatorProblem(20.0), 2)
 
 
 def test_oscillator_spectrum_validates_args(unit_box):
@@ -408,14 +539,14 @@ def test_cyl_spectrum_higher_mode():
 # ----------------------------------------------------------------------
 
 def test_scan_table_row_count():
-    rows = char_scan_table(math.sin, 0.0, 7.0, 0.01)
+    rows = char_scan_table(np.sin, 0.0, 7.0, 0.01)
     assert len(rows) == 701
     assert rows[0][0] == 0.0
     assert rows[-1][0] == pytest.approx(7.0, abs=1e-9)
 
 
 def test_scan_table_empty_range():
-    assert char_scan_table(math.sin, 2.0, 2.0, 0.1) == []
+    assert char_scan_table(np.sin, 2.0, 2.0, 0.1) == []
 
 
 def test_scan_table_monotone_single_flip():
@@ -438,21 +569,3 @@ def test_scan_table_emits_empty_cells_where_not_finite(unit_box):
     by_param = {round(p, 6): (a, s) for (p, a, s) in rows}
     assert by_param[1.0] == (None, None)
     assert by_param[0.75][0] is not None
-
-
-def test_threads_env_validation(monkeypatch):
-    monkeypatch.setenv("GREENCHAIN_THREADS", "not-a-number")
-    with pytest.raises(ConfigError):
-        char_scan_table(math.sin, 0.0, 1.0, 0.1)
-    monkeypatch.setenv("GREENCHAIN_THREADS", "0")
-    with pytest.raises(ConfigError):
-        char_scan_table(math.sin, 0.0, 1.0, 0.1)
-
-
-def test_threads_do_not_change_bytes(monkeypatch, unit_box):
-    f = lambda v: oscillator_char_reduced(v, unit_box)
-    monkeypatch.setenv("GREENCHAIN_THREADS", "1")
-    one = char_scan_table(f, 4.3, 4.8, 1e-3)
-    monkeypatch.setenv("GREENCHAIN_THREADS", "4")
-    four = char_scan_table(f, 4.3, 4.8, 1e-3)
-    assert one == four
