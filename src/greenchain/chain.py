@@ -78,7 +78,6 @@ class DeltaChain:
     geometry: Geometry
     positions: tuple
     lambdas: Union[tuple, _AllInfinite]
-    units: UnitSystem = NATURAL_UNITS
 
     def __post_init__(self):
         object.__setattr__(self, "geometry", Geometry(self.geometry))
@@ -117,7 +116,7 @@ class DeltaChain:
         else:
             scale = 2.0 * units.mass / (units.hbar * units.hbar)
             lams = tuple(scale * float(mu) for mu in couplings)
-        return cls(geometry, tuple(positions), lams, units)
+        return cls(geometry, tuple(positions), lams)
 
     @property
     def n(self) -> int:
@@ -126,21 +125,6 @@ class DeltaChain:
     @property
     def is_strong(self) -> bool:
         return self.lambdas is ALL_INFINITE
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """g0 evaluated at all wall pairs; its determinant is the characteristic function."""
-
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class LambdaMatrix:
-    """I + G0 W with W = diag(weight(a_i) * lambda_i), column-scaled."""
-
-    entries: np.ndarray
-    w_lambda: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -162,8 +146,8 @@ class LUFactors:
         return self.lu.shape[0]
 
 
-def boundary_matrix(chain: DeltaChain, g0: FreeGreens, param: float) -> BoundaryMatrix:
-    """Evaluate g0 at every unordered wall pair (symmetric by construction)."""
+def boundary_matrix(chain: DeltaChain, g0: FreeGreens, param: float) -> np.ndarray:
+    """g0 at every wall pair, symmetric by construction; its determinant is char_func."""
     n = chain.n
     entries = np.empty((n, n), dtype=float)
     for i in range(n):
@@ -176,11 +160,17 @@ def boundary_matrix(chain: DeltaChain, g0: FreeGreens, param: float) -> Boundary
                 f"g0 is not finite at coincidence for wall {i}; the chain "
                 "algebra requires finite diagonal entries"
             )
-    return BoundaryMatrix(entries=entries)
+    return entries
 
 
-def lambda_matrix(G0: BoundaryMatrix, chain: DeltaChain,
-                  weight_fn: Optional[Callable[[float], float]] = None) -> LambdaMatrix:
+def _w_lambda(chain: DeltaChain, weight_fn: Callable[[float], float]) -> np.ndarray:
+    """The diagonal of W: weight(a_i) * lambda_i at every wall."""
+    return np.array([weight_fn(a) * lam for a, lam in zip(chain.positions, chain.lambdas)],
+                    dtype=float)
+
+
+def lambda_matrix(G0: np.ndarray, chain: DeltaChain,
+                  weight_fn: Optional[Callable[[float], float]] = None) -> np.ndarray:
     """Finite-coupling system matrix I + G0 W.
 
     The coupling of column j is scaled by the measure weight of wall j
@@ -194,11 +184,7 @@ def lambda_matrix(G0: BoundaryMatrix, chain: DeltaChain,
         )
     if weight_fn is None:
         weight_fn = lambda a: weight(chain.geometry, a)
-    w_lambda = np.array(
-        [weight_fn(a) * lam for a, lam in zip(chain.positions, chain.lambdas)], dtype=float
-    )
-    entries = np.eye(chain.n) + G0.entries * w_lambda[np.newaxis, :]
-    return LambdaMatrix(entries=entries, w_lambda=w_lambda)
+    return np.eye(chain.n) + G0 * _w_lambda(chain, weight_fn)[np.newaxis, :]
 
 
 def lu(A: np.ndarray) -> LUFactors:
@@ -408,12 +394,10 @@ def _wall_vectors(chain: DeltaChain, g0: FreeGreens, x: float, xp: float, param:
 
 def _dense_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
                   param: float) -> float:
-    G0 = boundary_matrix(chain, g0, param)
-    lam = lambda_matrix(G0, chain, weight_fn=g0.weight)
-    factors = lu(lam.entries)
+    lam = lambda_matrix(boundary_matrix(chain, g0, param), chain, weight_fn=g0.weight)
     u, v = _wall_vectors(chain, g0, x, xp, param)
-    t = solve(factors, v)
-    return g0.evaluate(x, xp, param) - float(u @ (lam.w_lambda * t))
+    t = solve(lu(lam), v)
+    return g0.evaluate(x, xp, param) - float(u @ (_w_lambda(chain, g0.weight) * t))
 
 
 def greens_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
@@ -441,7 +425,7 @@ def greens_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
             )
         return _dense_finite(chain, g0, x, xp, param)
     diag, off = f.inverse()
-    w = np.array([g0.weight(a) * lam for a, lam in zip(chain.positions, chain.lambdas)])
+    w = _w_lambda(chain, g0.weight)
     free, u, v = _free_and_columns(f, g0, x, xp, param)
     t = _tridiagonal_solve(diag + w, off, _tridiag_matvec(diag, off, v))
     return free - float(u @ (w * t))
@@ -458,7 +442,7 @@ def greens_strong(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
     if g0.factors is None:
         G0 = boundary_matrix(chain, g0, param)
         u, v = _wall_vectors(chain, g0, x, xp, param)
-        t = solve(lu(G0.entries), v)
+        t = solve(lu(G0), v)
         return g0.evaluate(x, xp, param) - float(u @ t)
     f = _factored(chain, g0, param)
     if f.cancellation < _NEAR_POLE_RATIO:
@@ -474,5 +458,5 @@ def greens_strong(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
 def char_func(chain: DeltaChain, g0: FreeGreens, param: float) -> SignLog:
     """Characteristic function det[g0(a_i, a_j)] at the given parameter."""
     if g0.factors is None:
-        return det(lu(boundary_matrix(chain, g0, param).entries))
+        return det(lu(boundary_matrix(chain, g0, param)))
     return _factored(chain, g0, param).det()

@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 from . import chain as chain_mod
@@ -53,7 +53,6 @@ class ChainConfig:
     couplings: Union[Tuple[float, ...], str]  # tuple of raw strengths or "infinite"
     mode: Optional[int]
     units: UnitSystem
-    box_length: Optional[float]
     center: Optional[float]
 
     def to_chain(self) -> chain_mod.DeltaChain:
@@ -71,20 +70,6 @@ class ChainConfig:
             units=self.units,
             center=self.center if self.center is not None else 0.0,
         )
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "geometry": self.geometry.value,
-            "positions": list(self.positions),
-            "couplings": "infinite" if self.couplings == "infinite" else list(self.couplings),
-            "units": {"hbar": self.units.hbar, "mass": self.units.mass,
-                      "omega0": self.units.omega0},
-        }
-        if self.mode is not None:
-            out["mode"] = self.mode
-        if self.box_length is not None:
-            out["oscillator"] = {"box_length": self.box_length, "center": self.center}
-        return out
 
 
 def _finite_number(value, name: str) -> float:
@@ -142,12 +127,9 @@ def parse_config(data: dict) -> ChainConfig:
     if unknown:
         raise ConfigError(f"unknown units fields: {sorted(unknown)}")
     try:
-        units = UnitSystem(
-            hbar=float(units_data.get("hbar", 1.0)),
-            mass=float(units_data.get("mass", 1.0)),
-            omega0=float(units_data.get("omega0", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
+        units = UnitSystem(**{key: _finite_number(value, f"units.{key}")
+                              for key, value in units_data.items()})
+    except DomainError as exc:
         raise ConfigError(f"invalid units: {exc}") from None
 
     box_length = None
@@ -174,7 +156,6 @@ def parse_config(data: dict) -> ChainConfig:
         couplings=couplings_val,
         mode=mode,
         units=units,
-        box_length=box_length,
         center=center,
     )
     cfg.to_chain()  # validate wall ordering/couplings eagerly
@@ -193,18 +174,44 @@ def load_config(path: str) -> ChainConfig:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits with the documented usage code (1, not 2)."""
+    """argparse that exits with the documented usage code (1, not 2) and one line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _order(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def _add_unit_flags(parser):
-    parser.add_argument("--hbar", type=float, default=None, help="override hbar")
-    parser.add_argument("--mass", type=float, default=None, help="override mass")
-    parser.add_argument("--omega0", type=float, default=None, help="override omega0")
+    parser.add_argument("--hbar", type=_positive, default=None, help="override hbar")
+    parser.add_argument("--mass", type=_positive, default=None, help="override mass")
+    parser.add_argument("--omega0", type=_positive, default=None, help="override omega0")
 
 
 def _units_from_args(args, base: UnitSystem = greens_mod.NATURAL_UNITS) -> UnitSystem:
@@ -225,21 +232,21 @@ def build_parser() -> argparse.ArgumentParser:
                                    "spectral parameter (k0, or v for the oscillator). "
                                    "Command-line unit/mode flags override config values.")
     p.add_argument("config", help="JSON chain configuration")
-    p.add_argument("x", type=float)
-    p.add_argument("xp", type=float)
-    p.add_argument("param", type=float, help="k0 (geometries) or v (oscillator)")
+    p.add_argument("x", type=_finite)
+    p.add_argument("xp", type=_finite)
+    p.add_argument("param", type=_finite, help="k0 (geometries) or v (oscillator)")
     p.add_argument("--strong", action="store_true",
                    help="impenetrable-wall limit (implied by couplings: \"infinite\")")
-    p.add_argument("--mode", type=int, default=None, help="override azimuthal/angular order")
+    p.add_argument("--mode", type=_order, default=None, help="override azimuthal/angular order")
     _add_unit_flags(p)
     p.set_defaults(func=cmd_greens)
 
     p = sub.add_parser("scan", help="write a characteristic-function scan table as CSV")
     p.add_argument("--geometry", choices=["oscillator"], required=True)
-    p.add_argument("--a", type=float, required=True, help="box length")
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--a", type=_positive, required=True, help="box length")
+    p.add_argument("--lo", type=_finite, required=True)
+    p.add_argument("--hi", type=_finite, required=True)
+    p.add_argument("--step", type=_finite, required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     _add_unit_flags(p)
     p.set_defaults(func=cmd_scan)
@@ -248,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry", required=True,
                    choices=["oscillator", "box", "cylinder", "sphere", "delta-well"])
     p.add_argument("--n-roots", type=int, default=6)
-    p.add_argument("--tol", type=float, default=None, help="root refinement tolerance")
-    p.add_argument("--a", type=float, default=1.0, help="box length (oscillator/box)")
-    p.add_argument("--radius", type=float, default=1.0, help="radius (cylinder/sphere)")
-    p.add_argument("--mode", type=int, default=0, help="azimuthal m or angular l")
-    p.add_argument("--mu", type=float, default=-1.0, help="delta-well strength")
+    p.add_argument("--tol", type=_positive, default=None, help="root refinement tolerance")
+    p.add_argument("--a", type=_positive, default=1.0, help="box length (oscillator/box)")
+    p.add_argument("--radius", type=_positive, default=1.0, help="radius (cylinder/sphere)")
+    p.add_argument("--mode", type=_order, default=0, help="azimuthal m or angular l")
+    p.add_argument("--mu", type=_finite, default=-1.0, help="delta-well strength")
     p.add_argument("--include-node-factor", action="store_true",
                    help="also report node-factor roots (oscillator only)")
     _add_unit_flags(p)
@@ -269,17 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_greens(args) -> int:
     cfg = load_config(args.config)
-    units = _units_from_args(args, cfg.units)
-    if units != cfg.units or args.mode is not None:
-        cfg = ChainConfig(
-            geometry=cfg.geometry,
-            positions=cfg.positions,
-            couplings=cfg.couplings,
-            mode=args.mode if args.mode is not None else cfg.mode,
-            units=units,
-            box_length=cfg.box_length,
-            center=cfg.center,
-        )
+    cfg = replace(cfg, units=_units_from_args(args, cfg.units),
+                  mode=cfg.mode if args.mode is None else args.mode)
     delta_chain = cfg.to_chain()
     g0 = cfg.to_free_greens()
     if args.strong or delta_chain.is_strong:
@@ -290,16 +288,7 @@ def cmd_greens(args) -> int:
     return EXIT_OK
 
 
-def _check_finite(args, *flags: str) -> None:
-    """Reject NaN and infinite values of the given float flags (None means unset)."""
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{flag} must be a finite number, got {value}")
-
-
 def cmd_scan(args) -> int:
-    _check_finite(args, "a", "lo", "hi", "step")
     try:
         grid = spectrum_mod.scan_grid(args.lo, args.hi, args.step)
     except DomainError as exc:
@@ -346,7 +335,6 @@ def _spectrum_lines(args, units: UnitSystem):
 
 
 def cmd_spectrum(args) -> int:
-    _check_finite(args, "a", "radius", "mu", "tol")
     if not 1 <= args.n_roots <= 12:
         raise ConfigError(f"--n-roots must be in [1, 12], got {args.n_roots}")
     units = _units_from_args(args)

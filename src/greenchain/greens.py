@@ -10,6 +10,12 @@ where the spectral parameter k0 is real and positive:
 * oscillator:   (1/2) sqrt(hbar/(pi m w0)) Gamma(-v) D_v(-y_<) D_v(y_>),
                 y = sqrt(2 m w0 / hbar) (z - center)
 
+At energy hbar w the spectral parameter of the first three is
+k0^2 = kx^2 + ky^2 - 2 m w / hbar (rectangular, with transverse wavenumbers
+kx, ky), kz^2 - 2 m w / hbar (cylindrical, axial kz) or -2 m w / hbar
+(spherical); k0^2 <= 0 belongs to the oscillatory continuation handled by
+the spectrum module.
+
 All prefactors are fixed by the unit jump condition of the measure-weighted
 radial derivative at coincidence (equivalently by the Wronskian of the two
 homogeneous solutions), so every kernel here feeds the same chain algebra
@@ -57,53 +63,8 @@ class UnitSystem:
 NATURAL_UNITS = UnitSystem()
 
 
-@dataclass(frozen=True)
-class Wavenumber:
-    """Evanescent-regime spectral parameter k0 > 0 with its provenance.
-
-    The classmethods build k0 from the frequency and the transverse/axial
-    wavenumbers of each geometry and reject parameter combinations with
-    k0^2 <= 0 (those belong to the oscillatory continuation handled by the
-    spectrum module).
-    """
-
-    k0: float
-    omega: Optional[float] = None
-    provenance: Tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if not self.k0 > 0.0:
-            raise DomainError(f"Wavenumber k0 must be positive, got {self.k0}")
-
-    @classmethod
-    def rectangular(cls, kx: float, ky: float, omega: float,
-                    units: UnitSystem = NATURAL_UNITS) -> "Wavenumber":
-        k0sq = kx * kx + ky * ky - 2.0 * units.mass * omega / units.hbar
-        return cls._from_square(k0sq, omega, (kx, ky))
-
-    @classmethod
-    def cylindrical(cls, kz: float, omega: float,
-                    units: UnitSystem = NATURAL_UNITS) -> "Wavenumber":
-        k0sq = kz * kz - 2.0 * units.mass * omega / units.hbar
-        return cls._from_square(k0sq, omega, (kz,))
-
-    @classmethod
-    def spherical(cls, omega: float, units: UnitSystem = NATURAL_UNITS) -> "Wavenumber":
-        k0sq = -2.0 * units.mass * omega / units.hbar
-        return cls._from_square(k0sq, omega, ())
-
-    @classmethod
-    def _from_square(cls, k0sq, omega, provenance):
-        if k0sq <= 0.0:
-            raise DomainError(
-                f"k0^2 = {k0sq} is not positive; this regime is outside the "
-                "evanescent-kernel domain"
-            )
-        return cls(math.sqrt(k0sq), omega, provenance)
-
-
 def _k0_value(k0) -> float:
-    k = k0.k0 if isinstance(k0, Wavenumber) else float(k0)
+    k = float(k0)
     if not k > 0.0:
         raise DomainError(f"k0 must be positive, got {k}")
     return k
@@ -190,12 +151,6 @@ def g0_sph(r: float, rp: float, k0, mode: int = 0) -> float:
     return _kernel(sph_factors, r, rp, k0, mode).value()
 
 
-def g0_osc_signlog(z: float, zp: float, v: float,
-                   units: UnitSystem = NATURAL_UNITS, center: float = 0.0) -> specfun.SignLog:
-    """Unconstrained-oscillator kernel as a SignLog (overflow-safe for large v)."""
-    return _kernel(osc_factors, z, zp, v, units, center)
-
-
 def g0_osc(z: float, zp: float, v: float,
            units: UnitSystem = NATURAL_UNITS, center: float = 0.0) -> float:
     """Unconstrained harmonic oscillator kernel at energy E = (v + 1/2) hbar w0.
@@ -203,7 +158,7 @@ def g0_osc(z: float, zp: float, v: float,
     Finite at coincidence; Gamma(-v) makes non-negative integer v a pole of
     the kernel (DomainError).
     """
-    return g0_osc_signlog(z, zp, v, units, center).value()
+    return _kernel(osc_factors, z, zp, v, units, center).value()
 
 
 @dataclass(frozen=True)
@@ -223,20 +178,13 @@ class FreeGreens:
     kernels) the chain falls back to the dense boundary matrix.
     """
 
-    geometry: Geometry
     evaluate: Callable[[float, float, float], float]
     weight: Callable[[float], float]
-    mode: Optional[int] = None
     factors: Optional[Callable[[float, float], Tuple[specfun.SignLog, specfun.SignLog]]] = None
-
-    def bound(self, param: float) -> Callable[[float, float], float]:
-        """Two-argument view g0(x, x') at a frozen spectral parameter."""
-        return lambda x, xp: self.evaluate(x, xp, param)
 
 
 def rect_free_greens() -> FreeGreens:
     return FreeGreens(
-        geometry=Geometry.RECTANGULAR,
         evaluate=lambda z, zp, k0: g0_rect(z, zp, k0),
         weight=lambda a: 1.0,
         factors=rect_factors,
@@ -245,27 +193,22 @@ def rect_free_greens() -> FreeGreens:
 
 def cyl_free_greens(mode: int = 0) -> FreeGreens:
     return FreeGreens(
-        geometry=Geometry.CYLINDRICAL,
         evaluate=lambda r, rp, k0, _m=mode: g0_cyl(r, rp, k0, _m),
         weight=lambda a: weight(Geometry.CYLINDRICAL, a),
-        mode=mode,
         factors=lambda r, k0, _m=mode: cyl_factors(r, k0, _m),
     )
 
 
 def sph_free_greens(mode: int = 0) -> FreeGreens:
     return FreeGreens(
-        geometry=Geometry.SPHERICAL,
         evaluate=lambda r, rp, k0, _m=mode: g0_sph(r, rp, k0, _m),
         weight=lambda a: weight(Geometry.SPHERICAL, a),
-        mode=mode,
         factors=lambda r, k0, _m=mode: sph_factors(r, k0, _m),
     )
 
 
 def osc_free_greens(units: UnitSystem = NATURAL_UNITS, center: float = 0.0) -> FreeGreens:
     return FreeGreens(
-        geometry=Geometry.OSCILLATOR,
         evaluate=lambda z, zp, v, _u=units, _c=center: g0_osc(z, zp, v, _u, _c),
         weight=lambda a: 1.0,
         factors=lambda z, v, _u=units, _c=center: osc_factors(z, v, _u, _c),
@@ -273,14 +216,11 @@ def osc_free_greens(units: UnitSystem = NATURAL_UNITS, center: float = 0.0) -> F
 
 
 def custom_free_greens(evaluate: Callable[[float, float, float], float],
-                       weight_fn: Optional[Callable[[float], float]] = None,
-                       mode: Optional[int] = None) -> FreeGreens:
+                       weight_fn: Optional[Callable[[float], float]] = None) -> FreeGreens:
     """Wrap an arbitrary-operator kernel for use with the (dense) chain algebra."""
     return FreeGreens(
-        geometry=Geometry.CUSTOM,
         evaluate=evaluate,
         weight=weight_fn if weight_fn is not None else (lambda a: 1.0),
-        mode=mode,
     )
 
 

@@ -547,7 +547,7 @@ def sph_ordinary(l: int, x: float) -> tuple[float, float]:
 
 
 # ----------------------------------------------------------------------
-# Kummer M, parabolic cylinder D_v, Hermite oracle
+# Kummer M and the parabolic cylinder function D_v
 # ----------------------------------------------------------------------
 
 def _kummer_series(a: float, b: float, x: float) -> tuple[float, float]:
@@ -754,16 +754,3 @@ def pcf_d_pair_signlog(v: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray,
         log_mag[ok] = np.where(bracket == 0.0, 0.0, log_abs + log_pref)
         out += [sign, log_mag]
     return tuple(out)
-
-
-def hermite(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence, n <= 60."""
-    _check_order(n, "hermite")
-    if n > 60:
-        raise DomainError(f"hermite: order n={n} outside the validated range 60")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 2.0 * x
-    for k in range(1, n):
-        prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
-    return cur

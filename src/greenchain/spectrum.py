@@ -44,6 +44,7 @@ from .specfun import (SignLog, bessel_jy, gamma_signlog, kummer_m, pcf_d_pair_si
 
 _EPS = 2.220446049250313e-16
 _V_MAX = 200.0  # validated parabolic-cylinder order range
+_STEP = 0.01  # grid step in v of the oscillator scans
 _LOG_MAX = 709.0
 _MAX_SCAN_ROWS = 10_000_000  # a scan table is held in memory whole
 
@@ -358,57 +359,54 @@ def odd_wall_value(v: _Orders, prob: OscillatorProblem) -> _Orders:
     return kummer_m(0.5 * (1.0 - v), 1.5, 0.5 * a2)
 
 
-def _node_factor_roots(prob: OscillatorProblem, v_hi: float, step: float,
-                       tol: float) -> List[Root]:
-    """Zeros of the node factor D_v(alpha) in v, refined on a rescaled surrogate."""
+def _node_factor_roots(prob: OscillatorProblem, v_hi: float, tol: float) -> List[Root]:
+    """Zeros of the node factor D_v(alpha) in v, refined on a rescaled surrogate.
+
+    The signs on the grid come from one array evaluation of D_v(alpha); a
+    grid point without a value raises NumericError.  Each bracket is refined
+    on D_v(alpha) divided by the larger of its two endpoint magnitudes.
+    """
     alpha = prob.alpha
 
-    def signlog_at(v: float) -> SignLog:
-        return pcf_d_signlog(v, alpha)
+    def signs(vs: np.ndarray) -> np.ndarray:
+        sign = pcf_d_pair_signlog(vs, alpha)[2]
+        missing = np.isnan(sign)
+        if missing.any():
+            raise NumericError(f"D_v({alpha}) has no accurate value at v = "
+                               f"{vs[missing][0]} on the node-factor grid")
+        return sign
 
-    n_grid = max(2, int(round(v_hi / step)) + 1)
-    step_v = v_hi / (n_grid - 1)
+    def rescaled(s: SignLog, lead: float) -> float:
+        return s.sign * math.exp(min(s.log_mag - lead, 0.0)) if s.sign else 0.0
+
     roots: List[Root] = []
-    prev: Optional[Tuple[float, SignLog]] = None
-    for i in range(n_grid):
-        v = i * step_v
-        sl = signlog_at(v)
-        if prev is not None and sl.sign and prev[1].sign and sl.sign != prev[1].sign:
-            v0, sl0 = prev
-            lead = max(sl0.log_mag, sl.log_mag)
-
-            def surrogate(x, _lead=lead):
-                s = signlog_at(x)
-                if s.sign == 0:
-                    return 0.0
-                return s.sign * math.exp(min(s.log_mag - _lead, 0.0))
-
-            br = Bracket(v0, v, surrogate(v0), surrogate(v))
-            root = brent(surrogate, br, tol=tol)
-            roots.append(replace(root, classification=RootKind.NODE_FACTOR))
-        prev = (v, sl)
+    n_grid = max(2, int(round(v_hi / _STEP)) + 1)
+    for br in scan_sign_changes(signs, 0.0, v_hi, n_grid):
+        ends = pcf_d_signlog(br.lo, alpha), pcf_d_signlog(br.hi, alpha)
+        lead = max(end.log_mag for end in ends)
+        surrogate = lambda v, _lead=lead: rescaled(pcf_d_signlog(v, alpha), _lead)
+        root = brent(surrogate, Bracket(br.lo, br.hi, *(rescaled(end, lead) for end in ends)),
+                     tol=tol)
+        roots.append(replace(root, classification=RootKind.NODE_FACTOR))
     return roots
 
 
 def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-10,
-                        step: float = 0.01,
                         include_node_factor: bool = False) -> List[SpectrumLine]:
     """First `n_roots` levels of the boxed oscillator, energies attached.
 
-    Scans the even/odd wall-value factors for sign changes (default step
-    0.01 in v), refines each with Brent, and classifies the root by the
-    factor that produced it.  The degenerate integer-v zeros of the reduced
-    ratio never enter because the wall-value factors do not vanish there;
-    node-factor zeros (D_v(alpha) = 0) are excluded from the default list
-    and reported flagged when `include_node_factor` is set.
+    Scans the even/odd wall-value factors for sign changes (step 0.01 in v),
+    refines each with Brent, and classifies the root by the factor that
+    produced it.  The degenerate integer-v zeros of the reduced ratio never
+    enter because the wall-value factors do not vanish there; node-factor
+    zeros (D_v(alpha) = 0) are excluded from the default list and reported
+    flagged when `include_node_factor` is set.
 
     Fewer than `n_roots` levels are returned when the validated order range
     v <= 200 is exhausted first.
     """
     if not 1 <= n_roots <= 12:
         raise DomainError(f"n_roots must be in [1, 12], got {n_roots}")
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step}")
 
     factors = (
         (lambda v: even_wall_value(v, prob), RootKind.EVEN_BRACKET),
@@ -419,7 +417,7 @@ def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-1
     lo = 0.0
     while lo < _V_MAX and len(roots) < n_roots:
         hi = min(lo + chunk, _V_MAX)
-        n_grid = int(round((hi - lo) / step)) + 1
+        n_grid = int(round((hi - lo) / _STEP)) + 1
         for f, kind in factors:
             for br in scan_sign_changes(f, lo, hi, n_grid):
                 try:
@@ -436,7 +434,7 @@ def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-1
     lines = [SpectrumLine(root=r, energy=prob.energy_of(r.value)) for r in roots]
     if include_node_factor:
         v_hi = roots[-1].value + 1.0 if roots else _V_MAX
-        for r in _node_factor_roots(prob, min(v_hi, _V_MAX), step, tol):
+        for r in _node_factor_roots(prob, min(v_hi, _V_MAX), tol):
             lines.append(SpectrumLine(root=r, energy=prob.energy_of(r.value)))
         lines.sort(key=lambda line: line.root.value)
     return lines

@@ -54,16 +54,6 @@ def test_config_center_defaults_to_half_box():
     assert cfg.center == 0.5
 
 
-def test_config_round_trip(tmp_path):
-    cfg = parse_config({
-        "geometry": "cylindrical", "mode": 2, "positions": [1.0, 2.5],
-        "couplings": [0.5, 1.5], "units": {"hbar": 2.0, "mass": 0.5, "omega0": 1.0},
-    })
-    again = parse_config(cfg.to_json_dict())
-    assert again.to_chain() == cfg.to_chain()
-    assert again == cfg
-
-
 def test_config_infinite_couplings():
     cfg = parse_config(RECT_STRONG)
     assert cfg.to_chain().is_strong
@@ -305,6 +295,9 @@ def test_scan_runs_one_series_pass_per_factor(tmp_path, monkeypatch):
     ["spectrum", "--geometry", "delta-well", "--mu", "nan"],
     ["spectrum", "--geometry", "oscillator", "--tol", "nan"],
     ["spectrum", "--geometry", "box", "--tol", "inf"],
+    # the parser rejects these before the config file is opened
+    ["greens", "missing.json", "0.6", "0.7", "nan"],
+    ["greens", "missing.json", "inf", "0.7", "1.0"],
 ])
 def test_non_finite_flags_exit_1(tmp_path, capsys, argv):
     if argv[0] == "scan":
@@ -314,6 +307,44 @@ def test_non_finite_flags_exit_1(tmp_path, capsys, argv):
     assert "must be a finite number" in captured.err
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--geometry", "cylinder", "--mode", "-1"], "non-negative integer"),
+    (["spectrum", "--geometry", "sphere", "--mode", "-1"], "non-negative integer"),
+    (["greens", "CONFIG", "0.6", "0.7", "1.0", "--mode", "-1"], "non-negative integer"),
+    (["spectrum", "--geometry", "oscillator", "--tol", "0"], "must be positive"),
+    (["spectrum", "--geometry", "box", "--a", "-1"], "must be positive"),
+    (["spectrum", "--geometry", "sphere", "--radius", "0"], "must be positive"),
+    (["spectrum", "--geometry", "box", "--hbar", "0"], "must be positive"),
+    (["spectrum", "--geometry", "delta-well", "--mass", "-2"], "must be positive"),
+    (["greens", "CONFIG", "0.6", "0.7", "1.0", "--omega0", "0"], "must be positive"),
+    (["scan", "--geometry", "oscillator", "--a", "-1", "--lo", "0", "--hi", "1",
+      "--step", "0.1"], "must be positive"),
+])
+def test_bad_flag_values_exit_1(tmp_path, capsys, argv, message):
+    cfg = write_config(tmp_path, RECT_ONE_WALL)
+    argv = [cfg if a == "CONFIG" else a for a in argv]
+    if argv[0] == "scan":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("value", [True, "2", None, math.nan, 0.0])
+@pytest.mark.parametrize("field", ["hbar", "mass", "omega0"])
+def test_units_config_rejects_bad_numbers(tmp_path, capsys, field, value):
+    data = {**RECT_ONE_WALL, "units": {field: value}}
+    with pytest.raises(ConfigError):
+        parse_config(data)
+    assert main(["greens", write_config(tmp_path, data), "0.2", "0.4", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert f"units.{field}" in err or f"UnitSystem.{field}" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("lo,hi,step", [("0", "1", "0"), ("0", "1", "-0.1"), ("2", "1", "0.1"),

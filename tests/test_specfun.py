@@ -431,18 +431,3 @@ def test_pcf_signlog_consistent_with_direct():
                 assert sl.sign == 0
             else:
                 assert sl.value() == pytest.approx(direct, rel=1e-9)
-
-
-# ----------------------------------------------------------------------
-# Hermite
-# ----------------------------------------------------------------------
-
-def test_hermite_values():
-    assert sf.hermite(0, 3.7) == 1.0
-    assert sf.hermite(1, 3.7) == pytest.approx(7.4, rel=1e-15)
-    assert abs(sf.hermite(2, 1.0 / math.sqrt(2.0))) <= 1e-14
-
-
-def test_hermite_order_cap():
-    with pytest.raises(DomainError):
-        sf.hermite(61, 0.0)

@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from greenchain import (
-    Bracket,
     OscillatorProblem,
     UnitSystem,
-    RootKind,
     box_spectrum_rect,
-    brent,
     char_scan_table,
     cyl_annulus_spectrum,
     cyl_dirichlet_spectrum,
@@ -28,6 +25,7 @@ from greenchain import (
     sph_shell_spectrum,
 )
 from greenchain.errors import DomainError, GreenChainError, NumericError
+from greenchain.spectrum import Bracket, RootKind, brent
 from greenchain.specfun import gamma, pcf_d
 
 FIG1_ROOTS = (4.45, 19.27, 43.95, 78.49, 122.91, 177.19)
@@ -310,6 +308,68 @@ def test_node_factor_roots_flagged_and_excluded(unit_box):
     assert [l.root.value for l in physical] == [l.root.value for l in default]
 
 
+def _scalar_node_factor_roots(prob, v_hi, tol=1e-10):
+    """Oracle: the node-factor scan with one scalar pcf_d_signlog call per grid point."""
+    from greenchain.specfun import pcf_d_signlog
+
+    alpha = prob.alpha
+    n_grid = max(2, int(round(v_hi / 0.01)) + 1)
+    step = v_hi / (n_grid - 1)
+    roots = []
+    prev = None
+    for i in range(n_grid):
+        v = i * step
+        sl = pcf_d_signlog(v, alpha)
+        if prev is not None and sl.sign and prev[1].sign and sl.sign != prev[1].sign:
+            lead = max(prev[1].log_mag, sl.log_mag)
+
+            def surrogate(x, _lead=lead):
+                s = pcf_d_signlog(x, alpha)
+                return s.sign * math.exp(min(s.log_mag - _lead, 0.0)) if s.sign else 0.0
+
+            br = Bracket(prev[0], v, surrogate(prev[0]), surrogate(v))
+            roots.append(brent(surrogate, br, tol=tol).value)
+        prev = (v, sl)
+    return roots
+
+
+@pytest.mark.parametrize("box_length", [1.0, 3.0, 5.0])
+def test_node_factor_roots_match_scalar_scan(box_length):
+    prob = OscillatorProblem(box_length)
+    lines = oscillator_spectrum(prob, 6, include_node_factor=True)
+    levels = [l.root.value for l in lines if l.root.classification != RootKind.NODE_FACTOR]
+    got = [l.root.value for l in lines if l.root.classification == RootKind.NODE_FACTOR]
+    want = _scalar_node_factor_roots(prob, min(levels[-1] + 1.0, 200.0))
+    assert got and len(got) == len(want)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-10
+
+
+def test_node_factor_grid_is_one_array_pass(monkeypatch, unit_box):
+    # scalar D_v calls come from the two bracket ends and the Brent steps only
+    import greenchain.spectrum as spectrum_mod
+
+    real = spectrum_mod.pcf_d_signlog
+    calls = {"n": 0}
+
+    def spy(v, y):
+        calls["n"] += 1
+        return real(v, y)
+
+    monkeypatch.setattr(spectrum_mod, "pcf_d_signlog", spy)
+    lines = oscillator_spectrum(unit_box, 6, include_node_factor=True)
+    nodes = [l.root for l in lines if l.root.classification == RootKind.NODE_FACTOR]
+    assert calls["n"] == sum(2 + r.iterations - 1 for r in nodes)
+
+
+def test_node_factor_scan_raises_where_d_v_has_no_value():
+    # at L = 2 the D_v(alpha) series guard trips on grid points below v = 200;
+    # the scan raises instead of skipping them with a warning each
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            oscillator_spectrum(OscillatorProblem(2.0), 12, include_node_factor=True)
+
+
 def test_wide_box_recovers_free_oscillator():
     lines = oscillator_spectrum(OscillatorProblem(10.0), 2)
     assert abs(lines[0].root.value - 0.0) <= 0.05
@@ -401,7 +461,7 @@ def test_oscillator_spectrum_validates_args(unit_box):
 def test_oscillator_spectrum_reports_fewer_when_range_exhausted(unit_box, six_levels):
     # only six levels fit below the order cap for the unit box: asking for
     # more returns the count found, not an error
-    lines = oscillator_spectrum(unit_box, 8, step=0.05)
+    lines = oscillator_spectrum(unit_box, 8)
     assert len(lines) == 6
     for got, want in zip(lines, six_levels):
         assert got.root.value == pytest.approx(want.root.value, abs=1e-9)

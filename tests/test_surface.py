@@ -1,0 +1,49 @@
+"""Surface guard: every name the traced benchmark and the README reach must resolve.
+
+The benchmark's span table (``WRAPPED`` in ``benchmark/spans.py``) names the
+module attributes it wraps, and the README examples import from the
+package; deleting one of those names would break them silently.  The span
+table is read as a literal, so the benchmark module is never imported.
+"""
+
+import ast
+import importlib
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _wrapped():
+    tree = ast.parse((ROOT / "benchmark" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("benchmark/spans.py has no WRAPPED table")
+
+
+def _readme_imports():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = []
+    for block in re.findall(r"```python\n(.*?)```", text, re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "greenchain":
+                names += [(node.module, alias.name) for alias in node.names]
+    return names
+
+
+@pytest.mark.parametrize("module,attr,span", _wrapped())
+def test_benchmark_span_target_resolves(module, attr, span):
+    assert callable(getattr(importlib.import_module(f"greenchain.{module}"), attr, None)), \
+        f"{span}: greenchain.{module}.{attr} is gone"
+
+
+def test_readme_imports_resolve():
+    names = _readme_imports()
+    assert names, "the README has no greenchain imports to check"
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing
