@@ -13,38 +13,37 @@ Every built-in kernel factors as g0(x, x') = p(x_<) q(x_>), which makes G0 a
 Green's (semiseparable) matrix in the sense of Gantmacher & Krein and of
 Vandebril, Van Barel & Mastronardi (2008):
 
-    det G0 = p_1 q_n prod_i d_i,   d_i = p_{i+1} q_i - p_i q_{i+1},
+    det G0 = p_1 q_n prod_i d_i,   d_i = p_{i+1} q_i - p_i q_{i+1}.
 
-and T = G0^{-1} is tridiagonal in closed form.  Since Lambda = G0 (T + W),
-the finite-coupling correction is one tridiagonal solve of (T + W) t = T v
-(Thomas elimination with partial pivoting).  All three calls then need the
-kernel factors at the n walls (and at x, x') only: O(n) work for any n.
-Kernels without a factor pair (custom kernels) take the dense path -- the
-boundary matrix and a partial-pivot LU of at most 64 rows -- which is also
-the reference the tests compare against, and the fallback of greens_finite
-when an interval factor nearly cancels.  Determinants are accumulated as
-SignLog so they survive any magnitude.
+The corrected kernel needs no matrix either.  A delta wall only kinks the
+solutions through it, so g(x, x') = P(x_<) Q(x_>) / W[P, Q], where P equals
+p left of the chain, Q equals q right of it, and one sweep across the walls
+carries each.  The strong limit is the Dirichlet kernel of the interval
+that holds x and x'.  All three calls then need the kernel factors at the
+walls (and at x, x') only: O(n) work for any n.  Kernels without a factor
+pair (custom kernels) take the dense path -- the boundary matrix and a
+partial-pivot LU of at most 64 rows -- which is also the reference the
+tests compare against.  Determinants are accumulated as SignLog so they
+survive any magnitude.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, NearPoleError, NumericError, SingularMatrixError
+from .errors import DomainError, NearPoleError, SingularMatrixError
 from .greens import FreeGreens, Geometry, NATURAL_UNITS, UnitSystem, weight
 from .specfun import SignLog
 
 _MAX_LU_ROWS = 64
 _PIVOT_FLOOR = 1e-300
 _NEAR_POLE_RATIO = 1e-12
-# The structured finite-coupling solve loses about 1e-16 / (interval-factor
-# cancellation ratio) in relative accuracy, while Lambda itself may be well
-# conditioned; below this ratio the dense Lambda path is used instead.
-_DENSE_FALLBACK_RATIO = 1e-6
+_LOG_NEAR_POLE = math.log(_NEAR_POLE_RATIO)
 
 
 class _AllInfinite:
@@ -254,136 +253,84 @@ def det(factors: LUFactors) -> SignLog:
     return out
 
 
-@dataclass(frozen=True)
-class _Factored:
-    """Kernel factors at the walls of a chain, with its interval factors.
-
-    Signs and log magnitudes of p(a_i), q(a_i) are kept apart so nothing has
-    to leave double range; d_i = p_{i+1} q_i - p_i q_{i+1} is stored as
-    exp(top_i) * dhat_i with top_i the larger log of its two products.
-    """
-
-    positions: np.ndarray
-    sp: np.ndarray
-    lp: np.ndarray
-    sq: np.ndarray
-    lq: np.ndarray
-    top: np.ndarray
-    dhat: np.ndarray
-    cancellation: float  # smallest |d_i| / (|p_{i+1} q_i| + |p_i q_{i+1}|); inf for one wall
-
-    def det(self) -> SignLog:
-        """det G0 = p_1 q_n prod_i d_i."""
-        out = SignLog(int(self.sp[0] * self.sq[-1]),
-                      float(self.lp[0] + self.lq[-1] + np.sum(self.top)))
-        for d in self.dhat.tolist():
-            out = out * SignLog.from_value(d)
-        return out
-
-    def inverse(self):
-        """Diagonal and off-diagonal of the tridiagonal T = G0^{-1}.
-
-        T = D_q^{-1} L D_q^{-1}, with L the chain Laplacian of conductances
-        q_i q_{i+1} / d_i grounded by q_1 / p_1 at the first wall:
-
-            T_{i,i+1} = -1/d_i,
-            T_ii = q_{i-1} / (q_i d_{i-1}) + q_{i+1} / (q_i d_i)  [+ 1/(p_1 q_1) at i = 1].
-
-        Each exponent below is at most -log|g0(a_i, a_i)|, so none overflows.
-        """
-        sq, lq, top = self.sq, self.lq, self.top
-        diag = np.zeros(len(sq))
-        diag[0] = self.sp[0] * sq[0] * math.exp(-self.lp[0] - lq[0])
-        ratio = sq[1:] * sq[:-1] / self.dhat
-        diag[:-1] += ratio * np.exp(lq[1:] - lq[:-1] - top)
-        diag[1:] += ratio * np.exp(lq[:-1] - lq[1:] - top)
-        return diag, -np.exp(-top) / self.dhat
-
-    def column(self, pair, y: float) -> np.ndarray:
-        """g0(y, a_i) at every wall, from the factor pair (p(y), q(y))."""
-        py, qy = pair
-        left = y <= self.positions
-        sign = np.where(left, py.sign * self.sq, self.sp * qy.sign)
-        return sign * np.exp(np.where(left, py.log_mag + self.lq, self.lp + qy.log_mag))
-
-
-def _factored(chain: DeltaChain, g0: FreeGreens, param: float) -> _Factored:
-    """Evaluate the factor pair once per wall and form the interval factors."""
-    pairs = [g0.factors(a, param) for a in chain.positions]
+def _wall_factors(g0: FreeGreens, positions, param: float) -> list:
+    """The factor pair (p(a), q(a)) at each position, as SignLogs."""
+    pairs = [g0.factors(a, param) for a in positions]
     if any(p.sign == 0 or q.sign == 0 for p, q in pairs):
         raise SingularMatrixError(
             "a kernel factor vanishes at a wall; the boundary matrix is singular"
         )
+    return pairs
+
+
+def _factor_det(pairs) -> SignLog:
+    """det G0 = p_1 q_n prod_i d_i, with d_i = p_{i+1} q_i - p_i q_{i+1}."""
     sp = np.array([p.sign for p, _ in pairs], dtype=float)
     lp = np.array([p.log_mag for p, _ in pairs])
     sq = np.array([q.sign for _, q in pairs], dtype=float)
     lq = np.array([q.log_mag for _, q in pairs])
     la, lb = lp[1:] + lq[:-1], lp[:-1] + lq[1:]
     top = np.maximum(la, lb)
-    ea, eb = np.exp(la - top), np.exp(lb - top)
-    dhat = sp[1:] * sq[:-1] * ea - sp[:-1] * sq[1:] * eb
-    cancellation = float(np.min(np.abs(dhat) / (ea + eb))) if len(dhat) else math.inf
-    return _Factored(np.array(chain.positions), sp, lp, sq, lq, top, dhat, cancellation)
-
-
-def _free_and_columns(f: _Factored, g0: FreeGreens, x: float, xp: float, param: float):
-    """g0(x, x') and the wall columns u_i = g0(x, a_i), v_i = g0(a_i, x')."""
-    px, pxp = g0.factors(x, param), g0.factors(xp, param)
-    free = (px[0] * pxp[1] if x <= xp else pxp[0] * px[1]).value()
-    return free, f.column(px, x), f.column(pxp, xp)
-
-
-def _tridiag_matvec(diag, off, v):
-    out = diag * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
+    dhat = sp[1:] * sq[:-1] * np.exp(la - top) - sp[:-1] * sq[1:] * np.exp(lb - top)
+    out = SignLog(int(sp[0] * sq[-1]), float(lp[0] + lq[-1] + np.sum(top)))
+    for d in dhat.tolist():
+        out = out * SignLog.from_value(d)
     return out
 
 
-def _tridiagonal_solve(diag, off, rhs) -> np.ndarray:
-    """Solve a symmetric tridiagonal system: Thomas elimination with partial pivoting.
+def _terms(coef, p: SignLog, q: SignLog):
+    """The two terms of c_p p + c_q q at a point, scaled by e^-top: (t_p, t_q, top).
 
-    Rows are swapped as in LAPACK's gtsv, which fills one extra superdiagonal;
-    without the swaps an attractive wall can make a leading block of T + W
-    nearly singular and the elimination loses digits silently.  Raises
-    NearPoleError when a pivot of U falls below 1e-12 of the matrix norm.
+    `coef` holds each coefficient as (factor, log magnitude), so the solution
+    is f_p e^{l_p} p + f_q e^{l_q} q; a missing term is (0.0, -inf).
     """
-    a = np.abs(off)
-    norm = float(np.max(np.abs(diag) + np.append(a, 0.0) + np.insert(a, 0, 0.0)))
-    floor = _NEAR_POLE_RATIO * norm
-    d, y = diag.tolist(), rhs.tolist()
-    sub, up = off.tolist(), off.tolist()
-    n = len(d)
-    up2 = [0.0] * n
-    for i in range(n):
-        swap = i + 1 < n and abs(sub[i]) > abs(d[i])
-        if swap:  # rows i and i+1 trade places; the elimination is folded in
-            fact = d[i] / sub[i]
-            d[i], below = sub[i], d[i + 1]
-            d[i + 1] = up[i] - fact * below
-            if i + 2 < n:
-                up2[i] = up[i + 1]
-                up[i + 1] = -fact * up2[i]
-            up[i] = below
-            y[i], y[i + 1] = y[i + 1], y[i] - fact * y[i + 1]
-        if not abs(d[i]) > floor:
-            raise NearPoleError(
-                "tridiagonal pivot below 1e-12 of the norm; the parameter sits "
-                "on or near a pole of the corrected Green's function"
-            )
-        if i + 1 < n and not swap:
-            fact = sub[i] / d[i]
-            d[i + 1] -= fact * up[i]
-            y[i + 1] -= fact * y[i]
-    t = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        acc = y[i]
-        if i + 1 < n:
-            acc -= up[i] * t[i + 1]
-        if i + 2 < n:
-            acc -= up2[i] * t[i + 2]
-        t[i] = acc / d[i]
-    return np.array(t)
+    (fp, lp), (fq, lq) = coef
+    lp, lq = lp + p.log_mag, lq + q.log_mag
+    top = max(lp, lq)
+    return fp * p.sign * math.exp(lp - top), fq * q.sign * math.exp(lq - top), top
+
+
+def _value(hat: float, log_mag: float) -> float:
+    """hat * e^log_mag, raising RangeError past double range."""
+    return (SignLog.from_value(hat) * SignLog(1, log_mag)).value()
+
+
+def _sweep(walls, sigma: float):
+    """Carry the solution that starts as p e^{-sigma} across the walls, in order.
+
+    `walls` holds (sign p(a_i), sign q(a_i), sigma_i, kappa_i) with sigma_i =
+    log|p(a_i)/q(a_i)| / 2 and kappa_i = weight(a_i) lambda_i |g0(a_i, a_i)|.
+    The solution is held as e^L (A p e^{-s} + B q e^{s}) in the frame s of the
+    last wall crossed, where p e^{-s} and q e^{s} both have magnitude
+    sqrt|g0(a, a)|; each wall adds kappa_i P_i (q, -p) to (A, B), the kink
+    its delta imposes (P_i is the solution at a_i in units of that
+    magnitude).  Returns the coefficients on every interval from the start
+    on, in `_terms` form, and the log magnitude of the largest term added to
+    the p coefficient e^{L-s} A.
+    """
+    a, b, scale = 1.0, 0.0, 0.0
+    peak = -sigma
+    coefs = [((a, -sigma), (b, sigma))]
+    for sp, sq, s, kappa in walls:
+        d = s - sigma  # move to this wall's frame; shrink a coefficient, never grow one
+        if not b or (a and d >= 0.0):
+            if b:
+                b *= math.exp(-2.0 * d)
+            scale += d
+        else:
+            if a:
+                a *= math.exp(2.0 * d)
+            scale -= d
+        sigma = s
+        t = kappa * (a * sp + b * sq)
+        a += t * sq
+        b -= t * sp
+        if t:
+            peak = max(peak, scale + math.log(abs(t)) - sigma)
+        m = max(abs(a), abs(b))
+        a, b, scale = a / m, b / m, scale + math.log(m)
+        coefs.append(((a, scale - sigma), (b, scale + sigma)))
+    return coefs, peak
 
 
 def _wall_vectors(chain: DeltaChain, g0: FreeGreens, x: float, xp: float, param: float):
@@ -404,59 +351,90 @@ def greens_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
                   param: float) -> float:
     """Corrected Green's function for finite couplings: g0 - u^T W Lambda^{-1} v.
 
-    With a factor pair this solves (T + W) t = T v and returns g0 - u^T W t,
-    accurate to about 1e-16 / c relative, where c is the smallest interval-
-    factor cancellation ratio.  Below c = 1e-6 (walls very close together
-    in k0 units, or the parameter near a Dirichlet level of one interval),
-    T loses the digits that Lambda may still have, so the call takes the
-    dense Lambda path, which allows at most 64 walls.
+    With a factor pair this is P(x_<) Q(x_>) / W[P, Q]: P is the solution
+    equal to p left of the chain and Q the one equal to q right of it, each
+    carried across the walls by the kinks the deltas impose (O(n) work, no
+    wall cap).  The Wronskian is P's p coefficient A_n right of the chain;
+    NearPoleError is raised when A_n cancels below 1e-12 of its largest
+    summand, i.e. on a bound-state pole.
     """
     if chain.is_strong:
         raise DomainError("chain has infinite couplings; use greens_strong")
     if g0.factors is None:
         return _dense_finite(chain, g0, x, xp, param)
-    f = _factored(chain, g0, param)
-    if f.cancellation < _DENSE_FALLBACK_RATIO:
-        if chain.n > _MAX_LU_ROWS:
-            raise NumericError(
-                f"an interval factor cancels to {f.cancellation:.1e} of its products, "
-                "too close for the structured solve, and the dense fallback allows "
-                f"at most {_MAX_LU_ROWS} walls"
-            )
-        return _dense_finite(chain, g0, x, xp, param)
-    diag, off = f.inverse()
-    w = _w_lambda(chain, g0.weight)
-    free, u, v = _free_and_columns(f, g0, x, xp, param)
-    t = _tridiagonal_solve(diag + w, off, _tridiag_matvec(diag, off, v))
-    return free - float(u @ (w * t))
+    positions = chain.positions
+    walls = [(p.sign, q.sign, 0.5 * (p.log_mag - q.log_mag),
+              w * math.exp(p.log_mag + q.log_mag))
+             for (p, q), w in zip(_wall_factors(g0, positions, param),
+                                  _w_lambda(chain, g0.weight).tolist())]
+    lo, hi = (x, xp) if x <= xp else (xp, x)
+    left, peak = _sweep(walls, walls[0][2])
+    (a_n, log_a), _ = left[-1]  # P's p coefficient right of the chain, a_n e^log_a
+    if not a_n or log_a + math.log(abs(a_n)) < peak + _LOG_NEAR_POLE:
+        raise NearPoleError(
+            "the Wronskian of the wall-matched solutions cancelled below 1e-12 of "
+            "its terms; the parameter sits on or near a pole of the corrected "
+            "Green's function"
+        )
+    # Q is P's mirror image: p and q trade places and sigma changes sign
+    mirrored = [(sq, sp, -s, kappa)
+                for sp, sq, s, kappa in reversed(walls[bisect_left(positions, hi):])]
+    sigma_n = walls[-1][2]
+    q_coef, p_coef = _sweep(mirrored, -sigma_n)[0][-1]
+    p1, p2, p_log = _terms(left[bisect_left(positions, lo)], *g0.factors(lo, param))
+    q1, q2, q_log = _terms((p_coef, q_coef), *g0.factors(hi, param))
+    # Q = q e^{sigma_n} right of the chain, so W[P, Q] = a_n e^{log_a + sigma_n}
+    return _value((p1 + p2) * (q1 + q2) / a_n, p_log + q_log - log_a - sigma_n)
+
+
+def _vanishing_at(pair):
+    """Coefficients of q(a) p - p(a) q, the solution that vanishes at a wall a."""
+    p, q = pair
+    return (q.sign, q.log_mag), (-p.sign, p.log_mag)
 
 
 def greens_strong(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
                   param: float) -> float:
     """Impenetrable-wall Green's function: g0 - u^T G0^{-1} v (couplings ignored).
 
-    Raises NearPoleError when G0 is numerically singular: with a factor
-    pair, when an interval factor d_i cancels below 1e-12 of its two
-    products.
+    With a factor pair this is the Dirichlet kernel of the one interval that
+    holds x and x': exactly 0 when a wall lies between them (or under
+    either), else h_l(x_<) h_r(x_>) / W[h_l, h_r].  h_l = q(a_k) p - p(a_k) q
+    vanishes on the interval's left wall (h_l = p left of the chain), h_r
+    likewise on its right wall (h_r = q right of the chain), and inside the
+    chain W[h_l, h_r] = -d_k.  Raises NearPoleError when d_k cancels below
+    1e-12 of its two products, i.e. on a Dirichlet level of the interval.
     """
     if g0.factors is None:
         G0 = boundary_matrix(chain, g0, param)
         u, v = _wall_vectors(chain, g0, x, xp, param)
         t = solve(lu(G0), v)
         return g0.evaluate(x, xp, param) - float(u @ t)
-    f = _factored(chain, g0, param)
-    if f.cancellation < _NEAR_POLE_RATIO:
+    positions, n = chain.positions, chain.n
+    lo, hi = (x, xp) if x <= xp else (xp, x)
+    k = bisect_left(positions, lo)
+    if k < n and positions[k] <= hi:
+        return 0.0
+    ends = _wall_factors(g0, positions[max(k - 1, 0):k + 1], param)
+    one, zero = (1.0, 0.0), (0.0, -math.inf)
+    h_l = _vanishing_at(ends[0]) if k > 0 else (one, zero)
+    h_r = _vanishing_at(ends[-1]) if k < n else (zero, one)
+    (fa, la), (fb, lb) = h_l
+    (fc, lc), (fd, ld) = h_r
+    unit = SignLog(1, 0.0)
+    t1, t2, w_log = _terms(((fa * fd, la + ld), (-fb * fc, lb + lc)), unit, unit)
+    if abs(t1 + t2) < _NEAR_POLE_RATIO * (abs(t1) + abs(t2)):
         raise NearPoleError(
             "an interval factor of the boundary matrix cancelled below 1e-12; "
             "the parameter sits on or near a characteristic root"
         )
-    diag, off = f.inverse()
-    free, u, v = _free_and_columns(f, g0, x, xp, param)
-    return free - float(u @ _tridiag_matvec(diag, off, v))
+    l1, l2, l_log = _terms(h_l, *g0.factors(lo, param))
+    r1, r2, r_log = _terms(h_r, *g0.factors(hi, param))
+    return _value((l1 + l2) * (r1 + r2) / (t1 + t2), l_log + r_log - w_log)
 
 
 def char_func(chain: DeltaChain, g0: FreeGreens, param: float) -> SignLog:
     """Characteristic function det[g0(a_i, a_j)] at the given parameter."""
     if g0.factors is None:
         return det(lu(boundary_matrix(chain, g0, param)))
-    return _factored(chain, g0, param).det()
+    return _factor_det(_wall_factors(g0, chain.positions, param))

@@ -278,6 +278,9 @@ def cmd_greens(args) -> int:
     cfg = load_config(args.config)
     cfg = replace(cfg, units=_units_from_args(args, cfg.units),
                   mode=cfg.mode if args.mode is None else args.mode)
+    if cfg.geometry is not Geometry.OSCILLATOR and not args.param > 0.0:
+        raise ConfigError(f"k0 must be positive for the {cfg.geometry.value} geometry, "
+                          f"got {_fmt(args.param)}")
     delta_chain = cfg.to_chain()
     g0 = cfg.to_free_greens()
     if args.strong or delta_chain.is_strong:

@@ -403,7 +403,8 @@ def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-1
     flagged when `include_node_factor` is set.
 
     Fewer than `n_roots` levels are returned when the validated order range
-    v <= 200 is exhausted first.
+    v <= 200 is exhausted first.  A NumericError from the node-factor scan
+    carries the refined levels as `partial`.
     """
     if not 1 <= n_roots <= 12:
         raise DomainError(f"n_roots must be in [1, 12], got {n_roots}")
@@ -434,7 +435,12 @@ def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-1
     lines = [SpectrumLine(root=r, energy=prob.energy_of(r.value)) for r in roots]
     if include_node_factor:
         v_hi = roots[-1].value + 1.0 if roots else _V_MAX
-        for r in _node_factor_roots(prob, min(v_hi, _V_MAX), tol):
+        try:
+            nodes = _node_factor_roots(prob, min(v_hi, _V_MAX), tol)
+        except NumericError as exc:
+            exc.partial = lines  # the levels are refined already
+            raise
+        for r in nodes:
             lines.append(SpectrumLine(root=r, energy=prob.energy_of(r.value)))
         lines.sort(key=lambda line: line.root.value)
     return lines

@@ -491,15 +491,17 @@ def test_structured_matches_dense(geometry, mode, n):
                           _dense_finite(G0, chain, g0, x, xp, param), g_free)
 
 
-def _numpy_boundary_matrix(g0, positions, param):
-    """G0[i, j] = p(a_min) q(a_max), assembled with numpy from one factor pair per wall."""
-    pairs = [g0.factors(a, param) for a in positions]
+def _numpy_boundary_matrix(g0, points, param):
+    """G0[i, j] = p(a_min) q(a_max) at every pair of points (in any order), assembled
+    with numpy from one factor pair per point."""
+    pairs = [g0.factors(a, param) for a in points]
     sp = np.array([p.sign for p, _ in pairs])
     lp = np.array([p.log_mag for p, _ in pairs])
     sq = np.array([q.sign for _, q in pairs])
     lq = np.array([q.log_mag for _, q in pairs])
-    upper = np.outer(sp, sq) * np.exp(lp[:, None] + lq[None, :])
-    return np.triu(upper) + np.triu(upper, 1).T
+    pq = np.outer(sp, sq) * np.exp(lp[:, None] + lq[None, :])
+    points = np.array(points)
+    return np.where(points[:, None] <= points[None, :], pq, pq.T)
 
 
 @pytest.mark.parametrize("geometry,mode", [("rectangular", 0), ("oscillator", 0),
@@ -578,7 +580,8 @@ def test_oscillator_near_order_200(v):
 
 
 def test_structured_path_is_linear_in_walls():
-    # a counting factor pair: n walls cost n + 2 factor evaluations and no g0 call
+    # a counting factor pair: n walls cost n + 2 factor evaluations and no g0 call;
+    # the strong kernel needs only the interval that holds x and x'
     n = 64
     calls = []
 
@@ -594,11 +597,20 @@ def test_structured_path_is_linear_in_walls():
     strong = DeltaChain("rectangular", positions, ALL_INFINITE)
     finite = DeltaChain("rectangular", positions, (1.5,) * n)
     for call, limit in ((lambda: char_func(strong, g0, 1.3), n),
-                        (lambda: greens_strong(strong, g0, 0.31, 2.2, 1.3), n + 2),
+                        (lambda: greens_strong(strong, g0, 0.31, 0.33, 1.3), 4),
+                        (lambda: greens_strong(strong, g0, 0.31, 2.2, 1.3), 0),
                         (lambda: greens_finite(finite, g0, 0.31, 2.2, 1.3), n + 2)):
         calls.clear()
         call()
         assert len(calls) == limit
+
+
+def test_strong_is_exactly_zero_across_a_wall():
+    ch = DeltaChain("rectangular", (0.0, 1.0), ALL_INFINITE)
+    g0 = rect_free_greens()
+    for x, xp in ((-0.5, 0.5), (0.5, 1.5), (-0.5, 1.5), (0.0, 0.5), (1.0, 1.0)):
+        assert greens_strong(ch, g0, x, xp, 1.3) == 0.0
+        assert greens_strong(ch, g0, xp, x, 1.3) == 0.0
 
 
 def test_finite_attractive_wall_with_nearly_singular_leading_block():
@@ -614,15 +626,118 @@ def test_finite_attractive_wall_with_nearly_singular_leading_block():
         _assert_close(greens_finite(chain, g0, 0.1, 0.3, k), want, g0.evaluate(0.1, 0.3, k))
 
 
-def test_finite_falls_back_to_dense_near_an_interval_level():
-    # walls 1e-9 apart cancel their interval factor; Lambda stays regular
+@pytest.mark.parametrize("geometry,mode", KERNELS)
+def test_finite_near_coincident_walls_match_numpy(geometry, mode, monkeypatch):
+    # two walls `gap` apart cancel their interval factor while Lambda stays regular;
+    # the wall-matched solutions need no dense fallback and no wall cap
+    import greenchain.chain as chain_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the factor-pair path must not use the dense algebra")
+
+    for name in ("boundary_matrix", "lu", "solve"):
+        monkeypatch.setattr(chain_mod, name, forbidden)
+    base = free_greens_for(geometry, mode=mode, center=0.5)
+    g0 = dataclasses.replace(base, evaluate=forbidden)
+    for n in (3, 8, 64, 65):
+        for gap in (1e-3, 1e-6, 1e-9, 1e-12):
+            rng = np.random.RandomState(n + 10 * mode + len(geometry) + round(-math.log10(gap)))
+            positions, param, edges = _random_chain(geometry, n, rng)
+            m = n // 2
+            positions[m + 1] = positions[m] + gap
+            w = np.array([g0.weight(a) for a in positions])
+            for sign in (1.0, -1.0):  # repulsive, attractive
+                lams = sign * rng.uniform(0.1, 3.0, n)
+                chain = DeltaChain(geometry, positions, tuple(lams))
+                for x, xp in ((positions[m] + 0.5 * gap, edges[m]),
+                              (positions[0] - 0.05, positions[m + 1] + 0.5 * gap),
+                              (edges[1], edges[-2])):
+                    G = _numpy_boundary_matrix(base, positions + [x, xp], param)
+                    G0, u, v, g_free = G[:n, :n], G[n, :n], G[:n, n + 1], G[n, n + 1]
+                    wl = w * lams
+                    want = g_free - float(u @ (wl * np.linalg.solve(np.eye(n) + G0 * wl, v)))
+                    _assert_close(greens_finite(chain, g0, x, xp, param), want, g_free)
+
+
+def test_finite_many_strong_walls_match_numpy():
+    # each wall with lambda = 1e4 multiplies the swept solution by ~4e3, past double
+    # range after ~90 walls unless the sweep rescales as it goes
     g0 = rect_free_greens()
-    chain = DeltaChain("rectangular", (0.0, 1e-9, 0.5), (1.5, -0.4, 2.0))
-    got = greens_finite(chain, g0, 0.2, 0.3, 1.3)
-    want = _dense_finite(boundary_matrix(chain, g0, 1.3), chain, g0, 0.2, 0.3, 1.3)
-    assert got == want
-    # past the dense path's 64 rows there is no fallback: refuse rather than lose digits
-    many = DeltaChain("rectangular", (0.0, 1e-9) + tuple(0.1 * i for i in range(1, 64)),
-                      (1.0,) * 65)
-    with pytest.raises(NumericError):
-        greens_finite(many, g0, 0.2, 0.3, 1.3)
+    n, k = 256, 1.3
+    positions = [0.05 * i for i in range(n)]
+    lams = np.full(n, 1e4)
+    chain = DeltaChain("rectangular", positions, tuple(lams))
+    for x, xp in ((6.41, 6.43), (-0.3, 0.02), (12.8, 13.1)):
+        G = _numpy_boundary_matrix(g0, positions + [x, xp], k)
+        G0, u, v, g_free = G[:n, :n], G[n, :n], G[:n, n + 1], G[n, n + 1]
+        want = g_free - float(u @ (lams * np.linalg.solve(np.eye(n) + G0 * lams, v)))
+        _assert_close(greens_finite(chain, g0, x, xp, k), want, g_free)
+
+
+# (couplings, bracket of the bound-state k0): a shallow pair, and a deep first wall
+# with the second tuned to put the pole at k0 = 1, where the Wronskian's largest
+# summand is about 5e3 times its first
+_KAPPA = -5e3
+TWO_WALL_POLES = [
+    ((-3.0, -2.5), (1.0, 3.0)),
+    ((2.0 * _KAPPA, 2.0 * (1.0 + _KAPPA) / (_KAPPA * math.exp(-2.0) - 1.0 - _KAPPA)),
+     (0.9, 1.1)),
+]
+
+
+def _two_wall_bound_state(lams, bracket):
+    """A 2-wall attractive rectangular chain and its bound-state k0, refined by Brent
+    on the dense det(I + G0 W)."""
+    from greenchain.spectrum import Bracket, brent
+
+    g0 = rect_free_greens()
+    chain = DeltaChain("rectangular", (0.0, 1.0), lams)
+    f = lambda k: det(lu(lambda_matrix(boundary_matrix(chain, g0, k), chain))).value()
+    lo, hi = bracket
+    root = brent(f, Bracket(lo, hi, f(lo), f(hi)), tol=1e-14)
+    return chain, g0, root.value
+
+
+@pytest.mark.parametrize("lams,bracket", TWO_WALL_POLES)
+def test_greens_finite_raises_at_refined_two_wall_bound_state(lams, bracket):
+    # 1e-13 off the deep pole, A_n is about 7e-14 of its largest summand but 3e-10
+    # of its first: the test is against the largest
+    chain, g0, k = _two_wall_bound_state(lams, bracket)
+    for offset in (0.0, 1e-13):
+        with pytest.raises(NearPoleError):
+            greens_finite(chain, g0, 0.2, 0.7, k * (1.0 + offset))
+
+
+def test_greens_finite_matches_dense_near_two_wall_bound_state():
+    chain, g0, k = _two_wall_bound_state(*TWO_WALL_POLES[0])
+    k *= 1.0 + 1e-6
+    want = _dense_finite(boundary_matrix(chain, g0, k), chain, g0, 0.2, 0.7, k)
+    _assert_close(greens_finite(chain, g0, 0.2, 0.7, k), want, g0.evaluate(0.2, 0.7, k))
+
+
+def test_finite_deep_attenuation_matches_high_precision():
+    # 512 walls damp g to 1e-11 of g0: the dense Lambda solve keeps only a few of
+    # the digits left, so the reference is the same kink recurrence at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    k, x, xp = 2, mp.mpf(1.234), mp.mpf(3.456)
+    positions = [0.01 * i for i in range(512)]
+    lams = [1.0 + 0.002 * i for i in range(512)]
+    p = lambda z: mp.exp(k * z)
+    q = lambda z: mp.exp(-k * z) / (2 * k)
+
+    def carry(walls, coef, sign):
+        for a, lam in walls:  # the kink lam P(a) (q(a), -p(a)), taken back leftwards
+            s = sign * lam * (coef[0] * p(a) + coef[1] * q(a))
+            coef = (coef[0] + s * q(a), coef[1] - s * p(a))
+        return coef
+
+    walls = [(mp.mpf(a), mp.mpf(lam)) for a, lam in zip(positions, lams)]
+    a_p, b_p = carry([w for w in walls if w[0] < x], (1, 0), 1)
+    a_n = carry(walls, (1, 0), 1)[0]
+    c_q, d_q = carry([w for w in reversed(walls) if w[0] >= xp], (0, 1), -1)
+    want = (a_p * p(x) + b_p * q(x)) * (c_q * p(xp) + d_q * q(xp)) / a_n
+    chain = DeltaChain("rectangular", positions, lams)
+    got = greens_finite(chain, rect_free_greens(), 1.234, 3.456, 2.0)
+    assert abs(got - float(want)) <= 1e-10 * abs(float(want))

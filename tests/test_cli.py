@@ -153,6 +153,31 @@ def test_greens_non_finite_config_exits_1(tmp_path, capsys, field, values):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("geometry", ["rectangular", "cylindrical", "spherical"])
+@pytest.mark.parametrize("k0", ["0", "-1.5"])
+def test_greens_non_positive_k0_exits_1(tmp_path, capsys, geometry, k0):
+    cfg = write_config(tmp_path, {"geometry": geometry, "positions": [0.5, 1.0],
+                                  "couplings": [1.0, 1.0]})
+    assert main(["greens", cfg, "0.6", "0.7", k0]) == 1
+    err = capsys.readouterr().err
+    assert "k0 must be positive" in err and geometry in err
+    assert err.count("\n") == 1
+
+
+def test_greens_oscillator_accepts_negative_order(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"geometry": "oscillator", "positions": [0.0, 1.0],
+                                  "couplings": [1.0, 1.0], "oscillator": {"box_length": 1.0}})
+    assert main(["greens", cfg, "0.2", "0.4", "-0.5"]) == 0
+    assert math.isfinite(float(capsys.readouterr().out))
+
+
+def test_greens_strong_across_a_wall_prints_zero(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"positions": [0, 1], "couplings": "infinite",
+                                  "geometry": "rectangular"})
+    assert main(["greens", cfg, "-0.5", "0.5", "1.3"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_greens_missing_config_exits_1(capsys):
     assert main(["greens", "/nonexistent.json", "0", "0", "1.0"]) == 1
 
@@ -441,6 +466,19 @@ def test_spectrum_emits_partial_rows_on_refiner_failure(capsys, monkeypatch):
     assert rows[0] == "index,root_param,energy,residual,classification"
     assert len(rows) == 3  # two refined levels survived
     assert "error" in captured.err
+
+
+def test_spectrum_node_factor_failure_keeps_the_levels(capsys):
+    # the D_v(alpha) scan fails at L = 2; the twelve refined levels still print
+    argv = ["spectrum", "--geometry", "oscillator", "--a", "2", "--n-roots", "12",
+            "--include-node-factor"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()
+    assert rows[0] == "index,root_param,energy,residual,classification"
+    assert len(rows) == 13
+    assert all(row.endswith("_bracket") for row in rows[1:])
+    assert captured.err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------

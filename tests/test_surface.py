@@ -1,15 +1,19 @@
-"""Surface guard: every name the traced benchmark and the README reach must resolve.
+"""Surface guard: every name the traced benchmark and the README reach must resolve,
+and every README `scan`, `spectrum` and `table1` command must run.
 
 The benchmark's span table (``WRAPPED`` in ``benchmark/spans.py``) names the
 module attributes it wraps, and the README examples import from the
 package; deleting one of those names would break them silently.  The span
-table is read as a literal, so the benchmark module is never imported.
+table is read as a literal, so the benchmark module is never imported.  The
+README's CLI lines run through `cli.main`, with `--out` in a temporary
+directory, so a renamed flag or command shows up here too.
 """
 
 import ast
 import importlib
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -47,3 +51,25 @@ def test_readme_imports_resolve():
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+def _readme_cli_lines():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    return [line for line in block.splitlines()
+            if re.match(r"greenchain (scan|spectrum|table1)\b", line)]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_line_runs(line, tmp_path, capsys):
+    from greenchain.cli import main
+
+    argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    assert main(argv) == 0, capsys.readouterr().err
+
+
+def test_readme_cli_lines_found():
+    assert {line.split()[1] for line in _readme_cli_lines()} == {"scan", "spectrum", "table1"}
