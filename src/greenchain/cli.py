@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
@@ -176,6 +177,11 @@ def load_config(path: str) -> ChainConfig:
 class _Parser(argparse.ArgumentParser):
     """argparse that exits with the documented usage code (1, not 2) and one line."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes -1e-3 for an option; any negative float literal is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -255,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry", required=True,
                    choices=["oscillator", "box", "cylinder", "sphere", "delta-well"])
     p.add_argument("--n-roots", type=int, default=6)
-    p.add_argument("--tol", type=_positive, default=None, help="root refinement tolerance")
+    p.add_argument("--tol", type=_positive, default=None,
+                   help="Brent tolerance on v (oscillator) or on kappa*L, L the length or radius")
     p.add_argument("--a", type=_positive, default=1.0, help="box length (oscillator/box)")
     p.add_argument("--radius", type=_positive, default=1.0, help="radius (cylinder/sphere)")
     p.add_argument("--mode", type=_order, default=0, help="azimuthal m or angular l")
@@ -267,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="compare the first six boxed-oscillator levels "
                                       "against the published reference values")
-    p.add_argument("--tolerance", type=float, default=REFERENCE_TOLERANCE,
+    p.add_argument("--tolerance", type=_positive, default=REFERENCE_TOLERANCE,
                    help="acceptance tolerance in units of hbar*omega0 (default 0.01)")
     p.set_defaults(func=cmd_table1)
 
@@ -318,15 +325,12 @@ def cmd_scan(args) -> int:
 
 
 def _spectrum_lines(args, units: UnitSystem):
-    tol = args.tol
+    kwargs = {} if args.tol is None else {"tol": args.tol}
     if args.geometry == "oscillator":
         prob = spectrum_mod.OscillatorProblem(args.a, units)
         return spectrum_mod.oscillator_spectrum(
-            prob, args.n_roots, tol=tol if tol is not None else 1e-10,
-            include_node_factor=args.include_node_factor)
-    kwargs = {"units": units}
-    if tol is not None:
-        kwargs["tol"] = tol
+            prob, args.n_roots, include_node_factor=args.include_node_factor, **kwargs)
+    kwargs["units"] = units
     if args.geometry == "box":
         return spectrum_mod.box_spectrum_rect(args.a, args.n_roots, **kwargs)
     if args.geometry == "cylinder":

@@ -24,6 +24,13 @@ back an array of the same length, NaN or infinite where a point has no
 value; the oscillator factors take arrays of v natively (one Kummer series
 pass per factor and grid), and `pointwise` lifts any scalar function.
 Brent refinement evaluates the scalar path.
+
+Every spectrum goes through one windowed scan-and-refine, `_levels`: scan
+the factors for sign changes, refine the first n brackets with Brent, and
+continue into the next window until n roots are in hand.  A Dirichlet
+spectrum is one interval factor of a real-energy solution pair (u1, u2) =
+(sin kz / k, cos kz), (J_m, Y_m) or (j_l, y_l): u1(k, b) on [0, b], and
+u1(k, b1) u2(k, b2) - u1(k, b2) u2(k, b1) on [b1, b2].
 """
 
 from __future__ import annotations
@@ -89,10 +96,14 @@ class Root:
 
 @dataclass(frozen=True)
 class SpectrumLine:
-    """One spectral level: the refined root plus the energy it encodes."""
+    """One spectral level: the refined root plus the energy it encodes (finite)."""
 
     root: Root
     energy: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.energy):
+            raise RangeError(f"the level at {self.root.value} has non-finite energy {self.energy}")
 
 
 @dataclass(frozen=True)
@@ -233,6 +244,40 @@ def brent(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10,
     best = Root(value=min(max(b, bracket.lo), bracket.hi), residual=abs(fb),
                 bracket=bracket, iterations=max_iter)
     raise NumericError(f"brent did not converge within {max_iter} iterations", best=best)
+
+
+def _levels(factors, lo: float, hi: float, step: float, n: int, tol: float,
+            energy_of: Callable[[float], float], end: float) -> List[SpectrumLine]:
+    """First n roots of the (grid function, point function, RootKind) factors.
+
+    Windows as wide as [lo, hi] are scanned from lo at spacing `step` until n
+    roots are in hand or `end` is reached, when fewer are returned; the first
+    n brackets of each factor in a window are refined by Brent.  A
+    NumericError carries the sorted levels refined so far as `partial`.
+    """
+    if n < 1:
+        raise DomainError(f"need n >= 1 roots, got {n}")
+    width, roots = hi - lo, []
+
+    def lines() -> List[SpectrumLine]:
+        roots.sort(key=lambda r: r.value)
+        return [SpectrumLine(root=r, energy=energy_of(r.value)) for r in roots[:n]]
+
+    while lo < end and len(roots) < n:
+        hi = min(hi, end)
+        n_grid = max(2, int(round((hi - lo) / step)) + 1)
+        for grid_f, point_f, kind in factors:
+            for br in scan_sign_changes(grid_f, lo, hi, n_grid)[:n]:
+                try:
+                    root = brent(point_f, br, tol=tol)
+                except NumericError as exc:
+                    exc.partial = lines()
+                    raise
+                # dataclasses.replace costs about two Bessel evaluations: skip it if it is a no-op
+                roots.append(root if root.classification is kind
+                             else replace(root, classification=kind))
+        lo, hi = hi, hi + width
+    return lines()
 
 
 # ----------------------------------------------------------------------
@@ -395,74 +440,70 @@ def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-1
                         include_node_factor: bool = False) -> List[SpectrumLine]:
     """First `n_roots` levels of the boxed oscillator, energies attached.
 
-    Scans the even/odd wall-value factors for sign changes (step 0.01 in v),
-    refines each with Brent, and classifies the root by the factor that
-    produced it.  The degenerate integer-v zeros of the reduced ratio never
-    enter because the wall-value factors do not vanish there; node-factor
-    zeros (D_v(alpha) = 0) are excluded from the default list and reported
-    flagged when `include_node_factor` is set.
+    Scans the even/odd wall-value factors for sign changes (step 0.01 in v,
+    windows 20 wide), refines each with Brent to the tolerance `tol` in v,
+    and classifies the root by the factor that produced it.  The degenerate
+    integer-v zeros of the reduced ratio never enter because the wall-value
+    factors do not vanish there; node-factor zeros (D_v(alpha) = 0) are
+    excluded from the default list and reported flagged when
+    `include_node_factor` is set.
 
     Fewer than `n_roots` levels are returned when the validated order range
-    v <= 200 is exhausted first.  A NumericError from the node-factor scan
-    carries the refined levels as `partial`.
+    v <= 200 is exhausted first.  A NumericError from Brent or from the
+    node-factor scan carries the refined levels as `partial`.
     """
     if not 1 <= n_roots <= 12:
         raise DomainError(f"n_roots must be in [1, 12], got {n_roots}")
 
-    factors = (
-        (lambda v: even_wall_value(v, prob), RootKind.EVEN_BRACKET),
-        (lambda v: odd_wall_value(v, prob), RootKind.ODD_BRACKET),
-    )
-    roots: List[Root] = []
-    chunk = 20.0
-    lo = 0.0
-    while lo < _V_MAX and len(roots) < n_roots:
-        hi = min(lo + chunk, _V_MAX)
-        n_grid = int(round((hi - lo) / _STEP)) + 1
-        for f, kind in factors:
-            for br in scan_sign_changes(f, lo, hi, n_grid):
-                try:
-                    refined = brent(f, br, tol=tol)
-                except NumericError as exc:
-                    roots.sort(key=lambda r: r.value)
-                    exc.partial = [SpectrumLine(root=r, energy=prob.energy_of(r.value))
-                                   for r in roots[:n_roots]]
-                    raise
-                roots.append(replace(refined, classification=kind))
-        roots.sort(key=lambda r: r.value)
-        lo = hi
-    roots = roots[:n_roots]
-    lines = [SpectrumLine(root=r, energy=prob.energy_of(r.value)) for r in roots]
+    even = lambda v: even_wall_value(v, prob)
+    odd = lambda v: odd_wall_value(v, prob)
+    factors = ((even, even, RootKind.EVEN_BRACKET), (odd, odd, RootKind.ODD_BRACKET))
+    lines = _levels(factors, 0.0, 20.0, _STEP, n_roots, tol, prob.energy_of, _V_MAX)
     if include_node_factor:
-        v_hi = roots[-1].value + 1.0 if roots else _V_MAX
+        v_hi = lines[-1].root.value + 1.0 if lines else _V_MAX
         try:
             nodes = _node_factor_roots(prob, min(v_hi, _V_MAX), tol)
         except NumericError as exc:
             exc.partial = lines  # the levels are refined already
             raise
-        for r in nodes:
-            lines.append(SpectrumLine(root=r, energy=prob.energy_of(r.value)))
+        lines += [SpectrumLine(root=r, energy=prob.energy_of(r.value)) for r in nodes]
         lines.sort(key=lambda line: line.root.value)
     return lines
 
 
 # ----------------------------------------------------------------------
-# Dirichlet spectra from the oscillatory continuation
+# Dirichlet spectra: one interval factor of a real-energy solution pair
 # ----------------------------------------------------------------------
 
-def _kappa_spectrum(f: Callable[[float], float], lo: float, hi: float, step: float,
-                    n_roots: int, tol: float, energy_of) -> List[SpectrumLine]:
-    n_grid = int(round((hi - lo) / step)) + 1
-    brackets = scan_sign_changes(pointwise(f), lo, hi, n_grid)
-    lines: List[SpectrumLine] = []
-    for br in brackets[:n_roots]:
-        try:
-            root = brent(f, br, tol=tol)
-        except NumericError as exc:
-            exc.partial = lines  # completed levels survive a mid-list failure
-            raise
-        lines.append(SpectrumLine(root=root, energy=energy_of(root.value)))
-    return lines
+def _bessel_pair(mode: int, spherical: bool):
+    """(J_m, Y_m), or (j_l, y_l) if `spherical`, as a function of (kappa, z)."""
+    if mode < 0:
+        raise DomainError(f"order must be a non-negative integer, got {mode}")
+    if spherical:
+        return lambda kappa, z: sph_ordinary(mode, kappa * z)
+    return lambda kappa, z: bessel_jy(mode, kappa * z)
+
+
+def _interval_spectrum(pair, walls: Tuple[float, ...], step: float, hi: float, n: int,
+                       units: UnitSystem, tol: float) -> List[SpectrumLine]:
+    """First n roots in kappa of the interval factor of (u1, u2) = pair(kappa, z).
+
+    The first window ends at `hi`, the scan stops after _MAX_SCAN_ROWS grid
+    points, and Brent refines kappa to tol / L, L being b or b2 - b1.
+    """
+    b1, b2 = walls[0], walls[-1]
+    if len(walls) == 1:
+        f = lambda kappa: pair(kappa, b2)[0]
+    else:
+        def f(kappa: float) -> float:
+            u1_b1, u2_b1 = pair(kappa, b1)
+            u1_b2, u2_b2 = pair(kappa, b2)
+            return u1_b1 * u2_b2 - u1_b2 * u2_b1
+    length = b2 - b1 if len(walls) == 2 else b2
+    lo = 0.25 * step
+    hb2m = units.hbar * units.hbar / (2.0 * units.mass)
+    return _levels(((pointwise(f), f, RootKind.GENERIC),), lo, hi, step, n, tol / length,
+                   lambda k: hb2m * k * k, lo + _MAX_SCAN_ROWS * step)
 
 
 def box_spectrum_rect(a: float, n: int, units: UnitSystem = NATURAL_UNITS,
@@ -471,55 +512,32 @@ def box_spectrum_rect(a: float, n: int, units: UnitSystem = NATURAL_UNITS,
 
     Under k0 -> i kappa the two-wall determinant (1 - e^{-2 k0 a})/(4 k0^2)
     becomes sin(kappa a)/kappa up to constant factors; its positive roots
-    kappa_j = j pi / a carry energies hbar^2 kappa^2 / (2 m).
+    kappa_j = j pi / a carry energies hbar^2 kappa^2 / (2 m); `tol` bounds kappa a.
     """
     if not a > 0.0:
         raise DomainError(f"box length must be positive, got {a}")
-    if n < 1:
-        raise DomainError(f"need n >= 1 roots, got {n}")
-
-    def f(kappa: float) -> float:
-        return math.sin(kappa * a) / kappa
-
-    step = math.pi / (8.0 * a)
-    lo = 0.25 * step
-    hi = (n + 0.75) * math.pi / a
-    hb2m = units.hbar * units.hbar / (2.0 * units.mass)
-    return _kappa_spectrum(f, lo, hi, step, n, tol, lambda k: hb2m * k * k)
+    return _interval_spectrum(lambda kappa, z: (math.sin(kappa * z) / kappa, math.cos(kappa * z)),
+                              (a,), math.pi / (8.0 * a), (n + 0.75) * math.pi / a, n, units, tol)
 
 
 def cyl_dirichlet_spectrum(b: float, mode: int, n: int,
                            units: UnitSystem = NATURAL_UNITS,
                            tol: float = 1e-12) -> List[SpectrumLine]:
-    """First n roots of J_mode(kappa b): the Dirichlet disk spectrum."""
+    """First n roots of J_mode(kappa b): the Dirichlet disk spectrum; `tol` bounds kappa b."""
     if not b > 0.0:
         raise DomainError(f"radius must be positive, got {b}")
-
-    def f(kappa: float) -> float:
-        return bessel_jy(mode, kappa * b)[0]
-
-    step = 0.3 / b
-    lo = 0.25 * step
-    hi = ((n + 1.25) * math.pi + mode + 2.0) / b
-    hb2m = units.hbar * units.hbar / (2.0 * units.mass)
-    return _kappa_spectrum(f, lo, hi, step, n, tol, lambda k: hb2m * k * k)
+    return _interval_spectrum(_bessel_pair(mode, False), (b,), 0.3 / b,
+                              ((n + 1.25) * math.pi + mode + 2.0) / b, n, units, tol)
 
 
 def sph_dirichlet_spectrum(c: float, mode: int, n: int,
                            units: UnitSystem = NATURAL_UNITS,
                            tol: float = 1e-12) -> List[SpectrumLine]:
-    """First n roots of j_mode(kappa c): the Dirichlet ball spectrum."""
+    """First n roots of j_mode(kappa c): the Dirichlet ball spectrum; `tol` bounds kappa c."""
     if not c > 0.0:
         raise DomainError(f"radius must be positive, got {c}")
-
-    def f(kappa: float) -> float:
-        return sph_ordinary(mode, kappa * c)[0]
-
-    step = 0.3 / c
-    lo = 0.25 * step
-    hi = ((n + 1.25) * math.pi + mode + 2.0) / c
-    hb2m = units.hbar * units.hbar / (2.0 * units.mass)
-    return _kappa_spectrum(f, lo, hi, step, n, tol, lambda k: hb2m * k * k)
+    return _interval_spectrum(_bessel_pair(mode, True), (c,), 0.3 / c,
+                              ((n + 1.25) * math.pi + mode + 2.0) / c, n, units, tol)
 
 
 def cyl_annulus_spectrum(b1: float, b2: float, mode: int, n: int,
@@ -528,42 +546,22 @@ def cyl_annulus_spectrum(b1: float, b2: float, mode: int, n: int,
     """Annulus Dirichlet spectrum from the J/Y cross product.
 
     Roots of J_m(k b1) Y_m(k b2) - J_m(k b2) Y_m(k b1), the oscillatory
-    continuation of the two-wall cylindrical characteristic determinant.
+    continuation of the two-wall cylindrical determinant; `tol` bounds kappa (b2 - b1).
     """
     if not 0.0 < b1 < b2:
         raise DomainError(f"annulus radii must satisfy 0 < b1 < b2, got ({b1}, {b2})")
-
-    def f(kappa: float) -> float:
-        j1v, y1v = bessel_jy(mode, kappa * b1)
-        j2v, y2v = bessel_jy(mode, kappa * b2)
-        return j1v * y2v - j2v * y1v
-
-    gap = b2 - b1
-    step = math.pi / (8.0 * gap)
-    lo = 0.25 * step
-    hi = (n + 1.5) * math.pi / gap
-    hb2m = units.hbar * units.hbar / (2.0 * units.mass)
-    return _kappa_spectrum(f, lo, hi, step, n, tol, lambda k: hb2m * k * k)
+    return _interval_spectrum(_bessel_pair(mode, False), (b1, b2), math.pi / (8.0 * (b2 - b1)),
+                              (n + 1.5) * math.pi / (b2 - b1), n, units, tol)
 
 
 def sph_shell_spectrum(c1: float, c2: float, mode: int, n: int,
                        units: UnitSystem = NATURAL_UNITS,
                        tol: float = 1e-12) -> List[SpectrumLine]:
-    """Spherical-shell Dirichlet spectrum from the j/y cross product."""
+    """Spherical-shell Dirichlet spectrum, the j/y cross product; `tol` bounds kappa (c2 - c1)."""
     if not 0.0 < c1 < c2:
         raise DomainError(f"shell radii must satisfy 0 < c1 < c2, got ({c1}, {c2})")
-
-    def f(kappa: float) -> float:
-        j1v, y1v = sph_ordinary(mode, kappa * c1)
-        j2v, y2v = sph_ordinary(mode, kappa * c2)
-        return j1v * y2v - j2v * y1v
-
-    gap = c2 - c1
-    step = math.pi / (8.0 * gap)
-    lo = 0.25 * step
-    hi = (n + 1.5) * math.pi / gap
-    hb2m = units.hbar * units.hbar / (2.0 * units.mass)
-    return _kappa_spectrum(f, lo, hi, step, n, tol, lambda k: hb2m * k * k)
+    return _interval_spectrum(_bessel_pair(mode, True), (c1, c2), math.pi / (8.0 * (c2 - c1)),
+                              (n + 1.5) * math.pi / (c2 - c1), n, units, tol)
 
 
 def delta_well_bound_state(mu: float, units: UnitSystem = NATURAL_UNITS) -> Optional[SpectrumLine]:
@@ -580,13 +578,10 @@ def delta_well_bound_state(mu: float, units: UnitSystem = NATURAL_UNITS) -> Opti
     def f(k0: float) -> float:
         return 1.0 + lam / (2.0 * k0)
 
-    lo = abs(lam) * 1e-9
-    hi = abs(lam)
-    br = Bracket(lo, hi, f(lo), f(hi))
-    root = brent(f, br, tol=1e-13 * abs(lam))
-    k_star = root.value
-    energy = -units.hbar * units.hbar * k_star * k_star / (2.0 * units.mass)
-    return SpectrumLine(root=root, energy=energy)
+    lo, hi = abs(lam) * 1e-9, abs(lam)
+    root = brent(f, Bracket(lo, hi, f(lo), f(hi)), tol=1e-13 * abs(lam))
+    k = root.value
+    return SpectrumLine(root=root, energy=-units.hbar * units.hbar * k * k / (2.0 * units.mass))
 
 
 def scan_grid(lo: float, hi: float, step: float) -> np.ndarray:

@@ -22,6 +22,7 @@ from greenchain import (
 )
 from greenchain.chain import boundary_matrix, det, lambda_matrix, lu, solve
 from greenchain.errors import DomainError, NearPoleError, NumericError, SingularMatrixError
+from mp_reference import rect_chain_greens_50_digits
 
 # frozen oracle products (series / quadrature oracles, see test_specfun)
 I0K0_AT_1 = 0.5330446749562685
@@ -614,9 +615,9 @@ def test_strong_is_exactly_zero_across_a_wall():
 
 
 def test_finite_attractive_wall_with_nearly_singular_leading_block():
-    # lambda_1 puts a bound state on [-inf, a_2] with wall 2 impenetrable: the first
-    # pivot of T + W (nearly) vanishes although Lambda is regular, so the
-    # tridiagonal solve must swap rows
+    # lambda_1 puts a bound state on [-inf, a_2] with wall 2 impenetrable, so the
+    # sub-problem left of wall 2 is (nearly) singular although Lambda is regular;
+    # the wall-matched solutions must keep their accuracy there
     g0 = rect_free_greens()
     k, gap = 1.3, 0.4
     for eps in (1e-6, 1e-8, 1e-10):
@@ -718,26 +719,9 @@ def test_greens_finite_matches_dense_near_two_wall_bound_state():
 def test_finite_deep_attenuation_matches_high_precision():
     # 512 walls damp g to 1e-11 of g0: the dense Lambda solve keeps only a few of
     # the digits left, so the reference is the same kink recurrence at 50 digits
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = 50
-    k, x, xp = 2, mp.mpf(1.234), mp.mpf(3.456)
     positions = [0.01 * i for i in range(512)]
     lams = [1.0 + 0.002 * i for i in range(512)]
-    p = lambda z: mp.exp(k * z)
-    q = lambda z: mp.exp(-k * z) / (2 * k)
-
-    def carry(walls, coef, sign):
-        for a, lam in walls:  # the kink lam P(a) (q(a), -p(a)), taken back leftwards
-            s = sign * lam * (coef[0] * p(a) + coef[1] * q(a))
-            coef = (coef[0] + s * q(a), coef[1] - s * p(a))
-        return coef
-
-    walls = [(mp.mpf(a), mp.mpf(lam)) for a, lam in zip(positions, lams)]
-    a_p, b_p = carry([w for w in walls if w[0] < x], (1, 0), 1)
-    a_n = carry(walls, (1, 0), 1)[0]
-    c_q, d_q = carry([w for w in reversed(walls) if w[0] >= xp], (0, 1), -1)
-    want = (a_p * p(x) + b_p * q(x)) * (c_q * p(xp) + d_q * q(xp)) / a_n
+    want = rect_chain_greens_50_digits(positions, lams, 2.0, 1.234, 3.456)
     chain = DeltaChain("rectangular", positions, lams)
     got = greens_finite(chain, rect_free_greens(), 1.234, 3.456, 2.0)
-    assert abs(got - float(want)) <= 1e-10 * abs(float(want))
+    assert abs(got - want) <= 1e-10 * abs(want)

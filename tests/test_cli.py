@@ -9,6 +9,7 @@ import pytest
 
 from greenchain.cli import main, parse_config
 from greenchain.errors import ConfigError
+from mp_reference import rect_chain_greens_50_digits
 
 
 def write_config(tmp_path, data, name="chain.json"):
@@ -119,22 +120,18 @@ def test_greens_numeric_failure_exits_2(tmp_path, capsys):
 
 
 def test_greens_512_wall_chain(tmp_path, capsys):
-    # finite couplings on 512 walls, checked against a dense numpy solve of I + G0 W
-    import numpy as np
-
+    # finite couplings on 512 walls damp g to 1e-11 of g0: the reference is the
+    # kink recurrence at 50 digits, compared without an absolute floor
     positions = [0.01 * i for i in range(512)]
     couplings = [0.5 + 0.001 * i for i in range(512)]
     cfg = write_config(tmp_path, {"geometry": "rectangular", "positions": positions,
                                   "couplings": couplings})
     k, x, xp = 2.0, 1.234, 3.456
+    lams = [2.0 * c for c in couplings]  # lambda = 2 m mu / hbar^2
+    want = rect_chain_greens_50_digits(positions, lams, k, x, xp)
     assert main(["greens", cfg, repr(x), repr(xp), repr(k)]) == 0
     got = float(capsys.readouterr().out)
-    a = np.array(positions)
-    g0 = lambda s, t: np.exp(-k * np.abs(s - t)) / (2.0 * k)
-    w = 2.0 * np.array(couplings)  # lambda = 2 m mu / hbar^2
-    t = np.linalg.solve(np.eye(512) + g0(a[:, None], a[None, :]) * w, g0(a, xp))
-    want = g0(x, xp) - float(g0(x, a) @ (w * t))
-    assert got == pytest.approx(want, rel=1e-10)
+    assert got == pytest.approx(want, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("field,values", [
@@ -438,6 +435,53 @@ def test_spectrum_cylinder(capsys):
                  "--mode", "0", "--n-roots", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert float(lines[1].split(",")[1]) == pytest.approx(2.404825557695773, rel=1e-8)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--geometry", "delta-well", "--mu", "-1e-1"], None),
+    (["spectrum", "--geometry", "delta-well", "--mu", "-1.5E+0"], None),
+    (["spectrum", "--geometry", "oscillator", "--tol", "-1e-3"], "must be positive"),
+    (["spectrum", "--geometry", "box", "--a", "-1e-3"], "must be positive"),
+    (["spectrum", "--geometry", "sphere", "--radius", "-.5e1"], "must be positive"),
+    (["table1", "--tolerance", "-1"], "must be positive"),
+    (["table1", "--tolerance", "0"], "must be positive"),
+    (["table1", "--tolerance", "nan"], "must be a finite number"),
+])
+def test_negative_float_literals_are_values(capsys, argv, message):
+    # argparse alone takes "-1e-1" for an option; table1 checks its tolerance up front
+    code = main(argv)
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and captured.err == ""
+        decimal = argv[:-1] + [repr(float(argv[-1]))]
+        assert main(decimal) == 0
+        assert capsys.readouterr().out == captured.out
+    else:
+        assert code == 1
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--geometry", "delta-well", "--mu=-1e200"],
+    ["spectrum", "--geometry", "box", "--a", "1e-160", "--n-roots", "1"],
+])
+def test_spectrum_non_finite_energy_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["index,root_param,energy,residual,classification"]
+    assert "energy" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_spectrum_cylinder_high_mode_prints_every_row(capsys):
+    special = pytest.importorskip("scipy.special")
+    assert main(["spectrum", "--geometry", "cylinder", "--mode", "30", "--n-roots", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3
+    for row, want in zip(rows, special.jn_zeros(30, 3)):
+        assert abs(float(row.split(",")[1]) - want) <= 1e-10 * want
 
 
 def test_spectrum_rejects_bad_n_roots(capsys):

@@ -1,6 +1,8 @@
 """Root finding and spectra: scanning, Brent, oscillator/box/disk/ball/well."""
 
+import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -629,3 +631,163 @@ def test_scan_table_emits_empty_cells_where_not_finite(unit_box):
     by_param = {round(p, 6): (a, s) for (p, a, s) in rows}
     assert by_param[1.0] == (None, None)
     assert by_param[0.75][0] is not None
+
+
+# ----------------------------------------------------------------------
+# One windowed scan-and-refine: pinned output, high orders, arguments
+# ----------------------------------------------------------------------
+
+# CLI bytes and the float.hex of (root, residual, Brent iterations), recorded
+# from the code before every spectrum went through one windowed scan (`_levels`)
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_spectra.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN["cli"]))
+def test_cli_bytes_match_golden(command, capsys):
+    from greenchain.cli import main
+
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == GOLDEN["cli"][command]
+
+
+def _golden_levels(key):
+    name, *args = key.split()
+    if name == "oscillator_spectrum":
+        length, n = args
+        return oscillator_spectrum(OscillatorProblem(float(length)), int(n))
+    b1, b2, mode, n = args
+    gap = float(b2) - float(b1)
+    # the recorded roots used an absolute Brent tolerance of 1e-12 in kappa;
+    # tol bounds kappa (b2 - b1) now, and 1e-12 * gap / gap == 1e-12 here
+    fn = {"cyl_annulus_spectrum": cyl_annulus_spectrum, "sph_shell_spectrum": sph_shell_spectrum}
+    return fn[name](float(b1), float(b2), int(mode), int(n), tol=1e-12 * gap)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN["levels"]))
+def test_levels_match_golden_bit_for_bit(key):
+    got = [[line.root.value.hex(), line.root.residual.hex(), line.root.iterations]
+           for line in _golden_levels(key)]
+    assert got == GOLDEN["levels"][key]
+
+
+DIRICHLET = [
+    lambda n: box_spectrum_rect(1.0, n),
+    lambda n, mode=2: cyl_dirichlet_spectrum(1.0, mode, n),
+    lambda n, mode=2: sph_dirichlet_spectrum(1.0, mode, n),
+    lambda n, mode=2: cyl_annulus_spectrum(1.0, 2.0, mode, n),
+    lambda n, mode=2: sph_shell_spectrum(1.0, 2.0, mode, n),
+]
+
+
+@pytest.mark.parametrize("n", [0, -1, -2])
+@pytest.mark.parametrize("spectrum", range(len(DIRICHLET)))
+def test_dirichlet_spectra_reject_non_positive_n(spectrum, n):
+    with pytest.raises(DomainError, match="n >= 1"):
+        DIRICHLET[spectrum](n)
+
+
+@pytest.mark.parametrize("spectrum", range(1, len(DIRICHLET)))
+def test_bessel_spectra_reject_negative_order(spectrum, monkeypatch):
+    # a negative order has no grid point with a value: reject it before the scan
+    import greenchain.spectrum as spectrum_mod
+
+    monkeypatch.setattr(spectrum_mod, "scan_sign_changes", None)
+    with pytest.raises(DomainError, match="order"):
+        DIRICHLET[spectrum](3, mode=-1)
+
+
+def _scipy_sign_change_roots(f, lo, step, count):
+    """The first `count` roots of a vectorised f above lo, by grid and brentq."""
+    from scipy import optimize
+
+    roots, x0 = [], lo
+    while len(roots) < count:
+        xs = x0 + step * np.arange(4097)
+        fs = f(xs)
+        for i in np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0)[:count - len(roots)]:
+            roots.append(optimize.brentq(f, xs[i], xs[i + 1], xtol=1e-15, rtol=1e-15))
+        x0 = xs[-1]
+    return np.array(roots)
+
+
+@pytest.mark.parametrize("mode", [20, 30, 100])
+def test_disk_high_order_continues_the_scan(mode):
+    # the first window ends below the 12th zero of J_m: later windows find the rest
+    special = pytest.importorskip("scipy.special")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Y_m overflows near kappa = 0
+        lines = cyl_dirichlet_spectrum(1.0, mode, 12)
+    got = np.array([line.root.value for line in lines])
+    np.testing.assert_allclose(got, special.jn_zeros(mode, 12), rtol=1e-12, atol=0)
+
+
+def test_ball_high_order_continues_the_scan():
+    special = pytest.importorskip("scipy.special")
+    want = _scipy_sign_change_roots(lambda x: special.spherical_jn(100, x), 100.0, 0.01, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lines = sph_dirichlet_spectrum(1.0, 100, 12)
+    np.testing.assert_allclose([line.root.value for line in lines], want, rtol=1e-12, atol=0)
+
+
+def test_thin_annulus_at_high_order_gives_every_level():
+    # at m = 400 the annulus (1, 1.1) has no level in the first window
+    special = pytest.importorskip("scipy.special")
+    m, b1, b2 = 400, 1.0, 1.1
+
+    def cross(k):
+        return special.jv(m, k * b1) * special.yv(m, k * b2) \
+            - special.jv(m, k * b2) * special.yv(m, k * b1)
+
+    want = _scipy_sign_change_roots(cross, 300.0, 0.05, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lines = cyl_annulus_spectrum(b1, b2, m, 12)
+    np.testing.assert_allclose([line.root.value for line in lines], want, rtol=1e-12, atol=0)
+
+
+def test_dirichlet_tolerance_is_per_unit_length():
+    # tol bounds kappa L, so long boxes and wide disks keep their relative digits
+    special = pytest.importorskip("scipy.special")
+    box = box_spectrum_rect(1e6, 1)[0].root.value
+    assert abs(box - math.pi / 1e6) <= 1e-11 * math.pi / 1e6
+    disk = cyl_dirichlet_spectrum(1e5, 0, 1)[0].root.value
+    want = special.jn_zeros(0, 1)[0] / 1e5
+    assert abs(disk - want) <= 1e-11 * want
+
+
+def test_dirichlet_scan_stops_when_the_row_budget_is_spent(monkeypatch):
+    # a factor without roots: the windows end after _MAX_SCAN_ROWS grid points
+    import greenchain.spectrum as spectrum_mod
+
+    rows = []
+    real_scan = spectrum_mod.scan_sign_changes
+
+    def counting_scan(f, lo, hi, n_grid):
+        rows.append(n_grid)
+        return real_scan(f, lo, hi, n_grid)
+
+    monkeypatch.setattr(spectrum_mod, "_MAX_SCAN_ROWS", 500)
+    monkeypatch.setattr(spectrum_mod, "bessel_jy", lambda m, x: (1.0, 1.0))
+    monkeypatch.setattr(spectrum_mod, "scan_sign_changes", counting_scan)
+    assert cyl_dirichlet_spectrum(1.0, 0, 3) == []
+    assert len(rows) > 1
+    assert sum(rows) <= 500 + 2 * len(rows)
+
+
+def test_levels_partial_is_sorted_across_windows(monkeypatch):
+    # Brent fails in the second window: the levels of the first come back sorted
+    import greenchain.spectrum as spectrum_mod
+
+    real_brent = spectrum_mod.brent
+
+    def failing(f, bracket, tol=1e-10, max_iter=200):
+        if bracket.lo > 20.0:
+            raise NumericError("forced failure")
+        return real_brent(f, bracket, tol=tol, max_iter=max_iter)
+
+    monkeypatch.setattr(spectrum_mod, "brent", failing)
+    with pytest.raises(NumericError) as info:
+        oscillator_spectrum(OscillatorProblem(3.0), 12)
+    values = [line.root.value for line in info.value.partial]
+    assert values and values == sorted(values) and values[-1] < 20.0
