@@ -429,6 +429,22 @@ def _bessel_j_miller(m: int, x: float) -> float:
     return ans / norm
 
 
+def _bessel_j(m: int, x: float, j01: tuple[float, float] | None = None) -> float:
+    """J_m(x) alone, bitwise the first value of ``bessel_jy(m, x)``.
+
+    Never overflows, so it has a value wherever Y_m would not.  `j01` is
+    (J_0(x), J_1(x)) from the Hankel expansion when the caller has it.
+    """
+    if x <= 12.0:
+        return _bessel_j_series(m, x)
+    if x <= m:
+        return _bessel_j_miller(m, x)
+    jp, jc = j01 if j01 else _jy01_asymptotic(x)[:2]
+    for j in range(1, m):
+        jp, jc = jc, (2.0 * j / x) * jc - jp
+    return jc if m else jp
+
+
 def bessel_jy(m: int, x: float) -> tuple[float, float]:
     """Ordinary Bessel pair (J_m(x), Y_m(x)) for integer m >= 0, x > 0.
 
@@ -439,29 +455,18 @@ def bessel_jy(m: int, x: float) -> tuple[float, float]:
     """
     _check_order(m, "bessel_jy")
     _check_positive(x, "bessel_jy")
+    j01 = None
     if x <= 12.0:
-        j0 = _bessel_j_series(0, x)
-        j1 = _bessel_j_series(1, x)
         y0, y1 = _y01_series(x)
     else:
         j0, j1, y0, y1 = _jy01_asymptotic(x)
-    if m == 0:
-        return j0, y0
-    if m == 1:
-        return j1, y1
+        j01 = j0, j1
     yp, yc = y0, y1
     for j in range(1, m):
         yp, yc = yc, (2.0 * j / x) * yc - yp
         if math.isinf(yc):
             raise RangeError(f"bessel_jy: Y_{m}({x}) overflows double range")
-    if x <= 12.0:
-        return _bessel_j_series(m, x), yc
-    if x > m:
-        jp, jc = j0, j1
-        for j in range(1, m):
-            jp, jc = jc, (2.0 * j / x) * jc - jp
-        return jc, yc
-    return _bessel_j_miller(m, x), yc
+    return _bessel_j(m, x, j01), (yc if m else yp)
 
 
 # ----------------------------------------------------------------------

@@ -25,28 +25,37 @@ value; the oscillator factors take arrays of v natively (one Kummer series
 pass per factor and grid), and `pointwise` lifts any scalar function.
 Brent refinement evaluates the scalar path.
 
-Every spectrum goes through one windowed scan-and-refine, `_levels`: scan
-the factors for sign changes, refine the first n brackets with Brent, and
-continue into the next window until n roots are in hand.  A Dirichlet
-spectrum is one interval factor of a real-energy solution pair (u1, u2) =
-(sin kz / k, cos kz), (J_m, Y_m) or (j_l, y_l): u1(k, b) on [0, b], and
-u1(k, b1) u2(k, b2) - u1(k, b2) u2(k, b1) on [b1, b2].
+Every spectrum goes through one refine loop, `_levels`: Brent refines the
+sign-change brackets of a source in ascending order until n roots are in
+hand.  The oscillator's source scans each parity factor only inside the
+min-max brackets of its own levels,
+
+    max(E_j, j - 1/2) - 1/2 <= v_j <= E_j + alpha^2/4 - 1/2,  E_j = (j pi / 2 alpha)^2
+
+(the box level plus the minimum and maximum of the potential y^2/4, and
+the free oscillator's level j), in one array call per factor on the points
+of the 0.01 lattice of the windows [20 k, 20 k + 20] inside them.  A
+Dirichlet spectrum scans windows in turn; it is one interval factor of a
+real-energy solution pair (u1, u2) = (sin kz / k, cos kz), (J_m, Y_m) or
+(j_l, y_l): u1(k, b) alone on [0, b], and u1(k, b1) u2(k, b2) -
+u1(k, b2) u2(k, b1) on [b1, b2].
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainError, GreenChainError, NumericError, RangeError
 from .greens import NATURAL_UNITS, UnitSystem
-from .specfun import (SignLog, bessel_jy, gamma_signlog, kummer_m, pcf_d_pair_signlog,
+from .specfun import (SignLog, _bessel_j, bessel_jy, gamma_signlog, kummer_m, pcf_d_pair_signlog,
                       pcf_d_signlog, sph_ordinary)
 
 _EPS = 2.220446049250313e-16
@@ -161,6 +170,18 @@ def _grid_values(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.nd
     return vals
 
 
+def _sign_change_brackets(xs: np.ndarray, vals: np.ndarray) -> List[Bracket]:
+    """The sign-change brackets of values `vals` at increasing points `xs`, as in a scan."""
+    finite = np.isfinite(vals)
+    for x, val in zip(xs[~finite].tolist(), vals[~finite].tolist()):
+        warnings.warn(f"scan: skipping grid point {x} ({val})")
+    kept = finite & (vals != 0.0)  # a zero lands between the surrounding kept points
+    negative = vals[kept] < 0.0
+    flips = np.flatnonzero(negative[1:] != negative[:-1]).tolist()
+    x_kept, f_kept = xs[kept].tolist(), vals[kept].tolist()
+    return [Bracket(x_kept[i], x_kept[i + 1], f_kept[i], f_kept[i + 1]) for i in flips]
+
+
 def scan_sign_changes(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                       n_grid: int) -> List[Bracket]:
     """Brackets around every sign change of f on a uniform n_grid-point grid.
@@ -177,15 +198,7 @@ def scan_sign_changes(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: floa
     step = (hi - lo) / (n_grid - 1)
     xs = lo + np.arange(n_grid) * step
     xs[-1] = hi
-    vals = _grid_values(f, xs)
-    finite = np.isfinite(vals)
-    for x, val in zip(xs[~finite].tolist(), vals[~finite].tolist()):
-        warnings.warn(f"scan: skipping grid point {x} ({val})")
-    kept = finite & (vals != 0.0)  # a zero lands between the surrounding kept points
-    negative = vals[kept] < 0.0
-    flips = np.flatnonzero(negative[1:] != negative[:-1]).tolist()
-    x_kept, f_kept = xs[kept].tolist(), vals[kept].tolist()
-    return [Bracket(x_kept[i], x_kept[i + 1], f_kept[i], f_kept[i + 1]) for i in flips]
+    return _sign_change_brackets(xs, _grid_values(f, xs))
 
 
 def brent(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10,
@@ -246,37 +259,35 @@ def brent(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10,
     raise NumericError(f"brent did not converge within {max_iter} iterations", best=best)
 
 
-def _levels(factors, lo: float, hi: float, step: float, n: int, tol: float,
-            energy_of: Callable[[float], float], end: float) -> List[SpectrumLine]:
-    """First n roots of the (grid function, point function, RootKind) factors.
+def _levels(batches: Iterable[List[Tuple[Bracket, Callable[[float], float], RootKind]]],
+            n: int, tol: float, energy_of: Callable[[float], float]) -> List[SpectrumLine]:
+    """First n roots from batches of (bracket, point function, RootKind).
 
-    Windows as wide as [lo, hi] are scanned from lo at spacing `step` until n
-    roots are in hand or `end` is reached, when fewer are returned; the first
-    n brackets of each factor in a window are refined by Brent.  A
-    NumericError carries the sorted levels refined so far as `partial`.
+    Each batch lists its brackets in ascending order.  Brent refines them one
+    by one until n roots are in hand, and a batch is drawn only when those
+    before it fell short; fewer roots are returned when the batches run out.
+    A NumericError, from Brent or from drawing a batch, carries the sorted
+    levels refined so far as `partial`.
     """
     if n < 1:
         raise DomainError(f"need n >= 1 roots, got {n}")
-    width, roots = hi - lo, []
+    roots: List[Root] = []
 
     def lines() -> List[SpectrumLine]:
         roots.sort(key=lambda r: r.value)
         return [SpectrumLine(root=r, energy=energy_of(r.value)) for r in roots[:n]]
 
-    while lo < end and len(roots) < n:
-        hi = min(hi, end)
-        n_grid = max(2, int(round((hi - lo) / step)) + 1)
-        for grid_f, point_f, kind in factors:
-            for br in scan_sign_changes(grid_f, lo, hi, n_grid)[:n]:
-                try:
-                    root = brent(point_f, br, tol=tol)
-                except NumericError as exc:
-                    exc.partial = lines()
-                    raise
-                # dataclasses.replace costs about two Bessel evaluations: skip it if it is a no-op
-                roots.append(root if root.classification is kind
-                             else replace(root, classification=kind))
-        lo, hi = hi, hi + width
+    try:
+        for br, point_f, kind in itertools.chain.from_iterable(batches):
+            root = brent(point_f, br, tol=tol)
+            # dataclasses.replace costs about two Bessel evaluations: skip it if it is a no-op
+            roots.append(root if root.classification is kind
+                         else replace(root, classification=kind))
+            if len(roots) == n:
+                break
+    except NumericError as exc:
+        exc.partial = lines()
+        raise
     return lines()
 
 
@@ -436,29 +447,93 @@ def _node_factor_roots(prob: OscillatorProblem, v_hi: float, tol: float) -> List
     return roots
 
 
+def _minmax_runs(alpha: float, levels: range) -> List[np.ndarray]:
+    """The lattice orders in the min-max brackets of `levels` (see oscillator_spectrum).
+
+    Each bracket is padded by one step on each side and clipped to
+    [0, _V_MAX]; brackets that share a lattice point merge into one run.  The
+    lattice is that of a scan of the windows [20 k, 20 k + 20] at 2001
+    points: v = 20 k + i fl(0.01).
+    """
+    per_window = 2000  # steps of _STEP in a window 20 wide
+    last = int(round(_V_MAX / _STEP))
+    a2 = alpha * alpha
+    spans: List[List[int]] = []
+    for j in levels:
+        box = (0.5 * j * math.pi) ** 2 / a2 if a2 else math.inf
+        lo = max(box, j - 0.5) - 0.5 - _STEP
+        if lo > _V_MAX:
+            break
+        hi = min(box + 0.25 * a2 - 0.5 + _STEP, _V_MAX)
+        first, final = max(0, math.floor(lo / _STEP)), min(last, math.ceil(hi / _STEP))
+        if spans and first <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], final)
+        else:
+            spans.append([first, final])
+    runs = []
+    for first, final in spans:
+        k, i = np.divmod(np.arange(first, final + 1), per_window)
+        runs.append(20.0 * k + i * _STEP)
+    return runs
+
+
+def _minmax_brackets(prob: OscillatorProblem, n: int):
+    """The boxed oscillator's brackets for `_levels`: sign changes inside its min-max runs.
+
+    Each parity factor is evaluated once, on all the runs of its levels, and
+    sign changes are sought inside a run only.  The one batch holds the
+    brackets of both parities in ascending order.  A run without a value at
+    an end point may hide a level: the batch then stops below that run, and
+    NumericError follows it.
+    """
+    even = lambda v: even_wall_value(v, prob)
+    odd = lambda v: odd_wall_value(v, prob)
+    found, broken = [], math.inf
+    for first, f, kind in ((1, even, RootKind.EVEN_BRACKET), (2, odd, RootKind.ODD_BRACKET)):
+        runs = _minmax_runs(prob.alpha, range(first, n + 1, 2))
+        if not runs:
+            continue
+        vals = _grid_values(f, np.concatenate(runs))
+        for xs in runs:
+            fs, vals = vals[:len(xs)], vals[len(xs):]
+            if not (math.isfinite(fs[0]) and math.isfinite(fs[-1])):
+                broken = min(broken, float(xs[0]))
+            found += [(br, f, kind) for br in _sign_change_brackets(xs, fs)]
+    found.sort(key=lambda item: item[0].lo)
+    yield [item for item in found if item[0].lo < broken]
+    if broken < math.inf:
+        raise NumericError(f"a wall factor has no value at an end of its scan run from v = "
+                           f"{broken}")
+
+
 def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-10,
                         include_node_factor: bool = False) -> List[SpectrumLine]:
     """First `n_roots` levels of the boxed oscillator, energies attached.
 
-    Scans the even/odd wall-value factors for sign changes (step 0.01 in v,
-    windows 20 wide), refines each with Brent to the tolerance `tol` in v,
-    and classifies the root by the factor that produced it.  The degenerate
+    Scans the even/odd wall-value factors for sign changes, refines each with
+    Brent to the tolerance `tol` in v, and classifies the root by the factor
+    that produced it.  A factor is scanned only inside the min-max brackets
+    of its own levels: level j lies in
+
+        max(E_j, j - 1/2) - 1/2 <= v <= E_j + alpha^2/4 - 1/2,  E_j = (j pi / 2 alpha)^2,
+
+    and the scan takes the points of the 0.01 lattice of the windows
+    [20 k, 20 k + 20] inside each bracket padded by one step, so the
+    brackets are those of a scan of the whole lattice.  The degenerate
     integer-v zeros of the reduced ratio never enter because the wall-value
     factors do not vanish there; node-factor zeros (D_v(alpha) = 0) are
     excluded from the default list and reported flagged when
     `include_node_factor` is set.
 
     Fewer than `n_roots` levels are returned when the validated order range
-    v <= 200 is exhausted first.  A NumericError from Brent or from the
-    node-factor scan carries the refined levels as `partial`.
+    v <= 200 is exhausted first.  A NumericError from Brent or from a scan
+    run without a value at an end carries the levels below the failure as
+    `partial`; one from the node-factor scan carries all the levels.
     """
     if not 1 <= n_roots <= 12:
         raise DomainError(f"n_roots must be in [1, 12], got {n_roots}")
 
-    even = lambda v: even_wall_value(v, prob)
-    odd = lambda v: odd_wall_value(v, prob)
-    factors = ((even, even, RootKind.EVEN_BRACKET), (odd, odd, RootKind.ODD_BRACKET))
-    lines = _levels(factors, 0.0, 20.0, _STEP, n_roots, tol, prob.energy_of, _V_MAX)
+    lines = _levels(_minmax_brackets(prob, n_roots), n_roots, tol, prob.energy_of)
     if include_node_factor:
         v_hi = lines[-1].root.value + 1.0 if lines else _V_MAX
         try:
@@ -475,35 +550,52 @@ def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-1
 # Dirichlet spectra: one interval factor of a real-energy solution pair
 # ----------------------------------------------------------------------
 
-def _bessel_pair(mode: int, spherical: bool):
-    """(J_m, Y_m), or (j_l, y_l) if `spherical`, as a function of (kappa, z)."""
+def _bessel_solution(mode: int, spherical: bool, pair: bool):
+    """J_m, or j_l if `spherical`, of (kappa, z); with `pair`, (J_m, Y_m) or (j_l, y_l)."""
     if mode < 0:
         raise DomainError(f"order must be a non-negative integer, got {mode}")
     if spherical:
-        return lambda kappa, z: sph_ordinary(mode, kappa * z)
-    return lambda kappa, z: bessel_jy(mode, kappa * z)
+        if pair:
+            return lambda kappa, z: sph_ordinary(mode, kappa * z)
+        return lambda kappa, z: sph_ordinary(mode, kappa * z)[0]
+    if pair:
+        return lambda kappa, z: bessel_jy(mode, kappa * z)
+    return lambda kappa, z: _bessel_j(mode, kappa * z)
 
 
-def _interval_spectrum(pair, walls: Tuple[float, ...], step: float, hi: float, n: int,
+def _interval_spectrum(solution, walls: Tuple[float, ...], step: float, hi: float, n: int,
                        units: UnitSystem, tol: float) -> List[SpectrumLine]:
-    """First n roots in kappa of the interval factor of (u1, u2) = pair(kappa, z).
+    """First n roots in kappa of the interval factor of a real-energy solution pair (u1, u2).
 
-    The first window ends at `hi`, the scan stops after _MAX_SCAN_ROWS grid
-    points, and Brent refines kappa to tol / L, L being b or b2 - b1.
+    `solution(kappa, z)` is u1 for one wall b and the pair (u1, u2) for two
+    walls b1 < b2.  Windows as wide as the first, [step / 4, hi], are scanned
+    in turn; the scan stops after _MAX_SCAN_ROWS grid points, and Brent
+    refines kappa to tol / L, L being b or b2 - b1.
     """
     b1, b2 = walls[0], walls[-1]
     if len(walls) == 1:
-        f = lambda kappa: pair(kappa, b2)[0]
+        f = lambda kappa: solution(kappa, b2)
     else:
         def f(kappa: float) -> float:
-            u1_b1, u2_b1 = pair(kappa, b1)
-            u1_b2, u2_b2 = pair(kappa, b2)
+            u1_b1, u2_b1 = solution(kappa, b1)
+            u1_b2, u2_b2 = solution(kappa, b2)
             return u1_b1 * u2_b2 - u1_b2 * u2_b1
     length = b2 - b1 if len(walls) == 2 else b2
+    grid_f = pointwise(f)
     lo = 0.25 * step
+    end = lo + _MAX_SCAN_ROWS * step
+
+    def windows():
+        lo_w, hi_w, width = lo, hi, hi - lo
+        while lo_w < end:
+            hi_w = min(hi_w, end)
+            n_grid = max(2, int(round((hi_w - lo_w) / step)) + 1)
+            brackets = scan_sign_changes(grid_f, lo_w, hi_w, n_grid)
+            yield [(br, f, RootKind.GENERIC) for br in brackets]
+            lo_w, hi_w = hi_w, hi_w + width
+
     hb2m = units.hbar * units.hbar / (2.0 * units.mass)
-    return _levels(((pointwise(f), f, RootKind.GENERIC),), lo, hi, step, n, tol / length,
-                   lambda k: hb2m * k * k, lo + _MAX_SCAN_ROWS * step)
+    return _levels(windows(), n, tol / length, lambda k: hb2m * k * k)
 
 
 def box_spectrum_rect(a: float, n: int, units: UnitSystem = NATURAL_UNITS,
@@ -516,8 +608,8 @@ def box_spectrum_rect(a: float, n: int, units: UnitSystem = NATURAL_UNITS,
     """
     if not a > 0.0:
         raise DomainError(f"box length must be positive, got {a}")
-    return _interval_spectrum(lambda kappa, z: (math.sin(kappa * z) / kappa, math.cos(kappa * z)),
-                              (a,), math.pi / (8.0 * a), (n + 0.75) * math.pi / a, n, units, tol)
+    return _interval_spectrum(lambda kappa, z: math.sin(kappa * z) / kappa, (a,),
+                              math.pi / (8.0 * a), (n + 0.75) * math.pi / a, n, units, tol)
 
 
 def cyl_dirichlet_spectrum(b: float, mode: int, n: int,
@@ -526,7 +618,7 @@ def cyl_dirichlet_spectrum(b: float, mode: int, n: int,
     """First n roots of J_mode(kappa b): the Dirichlet disk spectrum; `tol` bounds kappa b."""
     if not b > 0.0:
         raise DomainError(f"radius must be positive, got {b}")
-    return _interval_spectrum(_bessel_pair(mode, False), (b,), 0.3 / b,
+    return _interval_spectrum(_bessel_solution(mode, spherical=False, pair=False), (b,), 0.3 / b,
                               ((n + 1.25) * math.pi + mode + 2.0) / b, n, units, tol)
 
 
@@ -536,7 +628,7 @@ def sph_dirichlet_spectrum(c: float, mode: int, n: int,
     """First n roots of j_mode(kappa c): the Dirichlet ball spectrum; `tol` bounds kappa c."""
     if not c > 0.0:
         raise DomainError(f"radius must be positive, got {c}")
-    return _interval_spectrum(_bessel_pair(mode, True), (c,), 0.3 / c,
+    return _interval_spectrum(_bessel_solution(mode, spherical=True, pair=False), (c,), 0.3 / c,
                               ((n + 1.25) * math.pi + mode + 2.0) / c, n, units, tol)
 
 
@@ -550,7 +642,8 @@ def cyl_annulus_spectrum(b1: float, b2: float, mode: int, n: int,
     """
     if not 0.0 < b1 < b2:
         raise DomainError(f"annulus radii must satisfy 0 < b1 < b2, got ({b1}, {b2})")
-    return _interval_spectrum(_bessel_pair(mode, False), (b1, b2), math.pi / (8.0 * (b2 - b1)),
+    return _interval_spectrum(_bessel_solution(mode, spherical=False, pair=True), (b1, b2),
+                              math.pi / (8.0 * (b2 - b1)),
                               (n + 1.5) * math.pi / (b2 - b1), n, units, tol)
 
 
@@ -560,7 +653,8 @@ def sph_shell_spectrum(c1: float, c2: float, mode: int, n: int,
     """Spherical-shell Dirichlet spectrum, the j/y cross product; `tol` bounds kappa (c2 - c1)."""
     if not 0.0 < c1 < c2:
         raise DomainError(f"shell radii must satisfy 0 < c1 < c2, got ({c1}, {c2})")
-    return _interval_spectrum(_bessel_pair(mode, True), (c1, c2), math.pi / (8.0 * (c2 - c1)),
+    return _interval_spectrum(_bessel_solution(mode, spherical=True, pair=True), (c1, c2),
+                              math.pi / (8.0 * (c2 - c1)),
                               (n + 1.5) * math.pi / (c2 - c1), n, units, tol)
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -481,6 +482,21 @@ def test_spectrum_cylinder_high_mode_prints_every_row(capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 3
     for row, want in zip(rows, special.jn_zeros(30, 3)):
+        assert abs(float(row.split(",")[1]) - want) <= 1e-10 * want
+
+
+def test_spectrum_cylinder_very_high_mode_skips_no_grid_point(capsys):
+    # the disk factor reads J_m alone, which has a value where Y_m overflows
+    special = pytest.importorskip("scipy.special")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["spectrum", "--geometry", "cylinder", "--mode", "150", "--n-roots", "2"]) == 0
+    assert not [w for w in caught if "skipping grid point" in str(w.message)]
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 2
+    for row, want in zip(rows, special.jn_zeros(150, 2)):
         assert abs(float(row.split(",")[1]) - want) <= 1e-10 * want
 
 

@@ -210,6 +210,21 @@ def test_bessel_jy_domain():
         sf.bessel_jy(0, 0.0)
 
 
+def test_bessel_j_alone_is_the_first_of_the_pair():
+    # the series, upward and Miller branches, each bitwise J_m of bessel_jy;
+    # J_m alone keeps its value where Y_m overflows
+    for m in (0, 1, 2, 7, 13, 40, 150):
+        for x in (1e-3, 0.1, 0.7, 5.0, 12.0, 12.5, 20.0, 45.0, 99.0, 160.0):
+            try:
+                want = sf.bessel_jy(m, x)[0]
+            except RangeError:
+                assert math.isfinite(sf._bessel_j(m, x)), (m, x)
+                continue
+            assert sf._bessel_j(m, x).hex() == want.hex(), (m, x)
+    with pytest.raises(RangeError):
+        sf.bessel_jy(150, 0.1)
+
+
 # ----------------------------------------------------------------------
 # Spherical Bessel (modified and ordinary)
 # ----------------------------------------------------------------------

@@ -404,8 +404,8 @@ def test_spectrum_equals_scalar_grid_reference(monkeypatch, box_length):
 
 
 def test_spectrum_kummer_call_counts(monkeypatch, unit_box):
-    # deterministic work gate: the grid costs one array call per factor and
-    # 20-wide chunk; scalar calls come from Brent alone
+    # deterministic work gate: each parity factor costs one array call over
+    # all of its min-max runs; scalar calls come from Brent alone
     import greenchain.spectrum as spectrum_mod
 
     real_kummer, real_brent = spectrum_mod.kummer_m, spectrum_mod.brent
@@ -424,9 +424,57 @@ def test_spectrum_kummer_call_counts(monkeypatch, unit_box):
     monkeypatch.setattr(spectrum_mod, "brent", brent_spy)
     lines = oscillator_spectrum(unit_box, 6)
     assert len(lines) == 6
-    assert calls["array"] == 9 * 2  # chunks [0, 20] ... [160, 180] hold the six levels
+    assert calls["array"] == 2  # one per parity
     assert calls["scalar"] == calls["brent_evals"]
     assert 0 < calls["scalar"] < 200
+
+
+def _dense_lattice_brackets(prob):
+    """Both parity factors scanned on the whole lattice: [20 k, 20 k + 20] at 2001 points."""
+    even = lambda v: even_wall_value(v, prob)
+    odd = lambda v: odd_wall_value(v, prob)
+    return [[(f, kind, scan_sign_changes(f, 20.0 * k, 20.0 * k + 20.0, 2001))
+             for f, kind in ((even, RootKind.EVEN_BRACKET), (odd, RootKind.ODD_BRACKET))]
+            for k in range(10)]
+
+
+def _dense_lattice_levels(windows, n):
+    """The first n levels from whole windows: the first n brackets of each factor, sorted."""
+    roots = []
+    for window in windows:
+        for f, kind, brackets in window:
+            roots += [(brent(f, br, tol=1e-10), kind) for br in brackets[:n]]
+        if len(roots) >= n:
+            break
+    return sorted(roots, key=lambda pair: pair[0].value)[:n]
+
+
+@pytest.mark.parametrize("box_length", np.linspace(0.3, 14.1, 24).tolist())
+def test_minmax_runs_equal_the_dense_lattice(box_length):
+    # the min-max runs hold the dense scan's brackets, so every level is bitwise the same
+    prob = OscillatorProblem(box_length)
+    windows = _dense_lattice_brackets(prob)
+    for n in (1, 5, 12):
+        got = [(line.root.value.hex(), line.root.residual.hex(), line.root.iterations,
+                line.root.classification) for line in oscillator_spectrum(prob, n)]
+        want = [(root.value.hex(), root.residual.hex(), root.iterations, kind)
+                for root, kind in _dense_lattice_levels(windows, n)]
+        assert got == want, n
+
+
+@pytest.mark.parametrize("box_length", [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 14.1])
+def test_levels_lie_in_their_minmax_brackets(box_length):
+    # level j: the box level plus min/max of y^2/4, and no lower than the free
+    # level j; the slack is the Brent tolerance
+    prob = OscillatorProblem(box_length)
+    a2 = prob.alpha ** 2
+    lines = oscillator_spectrum(prob, 12)
+    assert lines
+    for j, line in enumerate(lines, start=1):
+        box = (j * math.pi) ** 2 / (4.0 * a2)
+        assert max(box, j - 0.5) - 0.5 - 1e-10 <= line.root.value <= box + a2 / 4.0 - 0.5 + 1e-10
+        parity = RootKind.EVEN_BRACKET if j % 2 else RootKind.ODD_BRACKET
+        assert line.root.classification is parity
 
 
 def test_array_char_functions_match_scalar(unit_box):
@@ -768,7 +816,7 @@ def test_dirichlet_scan_stops_when_the_row_budget_is_spent(monkeypatch):
         return real_scan(f, lo, hi, n_grid)
 
     monkeypatch.setattr(spectrum_mod, "_MAX_SCAN_ROWS", 500)
-    monkeypatch.setattr(spectrum_mod, "bessel_jy", lambda m, x: (1.0, 1.0))
+    monkeypatch.setattr(spectrum_mod, "_bessel_j", lambda m, x: 1.0)  # the disk reads J_m alone
     monkeypatch.setattr(spectrum_mod, "scan_sign_changes", counting_scan)
     assert cyl_dirichlet_spectrum(1.0, 0, 3) == []
     assert len(rows) > 1
@@ -791,3 +839,47 @@ def test_levels_partial_is_sorted_across_windows(monkeypatch):
         oscillator_spectrum(OscillatorProblem(3.0), 12)
     values = [line.root.value for line in info.value.partial]
     assert values and values == sorted(values) and values[-1] < 20.0
+
+
+def test_levels_partial_keeps_every_level_below_the_failure(monkeypatch):
+    # brackets are refined in ascending v across both parities: Brent failing
+    # on the fifth level of L = 3 leaves levels 1-4
+    import greenchain.spectrum as spectrum_mod
+
+    want = oscillator_spectrum(OscillatorProblem(3.0), 12)
+    real_brent = spectrum_mod.brent
+    brackets = []
+
+    def failing(f, bracket, tol=1e-10, max_iter=200):
+        brackets.append(bracket)
+        if len(brackets) == 5:
+            raise NumericError("forced failure")
+        return real_brent(f, bracket, tol=tol, max_iter=max_iter)
+
+    monkeypatch.setattr(spectrum_mod, "brent", failing)
+    with pytest.raises(NumericError) as info:
+        oscillator_spectrum(OscillatorProblem(3.0), 12)
+    assert info.value.partial == want[:4]
+    assert brackets[4] == want[4].root.bracket
+
+
+def test_run_without_an_end_value_raises_with_the_levels_below(monkeypatch):
+    # no value at the first point of the odd factor's first run: its level
+    # could hide there, so the spectrum stops below it instead of dropping it
+    import greenchain.spectrum as spectrum_mod
+
+    want = oscillator_spectrum(OscillatorProblem(3.0), 12)
+    real_kummer = spectrum_mod.kummer_m
+
+    def odd_run_without_a_start(a, b, x):
+        out = real_kummer(a, b, x)
+        if isinstance(a, np.ndarray) and b == 1.5:
+            out[0] = math.nan
+        return out
+
+    monkeypatch.setattr(spectrum_mod, "kummer_m", odd_run_without_a_start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericError, match="no value") as info:
+            oscillator_spectrum(OscillatorProblem(3.0), 12)
+    assert info.value.partial == want[:1]
