@@ -6,16 +6,18 @@ The package splits into five layers:
   Bessel, Kummer M, parabolic cylinder D_v), array paths for Kummer M and
   the D_v(+-y) pair, and the overflow-safe SignLog scalar;
 * :mod:`greenchain.greens` — the four concrete free-space kernels and the
-  pluggable FreeGreens interface;
+  pluggable FreeGreens interface: a kernel is its factor pair
+  g0(x, x') = p(x_<) q(x_>) plus a measure weight;
 * :mod:`greenchain.chain` — finite/strong coupling corrections and
-  characteristic determinants for arbitrary chains;
+  characteristic determinants for arbitrary chains, in O(n) factor
+  evaluations for every kernel;
 * :mod:`greenchain.spectrum` — sign-change scanning, Brent refinement and
   the boxed-oscillator / box / disk / ball / delta-well spectra;
 * :mod:`greenchain.cli` — the ``greenchain`` command line tool.
 
 The top level re-exports what the CLI and the README examples use; the
-dense matrices and LU live in :mod:`greenchain.chain`, the ``g0_*`` kernels
-in :mod:`greenchain.greens`, and Brent and its types in
+dense reference (boundary matrix and LU) lives in :mod:`greenchain.chain`,
+the ``g0_*`` kernels in :mod:`greenchain.greens`, and Brent and its types in
 :mod:`greenchain.spectrum`.
 """
 

@@ -1,4 +1,4 @@
-"""Delta-potential chains: boundary matrices, coupling corrections, determinants.
+"""Delta-potential chains: coupling corrections and characteristic determinants.
 
 The chain solution needs nothing beyond the free kernel evaluated at the wall
 positions: the corrected Green's function is
@@ -9,9 +9,9 @@ positions: the corrected Green's function is
 and the strong-coupling (impenetrable wall) limit replaces W Lambda^{-1} with
 G0^{-1}.
 
-Every built-in kernel factors as g0(x, x') = p(x_<) q(x_>), which makes G0 a
-Green's (semiseparable) matrix in the sense of Gantmacher & Krein and of
-Vandebril, Van Barel & Mastronardi (2008):
+Every kernel is given by its factor pair, g0(x, x') = p(x_<) q(x_>), which
+makes G0 a Green's (semiseparable) matrix in the sense of Gantmacher & Krein
+and of Vandebril, Van Barel & Mastronardi (2008):
 
     det G0 = p_1 q_n prod_i d_i,   d_i = p_{i+1} q_i - p_i q_{i+1}.
 
@@ -20,11 +20,10 @@ solutions through it, so g(x, x') = P(x_<) Q(x_>) / W[P, Q], where P equals
 p left of the chain, Q equals q right of it, and one sweep across the walls
 carries each.  The strong limit is the Dirichlet kernel of the interval
 that holds x and x'.  All three calls then need the kernel factors at the
-walls (and at x, x') only: O(n) work for any n.  Kernels without a factor
-pair (custom kernels) take the dense path -- the boundary matrix and a
-partial-pivot LU of at most 64 rows -- which is also the reference the
-tests compare against.  Determinants are accumulated as SignLog so they
-survive any magnitude.
+walls (and at x, x') only: O(n) work for any n and any kernel.  The dense
+boundary matrix and its partial-pivot LU stay here as the reference the
+tests compare against; no chain call uses them.  Determinants are
+accumulated as SignLog so they survive any magnitude.
 """
 
 from __future__ import annotations
@@ -32,12 +31,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, NearPoleError, SingularMatrixError
-from .greens import FreeGreens, Geometry, NATURAL_UNITS, UnitSystem, weight
+from .greens import FreeGreens, Geometry, NATURAL_UNITS, UnitSystem
 from .specfun import SignLog
 
 _MAX_LU_ROWS = 64
@@ -162,32 +161,8 @@ def boundary_matrix(chain: DeltaChain, g0: FreeGreens, param: float) -> np.ndarr
     return entries
 
 
-def _w_lambda(chain: DeltaChain, weight_fn: Callable[[float], float]) -> np.ndarray:
-    """The diagonal of W: weight(a_i) * lambda_i at every wall."""
-    return np.array([weight_fn(a) * lam for a, lam in zip(chain.positions, chain.lambdas)],
-                    dtype=float)
-
-
-def lambda_matrix(G0: np.ndarray, chain: DeltaChain,
-                  weight_fn: Optional[Callable[[float], float]] = None) -> np.ndarray:
-    """Finite-coupling system matrix I + G0 W.
-
-    The coupling of column j is scaled by the measure weight of wall j
-    (Lambda_ij = delta_ij + w_j lambda_j g0(a_i, a_j)); `weight_fn` overrides
-    the geometry dispatch for custom kernels.
-    """
-    if chain.is_strong:
-        raise DomainError(
-            "an all-infinite chain has no finite Lambda matrix; use the "
-            "strong-coupling path"
-        )
-    if weight_fn is None:
-        weight_fn = lambda a: weight(chain.geometry, a)
-    return np.eye(chain.n) + G0 * _w_lambda(chain, weight_fn)[np.newaxis, :]
-
-
 def lu(A: np.ndarray) -> LUFactors:
-    """LU with partial pivoting for matrices up to 64x64 (the dense path).
+    """LU with partial pivoting for matrices up to 64x64 (the dense reference).
 
     Raises SingularMatrixError when a pivot collapses below 1e-300; solves
     additionally refuse factors whose smallest pivot is within 1e-12 of the
@@ -333,41 +308,33 @@ def _sweep(walls, sigma: float):
     return coefs, peak
 
 
-def _wall_vectors(chain: DeltaChain, g0: FreeGreens, x: float, xp: float, param: float):
-    u = np.array([g0.evaluate(x, a, param) for a in chain.positions])
-    v = np.array([g0.evaluate(a, xp, param) for a in chain.positions])
-    return u, v
-
-
-def _dense_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
-                  param: float) -> float:
-    lam = lambda_matrix(boundary_matrix(chain, g0, param), chain, weight_fn=g0.weight)
-    u, v = _wall_vectors(chain, g0, x, xp, param)
-    t = solve(lu(lam), v)
-    return g0.evaluate(x, xp, param) - float(u @ (_w_lambda(chain, g0.weight) * t))
+def _ordered(x: float, xp: float):
+    """(x_<, x_>), refusing non-finite points."""
+    if not (math.isfinite(x) and math.isfinite(xp)):
+        raise DomainError(f"x and x' must be finite, got {x} and {xp}")
+    return (x, xp) if x <= xp else (xp, x)
 
 
 def greens_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
                   param: float) -> float:
     """Corrected Green's function for finite couplings: g0 - u^T W Lambda^{-1} v.
 
-    With a factor pair this is P(x_<) Q(x_>) / W[P, Q]: P is the solution
-    equal to p left of the chain and Q the one equal to q right of it, each
-    carried across the walls by the kinks the deltas impose (O(n) work, no
-    wall cap).  The Wronskian is P's p coefficient A_n right of the chain;
-    NearPoleError is raised when A_n cancels below 1e-12 of its largest
-    summand, i.e. on a bound-state pole.
+    This is P(x_<) Q(x_>) / W[P, Q]: P is the solution equal to p left of
+    the chain and Q the one equal to q right of it, each carried across the
+    walls by the kinks the deltas impose (O(n) work, no wall cap).  The
+    Wronskian is P's p coefficient A_n right of the chain; NearPoleError is
+    raised when A_n cancels below 1e-12 of its largest summand, i.e. on a
+    bound-state pole, and SingularMatrixError when a factor vanishes at a
+    wall.
     """
     if chain.is_strong:
         raise DomainError("chain has infinite couplings; use greens_strong")
-    if g0.factors is None:
-        return _dense_finite(chain, g0, x, xp, param)
+    lo, hi = _ordered(x, xp)
     positions = chain.positions
     walls = [(p.sign, q.sign, 0.5 * (p.log_mag - q.log_mag),
-              w * math.exp(p.log_mag + q.log_mag))
-             for (p, q), w in zip(_wall_factors(g0, positions, param),
-                                  _w_lambda(chain, g0.weight).tolist())]
-    lo, hi = (x, xp) if x <= xp else (xp, x)
+              g0.weight(a) * lam * math.exp(p.log_mag + q.log_mag))
+             for (p, q), a, lam in zip(_wall_factors(g0, positions, param),
+                                       positions, chain.lambdas)]
     left, peak = _sweep(walls, walls[0][2])
     (a_n, log_a), _ = left[-1]  # P's p coefficient right of the chain, a_n e^log_a
     if not a_n or log_a + math.log(abs(a_n)) < peak + _LOG_NEAR_POLE:
@@ -397,21 +364,16 @@ def greens_strong(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
                   param: float) -> float:
     """Impenetrable-wall Green's function: g0 - u^T G0^{-1} v (couplings ignored).
 
-    With a factor pair this is the Dirichlet kernel of the one interval that
-    holds x and x': exactly 0 when a wall lies between them (or under
-    either), else h_l(x_<) h_r(x_>) / W[h_l, h_r].  h_l = q(a_k) p - p(a_k) q
+    This is the Dirichlet kernel of the one interval that holds x and x':
+    exactly 0 when a wall lies between them (or under either), else
+    h_l(x_<) h_r(x_>) / W[h_l, h_r].  h_l = q(a_k) p - p(a_k) q
     vanishes on the interval's left wall (h_l = p left of the chain), h_r
     likewise on its right wall (h_r = q right of the chain), and inside the
     chain W[h_l, h_r] = -d_k.  Raises NearPoleError when d_k cancels below
     1e-12 of its two products, i.e. on a Dirichlet level of the interval.
     """
-    if g0.factors is None:
-        G0 = boundary_matrix(chain, g0, param)
-        u, v = _wall_vectors(chain, g0, x, xp, param)
-        t = solve(lu(G0), v)
-        return g0.evaluate(x, xp, param) - float(u @ t)
+    lo, hi = _ordered(x, xp)
     positions, n = chain.positions, chain.n
-    lo, hi = (x, xp) if x <= xp else (xp, x)
     k = bisect_left(positions, lo)
     if k < n and positions[k] <= hi:
         return 0.0
@@ -435,6 +397,4 @@ def greens_strong(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
 
 def char_func(chain: DeltaChain, g0: FreeGreens, param: float) -> SignLog:
     """Characteristic function det[g0(a_i, a_j)] at the given parameter."""
-    if g0.factors is None:
-        return det(lu(boundary_matrix(chain, g0, param)))
     return _factor_det(_wall_factors(g0, chain.positions, param))

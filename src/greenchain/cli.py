@@ -60,9 +60,12 @@ class ChainConfig:
         couplings = (
             chain_mod.ALL_INFINITE if self.couplings == "infinite" else self.couplings
         )
-        return chain_mod.DeltaChain.from_couplings(
-            self.geometry, self.positions, couplings, self.units
-        )
+        try:
+            return chain_mod.DeltaChain.from_couplings(
+                self.geometry, self.positions, couplings, self.units
+            )
+        except DomainError as exc:
+            raise ConfigError(f"invalid chain: {exc}") from None
 
     def to_free_greens(self) -> greens_mod.FreeGreens:
         return greens_mod.free_greens_for(

@@ -23,8 +23,8 @@ without per-geometry rescaling.
 
 Each kernel has the form g0(x, x') = p(x_<) q(x_>).  The `*_factors`
 functions return that pair at one position, in SignLog form so it survives
-any magnitude; the `g0_*` kernels are built from them, and the chain algebra
-uses them directly.
+any magnitude; the `g0_*` kernels and `FreeGreens.evaluate` are built from
+them, and the chain algebra uses them directly.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ NATURAL_UNITS = UnitSystem()
 
 def _k0_value(k0) -> float:
     k = float(k0)
-    if not k > 0.0:
-        raise DomainError(f"k0 must be positive, got {k}")
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"k0 must be positive and finite, got {k}")
     return k
 
 
@@ -129,6 +129,8 @@ def osc_factors(z: float, v: float, units: UnitSystem = NATURAL_UNITS,
     derivative jump that the chain algebra assumes; Gamma(-v) makes
     non-negative integer v a pole (DomainError).
     """
+    if not math.isfinite(v):
+        raise DomainError(f"oscillator order v must be finite, got {v}")
     beta = math.sqrt(2.0 * units.mass * units.omega0 / units.hbar)
     y = beta * (z - center)
     pref = 0.5 * math.sqrt(units.hbar / (math.pi * units.mass * units.omega0))
@@ -163,63 +165,56 @@ def g0_osc(z: float, zp: float, v: float,
 
 @dataclass(frozen=True)
 class FreeGreens:
-    """Pluggable family of free kernels g0(x, x'; param) plus the measure weight.
+    """Pluggable free kernel g0(x, x'; param), given by its factor pair, plus the measure weight.
 
-    `evaluate(x, xp, param)` must be symmetric in (x, xp) and finite at
-    coincidence; `weight(position)` is the factor multiplying the coupling in
-    the Lambda matrix (1, rho, or r^2 for the concrete geometries).  Any
-    linear Hermitian 1D operator with those properties plugs into the chain
-    algebra through this type.
-
-    `factors(x, param)`, when present, returns the pair (p(x), q(x)) as
-    SignLogs such that g0(x, x') = p(x_<) q(x_>): p is the solution regular
-    at the lower end, q the one regular at the upper end.  With it the chain
-    algebra runs in O(n) kernel-factor evaluations; without it (custom
-    kernels) the chain falls back to the dense boundary matrix.
+    `factors(x, param)` returns the pair (p(x), q(x)) as SignLogs such that
+    g0(x, x') = p(x_<) q(x_>): p is the solution regular at the lower end,
+    q the one regular at the upper end, with Wronskian p q' - p' q = -1 in
+    the measure of `weight(position)`, the factor multiplying the coupling
+    at a wall (1, rho, or r^2 for the concrete geometries).  The Green's
+    function of every second-order 1D operator has this form, so any such
+    operator plugs into the chain algebra through this type, which runs in
+    O(n) factor evaluations for any number of walls.
     """
 
-    evaluate: Callable[[float, float, float], float]
+    factors: Callable[[float, float], Tuple[specfun.SignLog, specfun.SignLog]]
     weight: Callable[[float], float]
-    factors: Optional[Callable[[float, float], Tuple[specfun.SignLog, specfun.SignLog]]] = None
+
+    def evaluate(self, x: float, xp: float, param: float) -> float:
+        """g0(x, x') = p(x_<) q(x_>) at the spectral parameter."""
+        return _kernel(self.factors, x, xp, param).value()
 
 
 def rect_free_greens() -> FreeGreens:
-    return FreeGreens(
-        evaluate=lambda z, zp, k0: g0_rect(z, zp, k0),
-        weight=lambda a: 1.0,
-        factors=rect_factors,
-    )
+    return FreeGreens(factors=rect_factors, weight=lambda a: 1.0)
 
 
 def cyl_free_greens(mode: int = 0) -> FreeGreens:
     return FreeGreens(
-        evaluate=lambda r, rp, k0, _m=mode: g0_cyl(r, rp, k0, _m),
-        weight=lambda a: weight(Geometry.CYLINDRICAL, a),
         factors=lambda r, k0, _m=mode: cyl_factors(r, k0, _m),
+        weight=lambda a: weight(Geometry.CYLINDRICAL, a),
     )
 
 
 def sph_free_greens(mode: int = 0) -> FreeGreens:
     return FreeGreens(
-        evaluate=lambda r, rp, k0, _m=mode: g0_sph(r, rp, k0, _m),
-        weight=lambda a: weight(Geometry.SPHERICAL, a),
         factors=lambda r, k0, _m=mode: sph_factors(r, k0, _m),
+        weight=lambda a: weight(Geometry.SPHERICAL, a),
     )
 
 
 def osc_free_greens(units: UnitSystem = NATURAL_UNITS, center: float = 0.0) -> FreeGreens:
     return FreeGreens(
-        evaluate=lambda z, zp, v, _u=units, _c=center: g0_osc(z, zp, v, _u, _c),
-        weight=lambda a: 1.0,
         factors=lambda z, v, _u=units, _c=center: osc_factors(z, v, _u, _c),
+        weight=lambda a: 1.0,
     )
 
 
-def custom_free_greens(evaluate: Callable[[float, float, float], float],
+def custom_free_greens(factors: Callable[[float, float], Tuple[specfun.SignLog, specfun.SignLog]],
                        weight_fn: Optional[Callable[[float], float]] = None) -> FreeGreens:
-    """Wrap an arbitrary-operator kernel for use with the (dense) chain algebra."""
+    """Wrap the factor pair (p(x), q(x)) of an arbitrary operator's kernel; the weight defaults to 1."""
     return FreeGreens(
-        evaluate=evaluate,
+        factors=factors,
         weight=weight_fn if weight_fn is not None else (lambda a: 1.0),
     )
 
@@ -236,4 +231,4 @@ def free_greens_for(geometry, mode: int = 0,
         return sph_free_greens(mode)
     if g is Geometry.OSCILLATOR:
         return osc_free_greens(units, center)
-    raise DomainError("custom geometry needs an explicit evaluator; use custom_free_greens")
+    raise DomainError("custom geometry needs an explicit factor pair; use custom_free_greens")

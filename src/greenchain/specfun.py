@@ -506,31 +506,25 @@ def sph_modified(l: int, x: float) -> tuple[float, float]:
     return il, kl
 
 
-def sph_ordinary(l: int, x: float) -> tuple[float, float]:
-    """Ordinary spherical pair (j_l(x), y_l(x)); j_0(x) = sin x / x.
+def _sph_j(l: int, x: float, sin_cos: tuple[float, float] | None = None) -> float:
+    """j_l(x) alone, bitwise the first value of ``sph_ordinary(l, x)``.
 
-    y recurs upward; j recurs upward for l < x and downward (Miller,
-    normalized against the larger of j_0, j_1) otherwise.
+    Recurs upward for l < x and downward (Miller, normalized against the
+    larger of j_0, j_1) otherwise.  `sin_cos` is (sin x, cos x) when the
+    caller has it.
     """
-    _check_order(l, "sph_ordinary")
-    _check_positive(x, "sph_ordinary")
-    sx, cx = math.sin(x), math.cos(x)
+    sx, cx = sin_cos if sin_cos else (math.sin(x), math.cos(x))
     j0 = sx / x
-    y0 = -cx / x
     if l == 0:
-        return j0, y0
+        return j0
     j1 = sx / (x * x) - cx / x
-    y1 = -cx / (x * x) - sx / x
-    yp, yc = y0, y1
-    for j in range(1, l):
-        yp, yc = yc, ((2.0 * j + 1.0) / x) * yc - yp
     if l == 1:
-        return j1, y1
+        return j1
     if l < x:
         jp, jc = j0, j1
         for j in range(1, l):
             jp, jc = jc, ((2.0 * j + 1.0) / x) * jc - jp
-        return jc, yc
+        return jc
     start = l + int(math.sqrt(40.0 * (l + 1))) + 12
     fp, fc = 0.0, 1e-30  # f_{start+1}, f_{start}
     fl = 0.0
@@ -548,7 +542,21 @@ def sph_ordinary(l: int, x: float) -> tuple[float, float]:
         scale = j0 / fc
     else:
         scale = j1 / fp
-    return fl * scale, yc
+    return fl * scale
+
+
+def sph_ordinary(l: int, x: float) -> tuple[float, float]:
+    """Ordinary spherical pair (j_l(x), y_l(x)); j_0(x) = sin x / x.
+
+    y recurs upward; j comes from :func:`_sph_j`.
+    """
+    _check_order(l, "sph_ordinary")
+    _check_positive(x, "sph_ordinary")
+    sx, cx = math.sin(x), math.cos(x)
+    yp, yc = -cx / x, -cx / (x * x) - sx / x  # y_0, y_1
+    for j in range(1, l):
+        yp, yc = yc, ((2.0 * j + 1.0) / x) * yc - yp
+    return _sph_j(l, x, (sx, cx)), (yc if l else yp)
 
 
 # ----------------------------------------------------------------------

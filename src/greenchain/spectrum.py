@@ -55,8 +55,8 @@ import numpy as np
 
 from .errors import DomainError, GreenChainError, NumericError, RangeError
 from .greens import NATURAL_UNITS, UnitSystem
-from .specfun import (SignLog, _bessel_j, bessel_jy, gamma_signlog, kummer_m, pcf_d_pair_signlog,
-                      pcf_d_signlog, sph_ordinary)
+from .specfun import (SignLog, _bessel_j, _sph_j, bessel_jy, gamma_signlog, kummer_m,
+                      pcf_d_pair_signlog, pcf_d_signlog, sph_ordinary)
 
 _EPS = 2.220446049250313e-16
 _V_MAX = 200.0  # validated parabolic-cylinder order range
@@ -557,7 +557,7 @@ def _bessel_solution(mode: int, spherical: bool, pair: bool):
     if spherical:
         if pair:
             return lambda kappa, z: sph_ordinary(mode, kappa * z)
-        return lambda kappa, z: sph_ordinary(mode, kappa * z)[0]
+        return lambda kappa, z: _sph_j(mode, kappa * z)
     if pair:
         return lambda kappa, z: bessel_jy(mode, kappa * z)
     return lambda kappa, z: _bessel_j(mode, kappa * z)

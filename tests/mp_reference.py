@@ -3,20 +3,21 @@
 import pytest
 
 
-def rect_chain_greens_50_digits(positions, lams, k, x, xp):
-    """g(x, x') of a rectangular chain with walls lam_i at a_i, in 50-digit arithmetic.
+def chain_greens_50_digits(pair, positions, lams, k, x, xp):
+    """g(x, x') of a chain with walls lam_i at a_i under a unit-weight kernel, in 50 digits.
 
-    The kink recurrence of the wall-matched solutions: P = p left of the chain
-    and Q = q right of it, with p = e^{kz} and q = e^{-kz} / (2k), each kinked
-    by lam P(a) (q(a), -p(a)) at every wall it crosses; g = P(x<) Q(x>) / A_n.
-    The calling test is skipped without mpmath.
+    `pair(mp, k)` returns the kernel's factor pair (p, q) as functions of z
+    in the arithmetic of `mp`, with Wronskian p q' - p' q = -1.  The kink
+    recurrence of the wall-matched solutions: P = p left of the chain and
+    Q = q right of it, each kinked by lam P(a) (q(a), -p(a)) at every wall it
+    crosses; g = P(x<) Q(x>) / A_n.  The calling test is skipped without
+    mpmath.
     """
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 50
-    k, x, xp = mp.mpf(k), mp.mpf(x), mp.mpf(xp)
-    p = lambda z: mp.exp(k * z)
-    q = lambda z: mp.exp(-k * z) / (2 * k)
+    k, x, xp = mp.mpf(k), mp.mpf(min(x, xp)), mp.mpf(max(x, xp))
+    p, q = pair(mp, k)
 
     def carry(walls, coef, sign):
         for a, lam in walls:  # the kink lam P(a) (q(a), -p(a)), taken back leftwards
@@ -29,3 +30,9 @@ def rect_chain_greens_50_digits(positions, lams, k, x, xp):
     a_n = carry(walls, (1, 0), 1)[0]
     c_q, d_q = carry([w for w in reversed(walls) if w[0] >= xp], (0, 1), -1)
     return float((a_p * p(x) + b_p * q(x)) * (c_q * p(xp) + d_q * q(xp)) / a_n)
+
+
+def rect_chain_greens_50_digits(positions, lams, k, x, xp):
+    """The rectangular instance: p = e^{kz}, q = e^{-kz} / (2k)."""
+    pair = lambda mp, k: (lambda z: mp.exp(k * z), lambda z: mp.exp(-k * z) / (2 * k))
+    return chain_greens_50_digits(pair, positions, lams, k, x, xp)

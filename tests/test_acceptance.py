@@ -208,7 +208,12 @@ def test_criterion_7_chain_properties():
 
         # rescaling g0 leaves every characteristic sign-change bracket unchanged
         c = 7.3
-        scaled = custom_free_greens(lambda x, xp, p: c * rect.evaluate(x, xp, p))
+
+        def scaled_factors(x, p):  # the pair of c g0: p scaled by c
+            f_p, f_q = rect.factors(x, p)
+            return f_p.scaled(c), f_q
+
+        scaled = custom_free_greens(scaled_factors)
         params = [0.2 + 0.17 * i for i in range(12)]
         signs_base = [char_func(strong, rect, p).sign for p in params]
         signs_scaled = [char_func(strong, scaled, p).sign for p in params]

@@ -1,6 +1,6 @@
-"""Chain algebra tests: boundary matrices, LU, corrections, characteristic functions."""
+"""Chain algebra tests: corrections and characteristic functions against the dense
+reference (boundary matrix, LU, and I + G0 W built inline)."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +9,8 @@ import pytest
 from greenchain import (
     ALL_INFINITE,
     DeltaChain,
+    FreeGreens,
+    SignLog,
     UnitSystem,
     char_func,
     custom_free_greens,
@@ -20,9 +22,9 @@ from greenchain import (
     rect_free_greens,
     sph_free_greens,
 )
-from greenchain.chain import boundary_matrix, det, lambda_matrix, lu, solve
+from greenchain.chain import boundary_matrix, det, lu, solve
 from greenchain.errors import DomainError, NearPoleError, NumericError, SingularMatrixError
-from mp_reference import rect_chain_greens_50_digits
+from mp_reference import chain_greens_50_digits, rect_chain_greens_50_digits
 
 # frozen oracle products (series / quadrature oracles, see test_specfun)
 I0K0_AT_1 = 0.5330446749562685
@@ -72,22 +74,13 @@ def test_chain_rejects_non_finite_positions():
             DeltaChain("rectangular", (0.0, bad), (1.0, 1.0))
 
 
-def test_dense_path_keeps_its_64_row_cap_for_custom_kernels():
-    g0 = custom_free_greens(lambda x, xp, k: math.exp(-k * abs(x - xp)) / (2.0 * k))
-    ch = DeltaChain("custom", tuple(0.1 * i for i in range(65)), ALL_INFINITE)
-    with pytest.raises(DomainError, match="at most 64"):
-        greens_strong(ch, g0, 0.05, 0.15, 1.0)
-    with pytest.raises(DomainError, match="at most 64"):
-        char_func(ch, g0, 1.0)
-
-
 def test_chain_allows_attractive_couplings():
     ch = DeltaChain("rectangular", (0.0,), (-2.0,))
     assert ch.lambdas == (-2.0,)
 
 
 # ----------------------------------------------------------------------
-# Boundary and Lambda matrices
+# Boundary matrix
 # ----------------------------------------------------------------------
 
 def test_boundary_matrix_rect_two_walls():
@@ -112,38 +105,6 @@ def test_boundary_matrix_cylindrical():
     assert np.allclose(bm, want, rtol=1e-10)
 
 
-def test_lambda_matrix_single_wall():
-    # one wall, lambda = 2, k0 = 1: Lambda_11 = 1 + 2/(2 k0) = 2
-    ch = DeltaChain("rectangular", (0.0,), (2.0,))
-    bm = boundary_matrix(ch, rect_free_greens(), 1.0)
-    lam = lambda_matrix(bm, ch)
-    assert lam[0, 0] == pytest.approx(2.0, rel=1e-15)
-
-
-def test_lambda_matrix_two_walls_display():
-    k0, lam_c, a = 1.0, 3.0, 1.0
-    ch = DeltaChain("rectangular", (0.0, a), (lam_c, lam_c))
-    bm = boundary_matrix(ch, rect_free_greens(), k0)
-    lam = lambda_matrix(bm, ch)
-    off = lam_c * math.exp(-k0 * a) / (2.0 * k0)
-    want = np.array([[1.0 + lam_c / (2.0 * k0), off], [off, 1.0 + lam_c / (2.0 * k0)]])
-    assert np.allclose(lam, want, rtol=1e-14)
-
-
-def test_lambda_matrix_zero_couplings_is_identity():
-    ch = DeltaChain("rectangular", (0.0, 0.7, 1.9), (0.0, 0.0, 0.0))
-    bm = boundary_matrix(ch, rect_free_greens(), 1.0)
-    lam = lambda_matrix(bm, ch)
-    assert np.array_equal(lam, np.eye(3))
-
-
-def test_lambda_matrix_rejects_strong_chain():
-    ch = DeltaChain("rectangular", (0.0, 1.0), ALL_INFINITE)
-    bm = boundary_matrix(ch, rect_free_greens(), 1.0)
-    with pytest.raises(DomainError):
-        lambda_matrix(bm, ch)
-
-
 # ----------------------------------------------------------------------
 # LU / solve / det
 # ----------------------------------------------------------------------
@@ -159,8 +120,7 @@ def test_lu_det_matches_two_wall_closed_form():
     k0, l1, l2, a = 1.3, 2.0, 5.0, 0.8
     ch = DeltaChain("rectangular", (0.0, a), (l1, l2))
     bm = boundary_matrix(ch, rect_free_greens(), k0)
-    lam = lambda_matrix(bm, ch)
-    got = det(lu(lam)).value()
+    got = det(lu(np.eye(2) + bm * np.array([l1, l2]))).value()
     want = (1.0 + l1 / (2 * k0)) * (1.0 + l2 / (2 * k0)) \
         - l1 * l2 * math.exp(-2.0 * k0 * a) / (4.0 * k0 * k0)
     assert got == pytest.approx(want, rel=1e-12)
@@ -297,6 +257,24 @@ def test_wall_jump_equals_coupling_times_g():
         assert jump == pytest.approx(want, abs=1e-4 * max(1.0, abs(want)))
 
 
+@pytest.mark.parametrize("geometry,mode", [("rectangular", 0), ("cylindrical", 1),
+                                           ("spherical", 2), ("oscillator", 0)])
+def test_non_finite_points_and_param_raise(geometry, mode):
+    # a NaN or infinite x, x', k0 or v is outside every kernel's domain: an error,
+    # never a NaN or a 0 from the Dirichlet shortcut
+    g0 = free_greens_for(geometry, mode=mode)
+    strong = DeltaChain(geometry, (0.4, 1.0), ALL_INFINITE)
+    finite = DeltaChain(geometry, (0.4, 1.0), (1.0, 2.0))
+    calls = [lambda: char_func(strong, g0, math.inf), lambda: char_func(strong, g0, math.nan)]
+    for x, xp, k0 in ((math.nan, 0.7, 1.3), (0.7, math.nan, 1.3), (0.5, math.inf, 1.3),
+                      (0.5, 0.7, math.inf), (0.5, 0.7, math.nan)):
+        calls += [lambda x=x, xp=xp, k0=k0: greens_strong(strong, g0, x, xp, k0),
+                  lambda x=x, xp=xp, k0=k0: greens_finite(finite, g0, x, xp, k0)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
 # ----------------------------------------------------------------------
 # Strong coupling
 # ----------------------------------------------------------------------
@@ -387,12 +365,18 @@ def test_char_func_single_wall_positive():
     assert sl.value() == pytest.approx(1.0 / 3.4, rel=1e-14)
 
 
+def _scale_p(pair, c):
+    """The factor pair of c g0: p scaled by c."""
+    p, q = pair
+    return p.scaled(c), q
+
+
 def test_char_func_rescaling_shifts_log_keeps_brackets():
     # replacing g0 by c*g0 shifts log|det| by n log c and moves no sign change
     ch = DeltaChain("oscillator", (0.0, 1.0), ALL_INFINITE)
     base = osc_free_greens(center=0.5)
     c = 7.3
-    scaled = custom_free_greens(lambda x, xp, p: c * base.evaluate(x, xp, p))
+    scaled = custom_free_greens(lambda x, p: _scale_p(base.factors(x, p), c))
     params = [3.3 + 0.31 * i for i in range(10)]
     base_signs = []
     for p in params:
@@ -415,9 +399,21 @@ KERNELS = [("rectangular", 0), ("oscillator", 0)] + [
 ]
 
 
+def _half_line_factors(x, k):
+    """Dirichlet kernel of k^2 - d^2/dx^2 on x > 0: p = sinh(kx) / k, q = e^{-kx}."""
+    return SignLog.from_value(math.sinh(k * x) / k), SignLog(1, -k * x)
+
+
+def _kernel(geometry, mode):
+    """A built-in kernel, or the half-line pair as a custom kernel for "custom"."""
+    if geometry == "custom":
+        return custom_free_greens(_half_line_factors)
+    return free_greens_for(geometry, mode=mode, center=0.5)
+
+
 def _random_chain(geometry, n, rng, span=1.0):
     """n jittered walls over `span`, a spectral parameter, and the cell edges."""
-    a0 = 0.5 if geometry in ("cylindrical", "spherical") else 0.0
+    a0 = 0.5 if geometry in ("cylindrical", "spherical", "custom") else 0.0
     h = span / n
     positions = [a0 + (i + 0.5 + rng.uniform(-0.3, 0.3)) * h for i in range(n)]
     if geometry == "oscillator":
@@ -451,11 +447,10 @@ def _dense_strong(G0, g0, positions, x, xp, param):
 
 
 def _dense_finite(G0, chain, g0, x, xp, param):
-    lam = lambda_matrix(G0, chain, weight_fn=g0.weight)
+    w = np.array([g0.weight(a) * l for a, l in zip(chain.positions, chain.lambdas)])
     u = np.array([g0.evaluate(x, a, param) for a in chain.positions])
     v = np.array([g0.evaluate(a, xp, param) for a in chain.positions])
-    t = solve(lu(lam), v)
-    w = np.array([g0.weight(a) * l for a, l in zip(chain.positions, chain.lambdas)])
+    t = solve(lu(np.eye(chain.n) + G0 * w), v)
     return g0.evaluate(x, xp, param) - float(u @ (w * t))
 
 
@@ -505,13 +500,11 @@ def _numpy_boundary_matrix(g0, points, param):
     return np.where(points[:, None] <= points[None, :], pq, pq.T)
 
 
-@pytest.mark.parametrize("geometry,mode", [("rectangular", 0), ("oscillator", 0),
-                                           ("cylindrical", 1), ("spherical", 2)])
-def test_structured_matches_numpy_at_512_walls(geometry, mode):
-    rng = np.random.RandomState(512 + mode)
-    g0 = free_greens_for(geometry, mode=mode, center=0.5)
-    n = 512
-    positions, param, edges = _random_chain(geometry, n, rng, span=4.0)
+def _check_against_numpy(geometry, mode, n, rng, span=1.0):
+    """char_func and both Green's functions of a random n-wall chain against numpy's
+    slogdet and dense solves."""
+    g0 = _kernel(geometry, mode)
+    positions, param, edges = _random_chain(geometry, n, rng, span)
     strong = DeltaChain(geometry, positions, ALL_INFINITE)
     G0 = _numpy_boundary_matrix(g0, positions, param)
 
@@ -533,16 +526,58 @@ def test_structured_matches_numpy_at_512_walls(geometry, mode):
                       g_free - float(u @ (w * np.linalg.solve(np.eye(n) + G0 * w, v))), g_free)
 
 
+@pytest.mark.parametrize("geometry,mode", [("rectangular", 0), ("oscillator", 0),
+                                           ("cylindrical", 1), ("spherical", 2)])
+def test_structured_matches_numpy_at_512_walls(geometry, mode):
+    _check_against_numpy(geometry, mode, 512, np.random.RandomState(512 + mode), span=4.0)
+
+
+@pytest.mark.parametrize("n", [1, 8, 65])
+def test_custom_pair_matches_numpy_dense_solve(n):
+    # a custom factor pair runs the same O(n) algebra as the built-in kernels,
+    # with no wall cap
+    _check_against_numpy("custom", 0, n, np.random.RandomState(65 + n))
+
+
+def test_custom_pair_matches_50_digits_at_512_walls():
+    # past numpy's accuracy (its dense solve is 3.5e-6 off here): the custom pair
+    # against its own kink recurrence at 50 digits
+    positions = [0.01 * (i + 1) for i in range(512)]
+    lams = [1.0 + 0.002 * i for i in range(512)]
+    pair = lambda mp, k: (lambda z: mp.sinh(k * z) / k, lambda z: mp.exp(-k * z))
+    want = chain_greens_50_digits(pair, positions, lams, 2.0, 1.234, 3.456)
+    chain = DeltaChain("custom", positions, lams)
+    got = greens_finite(chain, _kernel("custom", 0), 1.234, 3.456, 2.0)
+    assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
+def test_custom_pair_vanishing_at_a_wall_is_singular():
+    # p(0) = 0: the boundary matrix has a zero row, whatever the call
+    g0 = _kernel("custom", 0)
+    strong = DeltaChain("custom", (0.0, 0.5), ALL_INFINITE)
+    finite = DeltaChain("custom", (0.0, 0.5), (1.0, 2.0))
+    for call in (lambda: char_func(strong, g0, 1.3),
+                 lambda: greens_strong(strong, g0, 0.1, 0.2, 1.3),
+                 lambda: greens_finite(finite, g0, 0.1, 0.7, 1.3)):
+        with pytest.raises(SingularMatrixError):
+            call()
+
+
 def _both_paths(chain, g0, x, xp, param):
-    """(structured, dense) results of the chain's call; an error stands for its class."""
-    dense_g0 = dataclasses.replace(g0, factors=None)
+    """(structured, dense reference) results of the chain's call; an error stands for
+    its class."""
+    if chain.is_strong:
+        calls = (lambda: greens_strong(chain, g0, x, xp, param),
+                 lambda: _dense_strong(boundary_matrix(chain, g0, param), g0,
+                                       chain.positions, x, xp, param))
+    else:
+        calls = (lambda: greens_finite(chain, g0, x, xp, param),
+                 lambda: _dense_finite(boundary_matrix(chain, g0, param), chain, g0,
+                                       x, xp, param))
     out = []
-    for kernel in (g0, dense_g0):
+    for call in calls:
         try:
-            if chain.is_strong:
-                out.append(greens_strong(chain, kernel, x, xp, param))
-            else:
-                out.append(greens_finite(chain, kernel, x, xp, param))
+            out.append(call())
         except NumericError as exc:
             out.append(type(exc))
     return out
@@ -580,7 +615,7 @@ def test_oscillator_near_order_200(v):
                 _assert_close(got, want, g0.evaluate(0.2, 0.3, v))
 
 
-def test_structured_path_is_linear_in_walls():
+def test_structured_path_is_linear_in_walls(monkeypatch):
     # a counting factor pair: n walls cost n + 2 factor evaluations and no g0 call;
     # the strong kernel needs only the interval that holds x and x'
     n = 64
@@ -593,7 +628,8 @@ def test_structured_path_is_linear_in_walls():
     def forbidden(*args):
         raise AssertionError("the structured path must not evaluate g0 pairwise")
 
-    g0 = dataclasses.replace(rect_free_greens(), factors=counting, evaluate=forbidden)
+    monkeypatch.setattr(FreeGreens, "evaluate", forbidden)
+    g0 = custom_free_greens(counting)
     positions = tuple(0.05 * i for i in range(n))
     strong = DeltaChain("rectangular", positions, ALL_INFINITE)
     finite = DeltaChain("rectangular", positions, (1.5,) * n)
@@ -627,7 +663,7 @@ def test_finite_attractive_wall_with_nearly_singular_leading_block():
         _assert_close(greens_finite(chain, g0, 0.1, 0.3, k), want, g0.evaluate(0.1, 0.3, k))
 
 
-@pytest.mark.parametrize("geometry,mode", KERNELS)
+@pytest.mark.parametrize("geometry,mode", KERNELS + [("custom", 0)])
 def test_finite_near_coincident_walls_match_numpy(geometry, mode, monkeypatch):
     # two walls `gap` apart cancel their interval factor while Lambda stays regular;
     # the wall-matched solutions need no dense fallback and no wall cap
@@ -636,10 +672,10 @@ def test_finite_near_coincident_walls_match_numpy(geometry, mode, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the factor-pair path must not use the dense algebra")
 
+    g0 = _kernel(geometry, mode)
     for name in ("boundary_matrix", "lu", "solve"):
         monkeypatch.setattr(chain_mod, name, forbidden)
-    base = free_greens_for(geometry, mode=mode, center=0.5)
-    g0 = dataclasses.replace(base, evaluate=forbidden)
+    monkeypatch.setattr(FreeGreens, "evaluate", forbidden)
     for n in (3, 8, 64, 65):
         for gap in (1e-3, 1e-6, 1e-9, 1e-12):
             rng = np.random.RandomState(n + 10 * mode + len(geometry) + round(-math.log10(gap)))
@@ -653,7 +689,7 @@ def test_finite_near_coincident_walls_match_numpy(geometry, mode, monkeypatch):
                 for x, xp in ((positions[m] + 0.5 * gap, edges[m]),
                               (positions[0] - 0.05, positions[m + 1] + 0.5 * gap),
                               (edges[1], edges[-2])):
-                    G = _numpy_boundary_matrix(base, positions + [x, xp], param)
+                    G = _numpy_boundary_matrix(g0, positions + [x, xp], param)
                     G0, u, v, g_free = G[:n, :n], G[n, :n], G[:n, n + 1], G[n, n + 1]
                     wl = w * lams
                     want = g_free - float(u @ (wl * np.linalg.solve(np.eye(n) + G0 * wl, v)))
@@ -693,7 +729,7 @@ def _two_wall_bound_state(lams, bracket):
 
     g0 = rect_free_greens()
     chain = DeltaChain("rectangular", (0.0, 1.0), lams)
-    f = lambda k: det(lu(lambda_matrix(boundary_matrix(chain, g0, k), chain))).value()
+    f = lambda k: det(lu(np.eye(2) + boundary_matrix(chain, g0, k) * np.array(lams))).value()
     lo, hi = bracket
     root = brent(f, Bracket(lo, hi, f(lo), f(hi)), tol=1e-14)
     return chain, g0, root.value

@@ -162,6 +162,25 @@ def test_greens_non_positive_k0_exits_1(tmp_path, capsys, geometry, k0):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("data,flags", [
+    ({"geometry": "rectangular", "positions": [1.0, 0.0], "couplings": [1.0, 1.0]}, []),
+    ({"geometry": "rectangular", "positions": [0.5, 0.5], "couplings": [1.0, 1.0]}, []),
+    ({"geometry": "rectangular", "positions": [0.0, 1.0], "couplings": [1.0]}, []),
+    ({"geometry": "cylindrical", "positions": [0.0, 1.0], "couplings": [1.0, 1.0]}, []),
+    ({"geometry": "spherical", "positions": [-1.0, 1.0], "couplings": "infinite"}, []),
+    ({"geometry": "rectangular", "positions": [0.0], "couplings": [1e308],
+      "units": {"mass": 10}}, []),
+    ({"geometry": "rectangular", "positions": [0.0], "couplings": [1e307]}, ["--mass", "100"]),
+])
+def test_greens_invalid_chain_exits_1(tmp_path, capsys, data, flags):
+    # a chain the config cannot build is a configuration error, not a numeric failure
+    cfg = write_config(tmp_path, data)
+    assert main(["greens", cfg, "0.2", "0.4", "1.0"] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid chain:")
+    assert err.count("\n") == 1
+
+
 def test_greens_oscillator_accepts_negative_order(tmp_path, capsys):
     cfg = write_config(tmp_path, {"geometry": "oscillator", "positions": [0.0, 1.0],
                                   "couplings": [1.0, 1.0], "oscillator": {"box_length": 1.0}})

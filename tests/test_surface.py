@@ -1,5 +1,6 @@
 """Surface guard: every name the traced benchmark and the README reach must resolve,
-and every README `scan`, `spectrum` and `table1` command must run.
+every README `scan`, `spectrum` and `table1` command must run, and every name a
+library module imports must be used.
 
 The benchmark's span table (``WRAPPED`` in ``benchmark/spans.py``) names the
 module attributes it wraps, and the README examples import from the
@@ -73,3 +74,26 @@ def test_readme_cli_line_runs(line, tmp_path, capsys):
 
 def test_readme_cli_lines_found():
     assert {line.split()[1] for line in _readme_cli_lines()} == {"scan", "spectrum", "table1"}
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads (no linter ships with the test extra)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", [path for path in sorted((ROOT / "src" / "greenchain").glob("*.py"))
+                                  if path.name != "__init__.py"],  # imports only to re-export
+                         ids=lambda path: path.name)
+def test_library_imports_are_used(path):
+    assert not _unused_imports(path)
