@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
+import numpy as np
+
 from . import chain as chain_mod
 from . import greens as greens_mod
 from . import specfun
@@ -310,17 +312,14 @@ def cmd_scan(args) -> int:
     prob = spectrum_mod.OscillatorProblem(args.a, units)
     # one D_v(-alpha), D_v(alpha) series pass over the window serves both columns
     dv = specfun.pcf_d_pair_signlog(grid, prob.alpha)
-    reduced_rows = spectrum_mod.char_scan_table(
-        lambda v: spectrum_mod.oscillator_char_reduced(v, prob, dv), args.lo, args.hi, args.step
-    )
-    full_rows = spectrum_mod.char_scan_table(
-        lambda v: spectrum_mod.oscillator_char_full(v, prob, dv), args.lo, args.hi, args.step
-    )
+    cols = [np.where(np.isfinite(col), np.abs(col), np.nan).tolist()
+            for col in (spectrum_mod.oscillator_char_reduced(grid, prob, dv),
+                        spectrum_mod.oscillator_char_full(grid, prob, dv))]
+    # the cells of _fmt; a non-finite one is NaN here, and no number prints "nan"
+    text = "".join([f"{v:.12g},{r:.12g},{f:.12g}\n" for v, r, f in zip(grid.tolist(), *cols)])
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("v,abs_reduced,abs_full\n")
-            for (v, abs_r, _), (_, abs_f, _) in zip(reduced_rows, full_rows):
-                fh.write(_csv_row((v, abs_r, abs_f)) + "\n")
+            fh.write("v,abs_reduced,abs_full\n" + text.replace("nan", ""))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -101,14 +101,16 @@ def _check_positive(x: float, name: str) -> None:
         raise DomainError(f"{name}: argument must be positive, got {x}")
 
 
-def _gamma_pole(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
+def _check_gamma_arg(x: float) -> None:
+    if not math.isfinite(x):
+        raise DomainError(f"gamma needs a finite argument, got {x}")
+    if x <= 0.0 and x == math.floor(x):
+        raise DomainError(f"gamma has a pole at non-positive integer x={x}")
 
 
 def gamma(x: float) -> float:
-    """Euler gamma function for real non-pole arguments."""
-    if _gamma_pole(x):
-        raise DomainError(f"gamma has a pole at non-positive integer x={x}")
+    """Euler gamma function for finite real non-pole arguments."""
+    _check_gamma_arg(x)
     try:
         return math.gamma(x)
     except OverflowError as exc:
@@ -117,18 +119,14 @@ def gamma(x: float) -> float:
 
 def gamma_signlog(x: float) -> SignLog:
     """gamma(x) as a SignLog, usable far outside the double range."""
-    if _gamma_pole(x):
-        raise DomainError(f"gamma has a pole at non-positive integer x={x}")
-    if x > 0.0:
-        return SignLog(1, math.lgamma(x))
+    _check_gamma_arg(x)
     # For x < 0 the sign alternates between consecutive poles.
-    sign = 1 if int(math.floor(x)) % 2 == 0 else -1
-    return SignLog(sign, math.lgamma(x))
+    return SignLog(-1 if x < 0.0 and int(math.floor(x)) % 2 else 1, math.lgamma(x))
 
 
 def _rgamma(x: float) -> float:
     """1/gamma(x); exactly 0.0 at the poles of gamma."""
-    if _gamma_pole(x):
+    if x <= 0.0 and x == math.floor(x):
         return 0.0
     lg = math.lgamma(x)
     if -lg > _LOG_MAX:
@@ -717,15 +715,24 @@ def pcf_d_signlog(v: float, y: float) -> SignLog:
     return SignLog(sl.sign, sl.log_mag + log_pref)
 
 
-def _rgamma_or_nan(x: float) -> float:
-    try:
-        return _rgamma(x)
-    except RangeError:
-        return math.nan
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` at each element of ``x``: ``np.exp`` is not bitwise ``math.exp``."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
-def _log_or_nan(x: float) -> float:
-    return math.log(x) if x > 0.0 else math.nan
+def _gamma_signlog_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log|Gamma| of :func:`gamma_signlog` over an array, bitwise; NaN at the poles."""
+    pole = (x <= 0.0) & (x == np.floor(x))
+    log_mag = np.where(pole, np.nan, _elementwise(math.lgamma, np.where(pole, 1.0, x)))
+    sign = np.where(pole, np.nan, np.where((x < 0.0) & (np.floor(x) % 2 != 0), -1.0, 1.0))
+    return sign, log_mag
+
+
+def _rgamma_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_rgamma` over an array, bitwise; NaN where it raises RangeError."""
+    sign, lg = _gamma_signlog_array(x)
+    inv = _elementwise(math.exp, np.where(-lg > _LOG_MAX, np.nan, -lg))
+    return np.where(np.isnan(sign), 0.0, sign * inv)
 
 
 def pcf_d_pair_signlog(v: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray,
@@ -748,8 +755,8 @@ def pcf_d_pair_signlog(v: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray,
     q = 0.5 * y * y
     m_even, peak_even = _kummer_series_array(-0.5 * w, 0.5, q)
     m_odd, peak_odd = _kummer_series_array(0.5 * (1.0 - w), 1.5, q)
-    rg_even = np.array([_rgamma_or_nan(x) for x in (0.5 * (1.0 - w)).tolist()])
-    rg_odd = np.array([_rgamma_or_nan(x) for x in (-0.5 * w).tolist()])
+    rg_even = _rgamma_array(0.5 * (1.0 - w))
+    rg_odd = _rgamma_array(-0.5 * w)
     t_even = m_even * rg_even
     noise = _REL_EPS * (peak_even * np.abs(rg_even)
                         + _SQRT_2 * abs(y) * peak_odd * np.abs(rg_odd))
@@ -760,10 +767,11 @@ def pcf_d_pair_signlog(v: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray,
         scale = np.maximum(np.abs(t_even), np.abs(t_odd))
         bracket = np.where(scale == 0.0, 0.0, t_even - t_odd)
         bracket[~(noise <= 1e-8 * scale) & (scale != 0.0)] = np.nan
-        log_abs = np.array([_log_or_nan(b) for b in np.abs(bracket).tolist()])
+        zero = bracket == 0.0
+        log_abs = _elementwise(math.log, np.where(zero, 1.0, np.abs(bracket)))
         sign = np.full(v.shape, np.nan)
         log_mag = np.full(v.shape, np.nan)
         sign[ok] = np.sign(bracket)
-        log_mag[ok] = np.where(bracket == 0.0, 0.0, log_abs + log_pref)
+        log_mag[ok] = np.where(zero, 0.0, log_abs + log_pref)
         out += [sign, log_mag]
     return tuple(out)

@@ -23,7 +23,10 @@ Grid scans hand the function the whole grid as one float64 array and read
 back an array of the same length, NaN or infinite where a point has no
 value; the oscillator factors take arrays of v natively (one Kummer series
 pass per factor and grid), and `pointwise` lifts any scalar function.
-Brent refinement evaluates the scalar path.
+Brent refinement evaluates the scalar path.  Delta(v) and r(v) combine the
+(sign, log) arrays of the D_v(-+alpha) pair in numpy float operations, with
+exp, log and lgamma from `math` per element; a scalar order runs the same
+operations on one element, so its value is bitwise the array's.
 
 Every spectrum goes through one refine loop, `_levels`: Brent refines the
 sign-change brackets of a source in ascending order until n roots are in
@@ -55,8 +58,8 @@ import numpy as np
 
 from .errors import DomainError, GreenChainError, NumericError, RangeError
 from .greens import NATURAL_UNITS, UnitSystem
-from .specfun import (SignLog, _bessel_j, _sph_j, bessel_jy, gamma_signlog, kummer_m,
-                      pcf_d_pair_signlog, pcf_d_signlog, sph_ordinary)
+from .specfun import (SignLog, _bessel_j, _elementwise, _gamma_signlog_array, _sph_j, bessel_jy,
+                      gamma_signlog, kummer_m, pcf_d_pair_signlog, pcf_d_signlog, sph_ordinary)
 
 _EPS = 2.220446049250313e-16
 _V_MAX = 200.0  # validated parabolic-cylinder order range
@@ -299,98 +302,88 @@ _Orders = Union[float, np.ndarray]
 _DvPair = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _dv_pair(v: float, alpha: float) -> Tuple[SignLog, SignLog]:
-    return pcf_d_signlog(v, -alpha), pcf_d_signlog(v, alpha)
-
-
-def _over_pairs(combine, v: np.ndarray, prob: OscillatorProblem,
-                dv: Optional[_DvPair]) -> np.ndarray:
-    """combine(v, D_v(-alpha), D_v(alpha), prob) at every order of v.
-
-    The pair comes from one array evaluation (or `dv`, the same pair passed
-    in by a caller that needs it twice); elements where the pair is NaN or
-    where combine raises a GreenChainError are NaN.
-    """
+def _pair(v: _Orders, prob: OscillatorProblem, dv: Optional[_DvPair]) -> _DvPair:
+    """`dv` or the D_v pair of v; a scalar v gives length-1 parts or raises as `pcf_d_signlog`."""
+    if not isinstance(v, np.ndarray):
+        dm, dp = pcf_d_signlog(v, -prob.alpha), pcf_d_signlog(v, prob.alpha)
+        return np.array([[dm.sign], [dm.log_mag], [dp.sign], [dp.log_mag]], dtype=float)
     if dv is None:
         dv = pcf_d_pair_signlog(v, prob.alpha)
     if any(len(part) != len(v) for part in dv):
         raise DomainError("the D_v pair was evaluated on a different grid")
-    out = np.full(len(v), math.nan)
-    for i, (vi, sm, lm, sp, lp) in enumerate(zip(v.tolist(), *(part.tolist() for part in dv))):
-        if math.isnan(lm) or math.isnan(lp):
-            continue
-        try:
-            out[i] = combine(vi, SignLog(int(sm), lm), SignLog(int(sp), lp), prob)
-        except GreenChainError:
-            pass
-    return out
+    return dv
 
 
-def _char_full(v: float, dm: SignLog, dp: SignLog, prob: OscillatorProblem) -> float:
-    u = prob.units
-    g = gamma_signlog(-v)
-    dm2, dp2 = dm * dm, dp * dp
-    # bracket = D_v(-a)^2 - D_v(a)^2, rescaled by the larger square
-    lead = max(dm2.log_mag if dm2.sign else -math.inf,
-               dp2.log_mag if dp2.sign else -math.inf)
-    diff = 0.0
-    if dm2.sign:
-        diff += math.exp(dm2.log_mag - lead)
-    if dp2.sign:
-        diff -= math.exp(dp2.log_mag - lead)
-    bracket = SignLog.from_value(diff)
-    if bracket.sign:
-        bracket = SignLog(bracket.sign, bracket.log_mag + lead)
-    total = g * g * dp2 * bracket
-    total = total.scaled(u.mass / (math.pi * u.hbar * u.omega0))
-    if total.sign and total.log_mag > _LOG_MAX:
-        raise RangeError(
-            f"Delta({v}) overflows double range; use oscillator_char_reduced "
-            "for scans at large v"
-        )
-    return total.value()
+def _rescaled_squares(dv: _DvPair) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D_v(-alpha)^2 and D_v(alpha)^2 over e^lead, and lead, the larger log square.
 
-
-def _char_reduced(v: float, dm: SignLog, dp: SignLog, prob: OscillatorProblem) -> float:
-    lm = 2.0 * dm.log_mag if dm.sign else -math.inf
-    lp = 2.0 * dp.log_mag if dp.sign else -math.inf
-    lead = max(lm, lp)
-    em = math.exp(lm - lead) if dm.sign else 0.0
-    ep = math.exp(lp - lead) if dp.sign else 0.0
-    return (em - ep) / (em + ep)
+    A vanishing D_v gives 0.0, and lead is 0.0 where both vanish.  NaN where the pair is NaN.
+    """
+    sm, lm, sp, lp = dv
+    lm2, lp2 = lm + lm, lp + lp
+    lead = np.maximum(np.where(sm != 0.0, lm2, -np.inf), np.where(sp != 0.0, lp2, -np.inf))
+    lead[np.isneginf(lead)] = 0.0
+    em, ep = np.split(_elementwise(math.exp, np.concatenate([lm2 - lead, lp2 - lead])), 2)
+    return np.where(sm != 0.0, em, 0.0), np.where(sp != 0.0, ep, 0.0), lead
 
 
 def oscillator_char_full(v: _Orders, prob: OscillatorProblem,
                          dv: Optional[_DvPair] = None) -> _Orders:
     """Determinant Delta(v) of the two-wall oscillator boundary matrix.
 
-    Evaluated through SignLog and exponentiated at the end; diverges at the
-    Gamma(-v) poles (DomainError at non-negative integer v) and overflows
-    double range once v is large (RangeError suggesting the reduced form).
+    Gamma(-v)^2 D_v(alpha)^2 [D_v(-alpha)^2 - D_v(alpha)^2] m / (pi hbar w0)
+    is summed in log space, the bracket rescaled by the larger square, and
+    exponentiated once at the end.  It diverges at the Gamma(-v) poles
+    (DomainError at non-negative integer v) and overflows double range once
+    v is large (RangeError suggesting the reduced form).
 
     For an array of orders the result is an array, NaN wherever the scalar
     call raises; `dv`, if given, is ``pcf_d_pair_signlog(v, prob.alpha)``
-    already evaluated on the same orders.
+    already evaluated on the same orders.  A scalar order runs the same
+    array operations on one element, so both give bitwise the same values.
     """
-    if isinstance(v, np.ndarray):
-        return _over_pairs(_char_full, v, prob, dv)
-    return _char_full(v, *_dv_pair(v, prob.alpha), prob)
+    dv = _pair(v, prob, dv)
+    scalar = not isinstance(v, np.ndarray)
+    g_log = np.array([gamma_signlog(-v).log_mag]) if scalar else _gamma_signlog_array(-v)[1]
+    em, ep, lead = _rescaled_squares(dv)
+    diff = em - ep
+    log_bracket = _elementwise(math.log, np.where(diff == 0.0, 1.0, np.abs(diff))) + lead
+    den = math.pi * prob.units.hbar * prob.units.omega0
+    c = prob.units.mass / den if den else math.inf  # hbar w0 underflows: Delta overflows
+    log_total = g_log + g_log + (dv[3] + dv[3]) + log_bracket + math.log(c if c else 1.0)
+    mag = _elementwise(math.exp, np.where(log_total > _LOG_MAX, np.nan, log_total))
+    out = np.where((dv[2] == 0.0) | (diff == 0.0) | (c == 0.0), 0.0, np.sign(diff) * mag)
+    out[np.isnan(g_log)] = np.nan  # the Gamma(-v) poles
+    if not scalar:
+        return out
+    if math.isnan(out[0]):
+        raise RangeError(f"Delta({v}) overflows double range; use oscillator_char_reduced "
+                         "for scans at large v")
+    return float(out[0])
 
 
 def oscillator_char_reduced(v: _Orders, prob: OscillatorProblem,
                             dv: Optional[_DvPair] = None) -> _Orders:
     """Bounded reduced ratio r(v) in [-1, 1] sharing the sign of Delta(v).
 
-    Computed from SignLog squares rescaled by their common maximum, so it is
-    overflow-free across the whole validated order range.  Note r(v) also
-    vanishes at every non-negative integer v, where the two parabolic
-    cylinder solutions degenerate; those crossings are not spectrum points
-    (see oscillator_spectrum).  Arrays of orders and `dv` work as in
-    :func:`oscillator_char_full`.
+    The two log squares are rescaled by their common maximum before they are
+    exponentiated, so r(v) is overflow-free across the whole validated order
+    range.  Note r(v) also vanishes at every non-negative integer v, where
+    the two parabolic cylinder solutions degenerate; those crossings are not
+    spectrum points (see oscillator_spectrum).  Where D_v(-alpha) and
+    D_v(alpha) both vanish (alpha = 0 at odd integer v) r(v) has no value:
+    NumericError for a scalar order, NaN in an array.  Arrays of orders and
+    `dv` work as in :func:`oscillator_char_full`.
     """
+    em, ep, _ = _rescaled_squares(_pair(v, prob, dv))
+    with np.errstate(invalid="ignore"):
+        out = (em - ep) / (em + ep)  # NaN where both vanish
     if isinstance(v, np.ndarray):
-        return _over_pairs(_char_reduced, v, prob, dv)
-    return _char_reduced(v, *_dv_pair(v, prob.alpha), prob)
+        return out
+    if math.isnan(out[0]):
+        raise NumericError(f"r({v}) is 0/0: D_v(-alpha) and D_v(alpha) both vanish "
+                           f"at alpha = {prob.alpha}")
+    return float(out[0])
 
 
 def even_wall_value(v: _Orders, prob: OscillatorProblem) -> _Orders:

@@ -322,6 +322,43 @@ def test_scan_runs_one_series_pass_per_factor(tmp_path, monkeypatch):
     assert calls == {"array": 2, "scalar": 0}
 
 
+def test_scan_builds_no_signlog_per_row(tmp_path, monkeypatch):
+    # a work gate that timing noise cannot hide: the 1001-row window combines
+    # (sign, log) float arrays, where a per-row SignLog composition builds
+    # about a dozen objects a row
+    from greenchain.specfun import SignLog
+
+    built = []
+    real_check = SignLog.__post_init__
+
+    def counting_check(self):
+        built.append(self)
+        real_check(self)
+
+    monkeypatch.setattr(SignLog, "__post_init__", counting_check)
+    out = tmp_path / "window.csv"
+    assert main(["scan", "--geometry", "oscillator", "--a", "3", "--lo", "40",
+                 "--hi", "50", "--step", "0.01", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 1001
+    assert len(built) <= 8
+
+
+@pytest.mark.parametrize("flags,rows", [
+    # alpha underflows to 0, so D_1(-alpha) = D_1(alpha) = 0 and r(1) is 0/0
+    (["--a", "5e-324"], "0.5,0,0\n1,,\n1.5,0,0\n"),
+    # hbar omega0 underflows, so the prefactor m / (pi hbar omega0) of Delta overflows
+    (["--a", "1", "--hbar", "1e-200", "--omega0", "1e-200"],
+     "0.5,0.993419033628,\n1,0,\n1.5,0.905592347852,\n"),
+])
+def test_scan_cells_without_a_value_are_empty(tmp_path, capsys, flags, rows):
+    # each used to end in a ZeroDivisionError traceback
+    out = tmp_path / "edge.csv"
+    assert main(["scan", "--geometry", "oscillator", *flags, "--lo", "0.5", "--hi", "1.5",
+                 "--step", "0.5", "--out", str(out)]) == 0
+    assert out.read_text() == "v,abs_reduced,abs_full\n" + rows
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--geometry", "oscillator", "--a", "1", "--lo", "0", "--hi", "1",
      "--step", "nan"],

@@ -99,6 +99,13 @@ def test_gamma_pole_raises(x):
         sf.gamma(x)
 
 
+@pytest.mark.parametrize("fn", [sf.gamma, sf.gamma_signlog], ids=["gamma", "gamma_signlog"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_gamma_rejects_non_finite_arguments(fn, x):
+    with pytest.raises(DomainError, match="finite"):
+        fn(x)
+
+
 def test_gamma_overflow_raises():
     with pytest.raises(RangeError):
         sf.gamma(180.0)

@@ -1,5 +1,6 @@
 """Root finding and spectra: scanning, Brent, oscillator/box/disk/ball/well."""
 
+import hashlib
 import json
 import math
 import pathlib
@@ -27,8 +28,8 @@ from greenchain import (
     sph_shell_spectrum,
 )
 from greenchain.errors import DomainError, GreenChainError, NumericError
-from greenchain.spectrum import Bracket, RootKind, brent
-from greenchain.specfun import gamma, pcf_d
+from greenchain.spectrum import Bracket, RootKind, brent, scan_grid
+from greenchain.specfun import gamma, pcf_d, pcf_d_pair_signlog
 
 FIG1_ROOTS = (4.45, 19.27, 43.95, 78.49, 122.91, 177.19)
 
@@ -494,6 +495,33 @@ def test_array_char_functions_match_scalar(unit_box):
     assert np.isnan(oscillator_char_full(np.arange(0.0, 6.0), unit_box)).all()
 
 
+@pytest.mark.parametrize("box_length", [0.5, 1.0, 2.0, 3.0, 5.0, 8.0])
+def test_char_columns_match_signlog_composition_bit_for_bit(box_length):
+    # independent of the kernel: the per-row SignLog composition the array
+    # kernels replaced, over the whole 0..200 scan lattice
+    from signlog_reference import char_full_columns, char_reduced_columns
+
+    prob = OscillatorProblem(box_length)
+    v = scan_grid(0.0, 200.0, 0.01)
+    dv = pcf_d_pair_signlog(v, prob.alpha)
+    for kernel, reference in ((oscillator_char_full, char_full_columns),
+                              (oscillator_char_reduced, char_reduced_columns)):
+        want = reference(v, prob, dv)
+        assert [x.hex() for x in kernel(v, prob, dv).tolist()] == [x.hex() for x in want.tolist()]
+        assert [x.hex() for x in kernel(v, prob).tolist()] == [x.hex() for x in want.tolist()]
+    assert np.isnan(oscillator_char_full(v, prob, dv)).sum() >= 201  # the Gamma poles at least
+
+
+def test_char_reduced_without_a_value():
+    # alpha underflows to 0: D_1(-alpha) = D_1(alpha) = 0, and r(1) = 0/0
+    prob = OscillatorProblem(5e-324)
+    assert prob.alpha == 0.0
+    with pytest.raises(NumericError, match="both vanish"):
+        oscillator_char_reduced(1.0, prob)
+    assert np.isnan(oscillator_char_reduced(np.array([1.0]), prob)).all()
+    assert oscillator_char_reduced(0.5, prob) == 0.0
+
+
 def test_oscillator_spectrum_beyond_the_kummer_range_raises():
     # alpha^2 / 2 = L^2 / 4 > 50: the wall factors are outside the validated
     # Kummer range, so the spectrum raises instead of returning no levels
@@ -696,6 +724,16 @@ def test_cli_bytes_match_golden(command, capsys):
 
     assert main(command.split()) == 0
     assert capsys.readouterr().out == GOLDEN["cli"][command]
+
+
+# sha256 of the scan CSV over 0..200, recorded from the per-row SignLog composition
+@pytest.mark.parametrize("command", sorted(GOLDEN["scan"]))
+def test_scan_csv_matches_golden_sha256(command, tmp_path):
+    from greenchain.cli import main
+
+    out = tmp_path / "scan.csv"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["scan"][command]
 
 
 def _golden_levels(key):
