@@ -741,6 +741,12 @@ def _golden_levels(key):
     if name == "oscillator_spectrum":
         length, n = args
         return oscillator_spectrum(OscillatorProblem(float(length)), int(n))
+    if name in ("cyl_dirichlet_spectrum", "sph_dirichlet_spectrum"):
+        # recorded from the scalar Bessel scans, before they took arrays of kappa
+        radius, mode, n = args
+        fn = {"cyl_dirichlet_spectrum": cyl_dirichlet_spectrum,
+              "sph_dirichlet_spectrum": sph_dirichlet_spectrum}
+        return fn[name](float(radius), int(mode), int(n))
     b1, b2, mode, n = args
     gap = float(b2) - float(b1)
     # the recorded roots used an absolute Brent tolerance of 1e-12 in kappa;
