@@ -303,13 +303,25 @@ def cmd_greens(args) -> int:
     return EXIT_OK
 
 
+def _oscillator_problem(args, units: UnitSystem) -> spectrum_mod.OscillatorProblem:
+    """The boxed oscillator of --a; ConfigError where alpha leaves the kernels' validated range.
+
+    pcf_d takes |y| = alpha <= 10 and kummer_m takes x = alpha^2 / 2 <= 50.
+    """
+    prob = spectrum_mod.OscillatorProblem(args.a, units)
+    alpha = prob.alpha
+    if not (alpha <= 10.0 and 0.5 * (alpha * alpha) <= 50.0):
+        raise ConfigError(f"--a {_fmt(args.a)} gives alpha = {_fmt(alpha)}, outside the "
+                          "validated range alpha <= 10 (alpha^2/2 <= 50)")
+    return prob
+
+
 def cmd_scan(args) -> int:
     try:
         grid = spectrum_mod.scan_grid(args.lo, args.hi, args.step)
     except DomainError as exc:
         raise ConfigError(f"bad --lo/--hi/--step: {exc}") from None
-    units = _units_from_args(args)
-    prob = spectrum_mod.OscillatorProblem(args.a, units)
+    prob = _oscillator_problem(args, _units_from_args(args))
     # one D_v(-alpha), D_v(alpha) series pass over the window serves both columns
     dv = specfun.pcf_d_pair_signlog(grid, prob.alpha)
     cols = [np.where(np.isfinite(col), np.abs(col), np.nan).tolist()
@@ -326,10 +338,9 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_lines(args, units: UnitSystem):
+def _spectrum_lines(args, units: UnitSystem, prob: Optional[spectrum_mod.OscillatorProblem]):
     kwargs = {} if args.tol is None else {"tol": args.tol}
-    if args.geometry == "oscillator":
-        prob = spectrum_mod.OscillatorProblem(args.a, units)
+    if prob is not None:
         return spectrum_mod.oscillator_spectrum(
             prob, args.n_roots, include_node_factor=args.include_node_factor, **kwargs)
     kwargs["units"] = units
@@ -347,11 +358,12 @@ def cmd_spectrum(args) -> int:
     if not 1 <= args.n_roots <= 12:
         raise ConfigError(f"--n-roots must be in [1, 12], got {args.n_roots}")
     units = _units_from_args(args)
+    prob = _oscillator_problem(args, units) if args.geometry == "oscillator" else None
     print("index,root_param,energy,residual,classification")
     lines = []
     status = EXIT_OK
     try:
-        lines = _spectrum_lines(args, units)
+        lines = _spectrum_lines(args, units, prob)
     except GreenChainError as exc:
         lines = list(getattr(exc, "partial", None) or [])  # levels refined before the failure
         print(f"error: {exc}", file=sys.stderr)

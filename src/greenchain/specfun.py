@@ -318,8 +318,8 @@ def _bessel_j_series(m: int, x: float) -> float:
     return _kahan_series(t0, lambda k: -q / (k * (m + k)), "bessel_j series")
 
 
-def _y01_series(x: float) -> tuple[float, float]:
-    """Y_0 and Y_1 by the ascending log series (A&S 9.1.11); good for x <= 12."""
+def _y01_series(x: float) -> tuple[float, float, float, float]:
+    """J_0, J_1, Y_0 and Y_1 by the ascending (log) series (A&S 9.1.11); good for x <= 12."""
     q = 0.25 * x * x
     lh = math.log(0.5 * x)
     j0 = _bessel_j_series(0, x)
@@ -368,7 +368,7 @@ def _y01_series(x: float) -> tuple[float, float]:
         else:
             small = 0
     y1 = (2.0 / math.pi) * (lh * j1 - 1.0 / x) - 0.5 * x * total / math.pi
-    return y0, y1
+    return j0, j1, y0, y1
 
 
 def _jy01_asymptotic(x: float) -> tuple[float, float, float, float]:
@@ -427,14 +427,17 @@ def _bessel_j_miller(m: int, x: float) -> float:
     return ans / norm
 
 
-def _bessel_j(m: int, x: float, j01: tuple[float, float] | None = None) -> float:
+def _bessel_j(m: int, x, j01: tuple[float, float] | None = None):
     """J_m(x) alone, bitwise the first value of ``bessel_jy(m, x)``.
 
     Never overflows, so it has a value wherever Y_m would not.  `j01` is
-    (J_0(x), J_1(x)) from the Hankel expansion when the caller has it.
+    (J_0(x), J_1(x)) when the caller has them.  An array of x gives the
+    array of values, NaN where the scalar call raises.
     """
+    if isinstance(x, np.ndarray):
+        return _jy_array(m, x, with_y=False)
     if x <= 12.0:
-        return _bessel_j_series(m, x)
+        return j01[m] if j01 and m <= 1 else _bessel_j_series(m, x)
     if x <= m:
         return _bessel_j_miller(m, x)
     jp, jc = j01 if j01 else _jy01_asymptotic(x)[:2]
@@ -443,28 +446,162 @@ def _bessel_j(m: int, x: float, j01: tuple[float, float] | None = None) -> float
     return jc if m else jp
 
 
-def bessel_jy(m: int, x: float) -> tuple[float, float]:
+def bessel_jy(m: int, x):
     """Ordinary Bessel pair (J_m(x), Y_m(x)) for integer m >= 0, x > 0.
 
     Series below x = 12, Hankel asymptotics above; Y recurs upward (stable),
     J recurs upward only in the oscillatory regime x > m and switches to
     Miller's downward recurrence otherwise.  Validated to x = 100; beyond
     that the phase x - (m/2 + 1/4) pi slowly loses ulps.
+
+    ``x`` may be a numpy array: the result is then a pair of arrays of its
+    shape, bitwise the scalar values, with NaN in both at every element
+    where the scalar call raises (x not positive and finite, Y_m overflow).
     """
     _check_order(m, "bessel_jy")
+    if isinstance(x, np.ndarray):
+        return _jy_array(m, x, with_y=True)
     _check_positive(x, "bessel_jy")
-    j01 = None
-    if x <= 12.0:
-        y0, y1 = _y01_series(x)
-    else:
-        j0, j1, y0, y1 = _jy01_asymptotic(x)
-        j01 = j0, j1
+    j0, j1, y0, y1 = _y01_series(x) if x <= 12.0 else _jy01_asymptotic(x)
     yp, yc = y0, y1
     for j in range(1, m):
         yp, yc = yc, (2.0 * j / x) * yc - yp
         if math.isinf(yc):
             raise RangeError(f"bessel_jy: Y_{m}({x}) overflows double range")
-    return _bessel_j(m, x, j01), (yc if m else yp)
+    return _bessel_j(m, x, (j0, j1)), (yc if m else yp)
+
+
+def _series_rows(x: np.ndarray, lh: np.ndarray, orders: tuple[int, ...],
+                 y01: bool) -> np.ndarray:
+    """The x <= 12 series over an array of x, stacked as rows of one 2-D Kahan loop.
+
+    A row per order sums :func:`_bessel_j_series`; with `y01` two more rows
+    sum the log series of Y_0 and Y_1 in :func:`_y01_series`.  Row r
+    multiplies its term by (-q) / (k (m_r + k)), the scalar denominator, and
+    adds the term times 1, -H_k or H_k + H_{k+1} - 2 gamma.  Each element
+    records its sum when its own run of small terms ends, so every sum is
+    bitwise the scalar one; NaN where a J series does not converge.
+    """
+    q = 0.25 * x * x
+    n_j = len(orders)
+    ms = np.array(orders + ((0, 1) if y01 else ()), dtype=float)[:, None]
+    log_t0 = ms[:n_j] * lh - np.array([[math.lgamma(m + 1.0)] for m in orders])
+    tiny = log_t0 < _LOG_TINY
+    term = np.ones((len(ms), x.size))
+    term[:n_j] = _elementwise(math.exp, np.where(tiny, 0.0, log_t0).ravel()).reshape(n_j, -1)
+    total = term.copy()
+    floor = np.zeros((len(ms), 1))
+    weight = np.ones((len(ms), 1))
+    if y01:
+        total[n_j:] = [[0.0], [1.0 - 2.0 * _EULER_GAMMA]]  # Y_0's sum has no k = 0 term
+        floor[n_j] = 1e-300
+    comp = np.zeros(term.shape)
+    small = np.zeros(term.shape, dtype=np.int64)
+    sums = np.full(term.shape, np.nan)
+    pending = np.ones(term.shape, dtype=bool)
+    hk, hk1 = 0.0, 1.0
+    for k in range(1, _MAX_TERMS):
+        term *= (-q) / (k * (ms + k))
+        hk += 1.0 / k
+        hk1 += 1.0 / (k + 1.0)
+        if y01:
+            weight[n_j:] = [[-hk], [hk + hk1 - 2.0 * _EULER_GAMMA]]  # -term * hk is term * -hk
+        c = term * weight if y01 else term
+        y = c - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        small = np.where(np.abs(c) <= _REL_EPS * (np.abs(total) + floor), small + 1, 0)
+        done = pending & (small >= _SMALL_RUN)
+        if done.any():
+            sums[done] = total[done]
+            pending &= ~done
+            if not pending.any():
+                break
+    sums[n_j:][pending[n_j:]] = total[n_j:][pending[n_j:]]  # the Y loops end without raising
+    sums[:n_j][tiny] = 0.0
+    return sums
+
+
+def _jy01_asymptotic_array(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_jy01_asymptotic` over an array: the mu = 0 and 4 sums stacked in one loop.
+
+    Each element stops adding terms where the scalar sum breaks off.
+    """
+    term = np.ones((2, x.size))
+    p = np.ones((2, x.size))
+    qsum = np.zeros((2, x.size))
+    prev = np.full((2, x.size), math.inf)
+    live = np.ones((2, x.size), dtype=bool)
+    for k in range(1, 60):
+        odd = (2.0 * k - 1.0) ** 2
+        term *= np.array([[0.0 - odd], [4.0 - odd]]) / (8.0 * k * x)
+        at = np.abs(term)
+        live &= ~(at >= prev)
+        prev = at
+        signed = term if (k // 2) % 2 == 0 else -term
+        if k % 2 == 1:
+            qsum = np.where(live, qsum + signed, qsum)
+        else:
+            p = np.where(live, p + signed, p)
+        live &= ~(at <= _REL_EPS)
+        if not live.any():
+            break
+    c = np.sqrt(2.0 / (math.pi * x))
+    vals = []
+    for mm in (0, 1):
+        chi = x - (0.5 * mm + 0.25) * math.pi
+        cos, sin = _elementwise(math.cos, chi), _elementwise(math.sin, chi)
+        vals.append(c * (p[mm] * cos - qsum[mm] * sin))  # J_mm
+        vals.append(c * (p[mm] * sin + qsum[mm] * cos))  # Y_mm
+    return vals[0], vals[2], vals[1], vals[3]
+
+
+def _jy_array(m: int, x: np.ndarray, with_y: bool):
+    """J_m over an array of x, or with `with_y` the pair (J_m, Y_m) of arrays.
+
+    Each element is bitwise the scalar value, and NaN where the scalar call
+    raises.  The J Miller branch (12 < x <= m) calls the scalar per element.
+    """
+    shape = x.shape
+    x = x.astype(float).ravel()
+    j = np.full(x.size, np.nan)
+    y0, y1 = np.full(x.size, np.nan), np.full(x.size, np.nan)
+    ok = (0.5 * x > 0.0) & (x < math.inf)  # else the scalar raises, log(x/2) included
+    series, hankel = ok & (x <= 12.0), ok & (x > 12.0)
+    with np.errstate(all="ignore"):
+        xs = x[series]
+        if xs.size:
+            lh = _elementwise(math.log, 0.5 * xs)
+            orders = ((0, 1) + ((m,) if m > 1 else ())) if with_y else (m,)
+            sums = _series_rows(xs, lh, orders, with_y)
+            j[series] = sums[min(m, 2) if with_y else 0]
+            if with_y:
+                j0, j1, s0, s1 = sums[0], sums[1], sums[-2], sums[-1]
+                y0[series] = (2.0 / math.pi) * ((lh + _EULER_GAMMA) * j0 + s0)
+                y1[series] = (2.0 / math.pi) * (lh * j1 - 1.0 / xs) - 0.5 * xs * s1 / math.pi
+        xh = x[hankel]
+        if xh.size:
+            jp, jc, y0[hankel], y1[hankel] = _jy01_asymptotic_array(xh)
+            for jj in range(1, m):
+                jp, jc = jc, (2.0 * jj / xh) * jc - jp
+            j[hankel] = jc if m else jp
+        for i in np.flatnonzero(hankel & (x <= m)).tolist():
+            try:
+                j[i] = _bessel_j_miller(m, x[i])
+            except NumericError:
+                j[i] = np.nan
+        if not with_y:
+            return j.reshape(shape)
+        yp, yc = y0, y1
+        overflow = np.zeros(x.size, dtype=bool)
+        for jj in range(1, m):
+            yp, yc = yc, (2.0 * jj / x) * yc - yp
+            overflow |= np.isinf(yc)
+        y = yc if m else yp
+    j[overflow] = np.nan
+    y[np.isnan(j)] = np.nan  # the scalar call raises for J or for Y
+    return j.reshape(shape), y.reshape(shape)
 
 
 # ----------------------------------------------------------------------
@@ -504,13 +641,16 @@ def sph_modified(l: int, x: float) -> tuple[float, float]:
     return il, kl
 
 
-def _sph_j(l: int, x: float, sin_cos: tuple[float, float] | None = None) -> float:
+def _sph_j(l: int, x, sin_cos: tuple[float, float] | None = None):
     """j_l(x) alone, bitwise the first value of ``sph_ordinary(l, x)``.
 
     Recurs upward for l < x and downward (Miller, normalized against the
     larger of j_0, j_1) otherwise.  `sin_cos` is (sin x, cos x) when the
-    caller has it.
+    caller has it.  An array of x gives the array of values, NaN where the
+    scalar call raises.
     """
+    if isinstance(x, np.ndarray):
+        return _sph_jy_array(l, x, with_y=False)[0]
     sx, cx = sin_cos if sin_cos else (math.sin(x), math.cos(x))
     j0 = sx / x
     if l == 0:
@@ -543,18 +683,66 @@ def _sph_j(l: int, x: float, sin_cos: tuple[float, float] | None = None) -> floa
     return fl * scale
 
 
-def sph_ordinary(l: int, x: float) -> tuple[float, float]:
+def sph_ordinary(l: int, x):
     """Ordinary spherical pair (j_l(x), y_l(x)); j_0(x) = sin x / x.
 
-    y recurs upward; j comes from :func:`_sph_j`.
+    y recurs upward; j comes from :func:`_sph_j`.  ``x`` may be a numpy
+    array: the result is then a pair of arrays of its shape, bitwise the
+    scalar values, with NaN in both where x is not positive and finite.
     """
     _check_order(l, "sph_ordinary")
+    if isinstance(x, np.ndarray):
+        return _sph_jy_array(l, x, with_y=True)
     _check_positive(x, "sph_ordinary")
     sx, cx = math.sin(x), math.cos(x)
     yp, yc = -cx / x, -cx / (x * x) - sx / x  # y_0, y_1
     for j in range(1, l):
         yp, yc = yc, ((2.0 * j + 1.0) / x) * yc - yp
     return _sph_j(l, x, (sx, cx)), (yc if l else yp)
+
+
+def _sph_jy_array(l: int, x: np.ndarray, with_y: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(j_l, y_l) over an array of x, each element bitwise the scalar value.
+
+    j and y recur upward as two rows of one loop; where l >= x, j comes from
+    the Miller recurrence as an array loop, since its start depends on l
+    alone.  NaN where the scalar call raises: `with_y` for ``sph_ordinary``,
+    else for ``_sph_j``, which needs no 1/x^2 at l = 0.
+    """
+    shape = x.shape
+    x = x.astype(float).ravel()
+    out = np.full((2, x.size), np.nan)
+    ok = (x > 0.0) & (x < math.inf)
+    if with_y or l:
+        ok &= x * x > 0.0
+    xv = x[ok]
+    with np.errstate(all="ignore"):
+        sx, cx = _elementwise(math.sin, xv), _elementwise(math.cos, xv)
+        j0, j1 = sx / xv, sx / (xv * xv) - cx / xv
+        prev = np.stack([j0, -cx / xv])  # rows j, y: order 0, then order 1
+        cur = np.stack([j1, -cx / (xv * xv) - sx / xv])
+        for jj in range(1, l):
+            prev, cur = cur, ((2.0 * jj + 1.0) / xv) * cur - prev
+        jy = cur if l else prev
+        down = np.flatnonzero(l >= xv) if l > 1 else []
+        if len(down):
+            jy[0, down] = _sph_j_miller_array(l, xv[down], j0[down], j1[down])
+    out[:, ok] = jy
+    return out[0].reshape(shape), out[1].reshape(shape)
+
+
+def _sph_j_miller_array(l: int, x: np.ndarray, j0: np.ndarray, j1: np.ndarray) -> np.ndarray:
+    """The Miller branch of :func:`_sph_j` over an array of x, operation for operation."""
+    start = l + int(math.sqrt(40.0 * (l + 1))) + 12
+    fp, fc, fl = np.zeros(x.size), np.full(x.size, 1e-30), np.zeros(x.size)
+    for j in range(start, 0, -1):
+        fp, fc = fc, ((2.0 * j + 1.0) / x) * fc - fp
+        big = np.abs(fc) > 1e250
+        if big.any():
+            fc, fp, fl = (np.where(big, f * 1e-250, f) for f in (fc, fp, fl))
+        if j - 1 == l:
+            fl = fc
+    return fl * np.where(np.abs(j0) >= np.abs(j1), j0 / fc, j1 / fp)
 
 
 # ----------------------------------------------------------------------

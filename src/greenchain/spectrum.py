@@ -543,8 +543,18 @@ def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-1
 # Dirichlet spectra: one interval factor of a real-energy solution pair
 # ----------------------------------------------------------------------
 
+def _sine_solution(kappa, z):
+    """sin(kappa z) / kappa, the box's u1; at an array of kappa in one call."""
+    if isinstance(kappa, np.ndarray):
+        return _elementwise(math.sin, kappa * z) / kappa
+    return math.sin(kappa * z) / kappa
+
+
 def _bessel_solution(mode: int, spherical: bool, pair: bool):
-    """J_m, or j_l if `spherical`, of (kappa, z); with `pair`, (J_m, Y_m) or (j_l, y_l)."""
+    """J_m, or j_l if `spherical`, of (kappa, z); with `pair`, (J_m, Y_m) or (j_l, y_l).
+
+    At arrays of kappa and z the solution is one array call of the special function.
+    """
     if mode < 0:
         raise DomainError(f"order must be a non-negative integer, got {mode}")
     if spherical:
@@ -561,20 +571,26 @@ def _interval_spectrum(solution, walls: Tuple[float, ...], step: float, hi: floa
     """First n roots in kappa of the interval factor of a real-energy solution pair (u1, u2).
 
     `solution(kappa, z)` is u1 for one wall b and the pair (u1, u2) for two
-    walls b1 < b2.  Windows as wide as the first, [step / 4, hi], are scanned
-    in turn; the scan stops after _MAX_SCAN_ROWS grid points, and Brent
-    refines kappa to tol / L, L being b or b2 - b1.
+    walls b1 < b2, at a scalar kappa or, bitwise the same, at arrays of kappa
+    and z.  Windows as wide as the first, [step / 4, hi], are scanned in
+    turn, each in one call of `solution` that stacks both walls; the scan
+    stops after _MAX_SCAN_ROWS grid points, and Brent refines kappa to
+    tol / L, L being b or b2 - b1, on the scalar path.
     """
     b1, b2 = walls[0], walls[-1]
     if len(walls) == 1:
         f = lambda kappa: solution(kappa, b2)
     else:
-        def f(kappa: float) -> float:
-            u1_b1, u2_b1 = solution(kappa, b1)
-            u1_b2, u2_b2 = solution(kappa, b2)
+        def f(kappa):
+            if isinstance(kappa, np.ndarray):
+                n = kappa.size
+                u1, u2 = solution(np.concatenate([kappa, kappa]), np.repeat([b1, b2], n))
+                (u1_b1, u1_b2), (u2_b1, u2_b2) = np.split(u1, 2), np.split(u2, 2)
+                with np.errstate(over="ignore", invalid="ignore"):  # as float products do
+                    return u1_b1 * u2_b2 - u1_b2 * u2_b1
+            (u1_b1, u2_b1), (u1_b2, u2_b2) = solution(kappa, b1), solution(kappa, b2)
             return u1_b1 * u2_b2 - u1_b2 * u2_b1
     length = b2 - b1 if len(walls) == 2 else b2
-    grid_f = pointwise(f)
     lo = 0.25 * step
     end = lo + _MAX_SCAN_ROWS * step
 
@@ -583,7 +599,7 @@ def _interval_spectrum(solution, walls: Tuple[float, ...], step: float, hi: floa
         while lo_w < end:
             hi_w = min(hi_w, end)
             n_grid = max(2, int(round((hi_w - lo_w) / step)) + 1)
-            brackets = scan_sign_changes(grid_f, lo_w, hi_w, n_grid)
+            brackets = scan_sign_changes(f, lo_w, hi_w, n_grid)
             yield [(br, f, RootKind.GENERIC) for br in brackets]
             lo_w, hi_w = hi_w, hi_w + width
 
@@ -601,7 +617,7 @@ def box_spectrum_rect(a: float, n: int, units: UnitSystem = NATURAL_UNITS,
     """
     if not a > 0.0:
         raise DomainError(f"box length must be positive, got {a}")
-    return _interval_spectrum(lambda kappa, z: math.sin(kappa * z) / kappa, (a,),
+    return _interval_spectrum(_sine_solution, (a,),
                               math.pi / (8.0 * a), (n + 0.75) * math.pi / a, n, units, tol)
 
 

@@ -436,11 +436,31 @@ def test_scan_bad_window_exits_1(tmp_path, capsys, lo, hi, step):
     assert not out.exists()
 
 
-def test_spectrum_oscillator_beyond_kummer_range_exits_2(capsys):
-    assert main(["spectrum", "--geometry", "oscillator", "--a", "20", "--n-roots", "2"]) == 2
+def _assert_alpha_rejected(capsys):
     captured = capsys.readouterr()
-    assert captured.out.splitlines() == ["index,root_param,energy,residual,classification"]
-    assert "kummer_m" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert "outside the validated range alpha <= 10" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_spectrum_oscillator_beyond_kummer_range_exits_1(capsys):
+    # alpha^2/2 > 50 leaves kummer_m's range: a bad box length, rejected before the header
+    for argv in (["--a", "20", "--n-roots", "2"], ["--a", "14.2"], ["--a", "1", "--hbar", "1e-3"]):
+        assert main(["spectrum", "--geometry", "oscillator", *argv]) == 1
+        _assert_alpha_rejected(capsys)
+
+
+def test_scan_beyond_pcf_range_exits_1(tmp_path, capsys):
+    # alpha > 10 leaves pcf_d's range: rejected before the file is opened
+    out = tmp_path / "x.csv"
+    for a in ("100", "14.2"):
+        assert main(["scan", "--geometry", "oscillator", "--a", a, "--lo", "0", "--hi", "1",
+                     "--step", "0.1", "--out", str(out)]) == 1
+        _assert_alpha_rejected(capsys)
+        assert not out.exists()
+    # the largest box inside the range still scans
+    assert main(["scan", "--geometry", "oscillator", "--a", "14.1", "--lo", "0", "--hi", "1",
+                 "--step", "0.5", "--out", str(out)]) == 0
 
 
 def test_scan_bytes_deterministic_across_runs_and_processes(tmp_path):

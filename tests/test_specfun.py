@@ -282,6 +282,87 @@ def test_sph_ordinary_miller_branch():
 
 
 # ----------------------------------------------------------------------
+# Bessel array paths: bitwise the scalar calls
+# ----------------------------------------------------------------------
+
+# every branch: series, the x = 12 seam, Hankel, J Miller (12 < x <= m),
+# j_l Miller (x <= l), tiny x and points where the scalar call raises
+X_BESSEL = np.concatenate([
+    np.linspace(0.05, 60.0, 1200),
+    [12.0, np.nextafter(12.0, 0.0), np.nextafter(12.0, 13.0), 1e-3, 1e-30, 1e-170, 5e-324],
+    [0.0, -1.0, math.nan, math.inf],
+])
+
+
+def _array_matches_scalar(got, scalar, xs):
+    """Element by element: NaN in every part where `scalar` raises, else the same bits."""
+    raised = 0
+    for i, x in enumerate(xs.tolist()):
+        try:
+            want = scalar(x)
+        except (DomainError, NumericError, RangeError, ValueError, ZeroDivisionError):
+            assert all(math.isnan(part[i]) for part in got), x
+            raised += 1
+            continue
+        want = want if isinstance(want, tuple) else (want,)
+        assert [float(part[i]).hex() for part in got] == [w.hex() for w in want], x
+    return raised
+
+
+def _checked(alone, order):
+    """The private J_m or j_l alone, behind the public pair's domain check."""
+    def scalar(x):
+        sf._check_positive(x, "bessel")
+        return alone(order, x)
+    return scalar
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 13, 150])
+def test_bessel_jy_array_bitwise_equals_scalar(m):
+    raised = _array_matches_scalar(sf.bessel_jy(m, X_BESSEL), lambda x: sf.bessel_jy(m, x),
+                                   X_BESSEL)
+    assert raised >= 5  # 0, -1, nan, inf and 5e-324, whose log(x/2) raises
+    if m == 150:
+        assert raised > 15  # Y_150 overflows below x = 1: NaN in J and Y alike
+    j_alone = sf._bessel_j(m, X_BESSEL)
+    _array_matches_scalar([j_alone], _checked(sf._bessel_j, m), X_BESSEL)
+    if m == 13:
+        assert j_alone[X_BESSEL == 1e-30] == 0.0  # log_t0 < _LOG_TINY: the series is skipped
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 5, 8])
+def test_sph_ordinary_array_bitwise_equals_scalar(l):
+    assert _array_matches_scalar(sf.sph_ordinary(l, X_BESSEL),
+                                 lambda x: sf.sph_ordinary(l, x), X_BESSEL) >= 5
+    # j_0 alone keeps its value at x = 1e-170, where 1/x^2 raises for y_l
+    _array_matches_scalar([sf._sph_j(l, X_BESSEL)], _checked(sf._sph_j, l), X_BESSEL)
+
+
+def test_bessel_arrays_keep_the_shape_and_check_the_order():
+    x = np.array([[0.5, 13.0], [-1.0, 30.0]])
+    for fn in (sf.bessel_jy, sf.sph_ordinary):
+        j, y = fn(3, x)
+        assert j.shape == y.shape == x.shape and np.isnan(j[1, 0])
+        assert [a.shape for a in fn(3, np.empty(0))] == [(0,), (0,)]
+        with pytest.raises(DomainError):
+            fn(-1, x)
+
+
+def test_bessel_jy_reuses_the_series_j0_j1(monkeypatch):
+    # at x <= 12 the Y_0/Y_1 series already sums J_0 and J_1: m <= 1 sums no third J series
+    calls = []
+    real = sf._bessel_j_series
+    monkeypatch.setattr(sf, "_bessel_j_series", lambda m, x: calls.append(m) or real(m, x))
+    for m in (0, 1):
+        calls.clear()
+        sf.bessel_jy(m, 5.0)
+        assert calls == [0, 1]
+    calls.clear()
+    sf.bessel_jy(2, 5.0)
+    assert calls == [0, 1, 2]
+
+
+# ----------------------------------------------------------------------
 # Kummer M
 # ----------------------------------------------------------------------
 

@@ -860,11 +860,52 @@ def test_dirichlet_scan_stops_when_the_row_budget_is_spent(monkeypatch):
         return real_scan(f, lo, hi, n_grid)
 
     monkeypatch.setattr(spectrum_mod, "_MAX_SCAN_ROWS", 500)
-    monkeypatch.setattr(spectrum_mod, "_bessel_j", lambda m, x: 1.0)  # the disk reads J_m alone
+    # the disk reads J_m alone, over the whole scan window in one call
+    monkeypatch.setattr(spectrum_mod, "_bessel_j", lambda m, x: np.ones_like(x))
     monkeypatch.setattr(spectrum_mod, "scan_sign_changes", counting_scan)
     assert cyl_dirichlet_spectrum(1.0, 0, 3) == []
     assert len(rows) > 1
     assert sum(rows) <= 500 + 2 * len(rows)
+
+
+@pytest.mark.parametrize("spectrum,solution,walls", [
+    (lambda: box_spectrum_rect(1.0, 12), "_sine_solution", 1),
+    (lambda: cyl_dirichlet_spectrum(1.0, 2, 12), "_bessel_j", 1),
+    (lambda: sph_dirichlet_spectrum(1.0, 2, 12), "_sph_j", 1),
+    (lambda: cyl_annulus_spectrum(1.0, 2.0, 2, 12), "bessel_jy", 2),
+    (lambda: sph_shell_spectrum(1.0, 2.0, 2, 12), "sph_ordinary", 2),
+    (lambda: cyl_dirichlet_spectrum(1.0, 30, 12), "_bessel_j", 1),  # several windows
+])
+def test_dirichlet_scan_makes_one_array_call_per_window(monkeypatch, spectrum, solution, walls):
+    # the scan evaluates a window in one array call, both walls stacked; the
+    # scalar path serves Brent alone, one call per wall and evaluation
+    import greenchain.spectrum as spectrum_mod
+
+    calls = {"array": 0, "scalar": 0}
+    real_solution = getattr(spectrum_mod, solution)
+
+    def counting_solution(*args):
+        calls["array" if any(isinstance(a, np.ndarray) for a in args) else "scalar"] += 1
+        return real_solution(*args)
+
+    windows, evaluations = [], []
+    real_scan, real_brent = spectrum_mod.scan_sign_changes, spectrum_mod.brent
+
+    def counting_scan(f, lo, hi, n_grid):
+        windows.append(n_grid)
+        return real_scan(f, lo, hi, n_grid)
+
+    def counting_brent(f, bracket, **kwargs):
+        return real_brent(lambda k: evaluations.append(k) or f(k), bracket, **kwargs)
+
+    monkeypatch.setattr(spectrum_mod, solution, counting_solution)
+    monkeypatch.setattr(spectrum_mod, "scan_sign_changes", counting_scan)
+    monkeypatch.setattr(spectrum_mod, "brent", counting_brent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Y_m overflows near kappa = 0
+        assert len(spectrum()) == 12
+    assert calls["array"] == len(windows) >= 1
+    assert calls["scalar"] == walls * len(evaluations) > 0
 
 
 def test_levels_partial_is_sorted_across_windows(monkeypatch):
