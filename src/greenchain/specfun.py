@@ -5,12 +5,18 @@ state, safe to call from any number of threads.  Every infinite series uses
 a term recurrence with compensated (Kahan) summation and stops once three
 consecutive terms fall below 1e-16 of the running partial sum.
 
-The functions take scalars, except for two array paths used by grid scans:
-:func:`kummer_m` also accepts an array of ``a``, and
+The functions take scalars, except for the array paths used by grid scans:
+:func:`kummer_m` also accepts an array of ``a``,
 :func:`pcf_d_pair_signlog` gives ``D_v(-y)`` and ``D_v(y)`` over an array of
-orders.  Both sum each element with exactly the operations of the scalar
-series, so their values are bitwise equal to the scalar ones, and both mark
-with NaN the elements where the scalar function raises.
+orders, and :func:`bessel_jy` and :func:`sph_ordinary` (and ``_bessel_j``
+and ``_sph_j``, their first values alone) accept an array of ``x``.  Each
+sums every element with exactly the operations of the scalar series, with
+``math`` functions per element where numpy's are not bitwise the same, so
+the values are bitwise equal to the scalar ones; each marks with NaN the
+elements where the scalar function raises.  The Bessel pairs stack the
+x <= 12 series (J_0, J_1, J_m and the two Y log sums) as the rows of one
+Kahan loop and the two Hankel sums in another, so an array call costs a
+fixed number of numpy operations, not one series per element.
 
 Conventions fixed by this module:
 

@@ -21,9 +21,11 @@ also a sign change of r(v).
 
 Grid scans hand the function the whole grid as one float64 array and read
 back an array of the same length, NaN or infinite where a point has no
-value; the oscillator factors take arrays of v natively (one Kummer series
-pass per factor and grid), and `pointwise` lifts any scalar function.
-Brent refinement evaluates the scalar path.  Delta(v) and r(v) combine the
+value.  The oscillator factors take arrays of v natively (one Kummer
+series pass per factor and grid), the Dirichlet solution pairs arrays of
+kappa (one Bessel series pass per window, both walls stacked), and
+`pointwise` lifts a user's scalar function.  Brent refinement evaluates
+the scalar path.  Delta(v) and r(v) combine the
 (sign, log) arrays of the D_v(-+alpha) pair in numpy float operations, with
 exp, log and lgamma from `math` per element; a scalar order runs the same
 operations on one element, so its value is bitwise the array's.
