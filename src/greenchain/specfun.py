@@ -462,7 +462,8 @@ def bessel_jy(m: int, x):
 
     ``x`` may be a numpy array: the result is then a pair of arrays of its
     shape, bitwise the scalar values, with NaN in both at every element
-    where the scalar call raises (x not positive and finite, Y_m overflow).
+    where the scalar call raises (x not positive and finite, x/2 = 0, Y_m
+    overflow).
     """
     _check_order(m, "bessel_jy")
     if isinstance(x, np.ndarray):
@@ -508,11 +509,12 @@ def _series_rows(x: np.ndarray, lh: np.ndarray, orders: tuple[int, ...],
     hk, hk1 = 0.0, 1.0
     for k in range(1, _MAX_TERMS):
         term *= (-q) / (k * (ms + k))
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1.0)
+        c = term
         if y01:
+            hk += 1.0 / k
+            hk1 += 1.0 / (k + 1.0)
             weight[n_j:] = [[-hk], [hk + hk1 - 2.0 * _EULER_GAMMA]]  # -term * hk is term * -hk
-        c = term * weight if y01 else term
+            c = term * weight
         y = c - comp
         t = total + y
         comp = (t - total) - y
@@ -694,7 +696,8 @@ def sph_ordinary(l: int, x):
 
     y recurs upward; j comes from :func:`_sph_j`.  ``x`` may be a numpy
     array: the result is then a pair of arrays of its shape, bitwise the
-    scalar values, with NaN in both where x is not positive and finite.
+    scalar values, with NaN in both where the scalar call raises (x not
+    positive and finite, or so small that 1/x^2 divides by zero).
     """
     _check_order(l, "sph_ordinary")
     if isinstance(x, np.ndarray):
