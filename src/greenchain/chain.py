@@ -20,7 +20,8 @@ solutions through it, so g(x, x') = P(x_<) Q(x_>) / W[P, Q], where P equals
 p left of the chain, Q equals q right of it, and one sweep across the walls
 carries each.  The strong limit is the Dirichlet kernel of the interval
 that holds x and x'.  All three calls then need the kernel factors at the
-walls (and at x, x') only: O(n) work for any n and any kernel.  The dense
+walls (and at x, x') only: O(n) work for any n and any kernel.  A long
+chain takes its wall factors from one array call of the pair.  The dense
 boundary matrix and its partial-pivot LU stay here as the reference the
 tests compare against; no chain call uses them.  Determinants are
 accumulated as SignLog so they survive any magnitude.
@@ -40,6 +41,9 @@ from .greens import FreeGreens, Geometry, NATURAL_UNITS, UnitSystem
 from .specfun import SignLog
 
 _MAX_LU_ROWS = 64
+# Walls from which one array call of the factor pair is no slower than the
+# per-wall loop for every built-in kernel; CHANGES.md records the measured curve.
+_ARRAY_WALLS = 32
 _PIVOT_FLOOR = 1e-300
 _NEAR_POLE_RATIO = 1e-12
 _LOG_NEAR_POLE = math.log(_NEAR_POLE_RATIO)
@@ -228,22 +232,34 @@ def det(factors: LUFactors) -> SignLog:
     return out
 
 
-def _wall_factors(g0: FreeGreens, positions, param: float) -> list:
-    """The factor pair (p(a), q(a)) at each position, as SignLogs."""
-    pairs = [g0.factors(a, param) for a in positions]
-    if any(p.sign == 0 or q.sign == 0 for p, q in pairs):
+def _wall_factors(g0: FreeGreens, positions, param: float):
+    """Sign and log magnitude of p(a) and q(a) at each position, as four lists.
+
+    From _ARRAY_WALLS walls on, one array call of the factor pair evaluates
+    every wall; a wall where it gives NaN is evaluated again by the scalar
+    call, which raises as the per-wall loop would.  Below that the per-wall
+    loop is faster.
+    """
+    if len(positions) >= _ARRAY_WALLS:
+        parts = np.stack(g0.factors(np.array(positions), param))
+        for i in np.flatnonzero(np.isnan(parts).any(axis=0)).tolist():
+            p, q = g0.factors(positions[i], param)
+            parts[:, i] = p.sign, p.log_mag, q.sign, q.log_mag
+        sp, lp, sq, lq = parts.tolist()
+    else:
+        pairs = [g0.factors(a, param) for a in positions]
+        sp, lp = [p.sign for p, _ in pairs], [p.log_mag for p, _ in pairs]
+        sq, lq = [q.sign for _, q in pairs], [q.log_mag for _, q in pairs]
+    if 0 in sp or 0 in sq:
         raise SingularMatrixError(
             "a kernel factor vanishes at a wall; the boundary matrix is singular"
         )
-    return pairs
+    return sp, lp, sq, lq
 
 
-def _factor_det(pairs) -> SignLog:
+def _factor_det(factors) -> SignLog:
     """det G0 = p_1 q_n prod_i d_i, with d_i = p_{i+1} q_i - p_i q_{i+1}."""
-    sp = np.array([p.sign for p, _ in pairs], dtype=float)
-    lp = np.array([p.log_mag for p, _ in pairs])
-    sq = np.array([q.sign for _, q in pairs], dtype=float)
-    lq = np.array([q.log_mag for _, q in pairs])
+    sp, lp, sq, lq = (np.array(part, dtype=float) for part in factors)
     la, lb = lp[1:] + lq[:-1], lp[:-1] + lq[1:]
     top = np.maximum(la, lb)
     dhat = sp[1:] * sq[:-1] * np.exp(la - top) - sp[:-1] * sq[1:] * np.exp(lb - top)
@@ -331,10 +347,9 @@ def greens_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
         raise DomainError("chain has infinite couplings; use greens_strong")
     lo, hi = _ordered(x, xp)
     positions = chain.positions
-    walls = [(p.sign, q.sign, 0.5 * (p.log_mag - q.log_mag),
-              g0.weight(a) * lam * math.exp(p.log_mag + q.log_mag))
-             for (p, q), a, lam in zip(_wall_factors(g0, positions, param),
-                                       positions, chain.lambdas)]
+    walls = [(sp, sq, 0.5 * (lp - lq), g0.weight(a) * lam * math.exp(lp + lq))
+             for sp, lp, sq, lq, a, lam in zip(*_wall_factors(g0, positions, param),
+                                               positions, chain.lambdas)]
     left, peak = _sweep(walls, walls[0][2])
     (a_n, log_a), _ = left[-1]  # P's p coefficient right of the chain, a_n e^log_a
     if not a_n or log_a + math.log(abs(a_n)) < peak + _LOG_NEAR_POLE:
@@ -354,10 +369,9 @@ def greens_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
     return _value((p1 + p2) * (q1 + q2) / a_n, p_log + q_log - log_a - sigma_n)
 
 
-def _vanishing_at(pair):
+def _vanishing_at(sp, lp, sq, lq):
     """Coefficients of q(a) p - p(a) q, the solution that vanishes at a wall a."""
-    p, q = pair
-    return (q.sign, q.log_mag), (-p.sign, p.log_mag)
+    return (sq, lq), (-sp, lp)
 
 
 def greens_strong(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
@@ -377,10 +391,10 @@ def greens_strong(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
     k = bisect_left(positions, lo)
     if k < n and positions[k] <= hi:
         return 0.0
-    ends = _wall_factors(g0, positions[max(k - 1, 0):k + 1], param)
+    ends = list(zip(*_wall_factors(g0, positions[max(k - 1, 0):k + 1], param)))
     one, zero = (1.0, 0.0), (0.0, -math.inf)
-    h_l = _vanishing_at(ends[0]) if k > 0 else (one, zero)
-    h_r = _vanishing_at(ends[-1]) if k < n else (zero, one)
+    h_l = _vanishing_at(*ends[0]) if k > 0 else (one, zero)
+    h_r = _vanishing_at(*ends[-1]) if k < n else (zero, one)
     (fa, la), (fb, lb) = h_l
     (fc, lc), (fd, ld) = h_r
     unit = SignLog(1, 0.0)

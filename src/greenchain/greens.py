@@ -22,9 +22,14 @@ homogeneous solutions), so every kernel here feeds the same chain algebra
 without per-geometry rescaling.
 
 Each kernel has the form g0(x, x') = p(x_<) q(x_>).  The `*_factors`
-functions return that pair at one position, in SignLog form so it survives
+functions return that pair at a position, in SignLog form so it survives
 any magnitude; the `g0_*` kernels and `FreeGreens.evaluate` are built from
-them, and the chain algebra uses them directly.
+them, and the chain algebra uses them directly.  Given a numpy array of
+positions, each returns the pair at every position in one array call, as
+four float arrays (sign p, log|p|, sign q, log|q|): element i is bitwise
+the scalar pair at position i, and NaN in all four where the scalar call
+raises for that position.  A spectral parameter or order the scalar call
+rejects raises as in the scalar call.
 """
 
 from __future__ import annotations
@@ -34,8 +39,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Tuple
 
+import numpy as np
+
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, GreenChainError
 
 
 class Geometry(str, Enum):
@@ -92,15 +99,37 @@ def _kernel(factors, x: float, xp: float, *args) -> specfun.SignLog:
     return p * q
 
 
-def rect_factors(z: float, k0) -> Tuple[specfun.SignLog, specfun.SignLog]:
+def _pair_parts(p: np.ndarray, q: np.ndarray, bad: np.ndarray):
+    """The four arrays of a factor pair from the values p and q, as ``SignLog.from_value``
+    makes them, NaN in all four where `bad` or either value is NaN (the scalar call
+    raises there)."""
+    values = np.stack([p, q])
+    zero = values == 0.0
+    logs = specfun._elementwise(math.log, np.where(zero, 1.0, np.abs(values)).ravel())
+    out = np.empty((4, p.size))
+    out[0::2] = np.sign(values)
+    out[1::2] = np.where(zero, 0.0, logs.reshape(values.shape))
+    out[:, bad | np.isnan(values).any(axis=0)] = np.nan
+    return tuple(part.reshape(p.shape) for part in out)
+
+
+def rect_factors(z, k0):
     """Rectangular factor pair (exp(k0 z), exp(-k0 z) / (2 k0)), kept in log form."""
     k = _k0_value(k0)
+    if isinstance(z, np.ndarray):
+        z = z.astype(float)
+        return np.ones(z.shape), k * z, np.ones(z.shape), -k * z - math.log(2.0 * k)
     return specfun.SignLog(1, k * z), specfun.SignLog(1, -k * z - math.log(2.0 * k))
 
 
-def cyl_factors(rho: float, k0, mode: int = 0) -> Tuple[specfun.SignLog, specfun.SignLog]:
+def cyl_factors(rho, k0, mode: int = 0):
     """Cylindrical factor pair (I_m(k0 rho), K_m(k0 rho))."""
     k = _k0_value(k0)
+    if isinstance(rho, np.ndarray):
+        specfun._check_order(mode, "bessel_i")
+        rho = rho.astype(float)
+        i_m, k_m = specfun._ik_array(mode, k * rho)
+        return _pair_parts(i_m, k_m, ~(rho > 0.0))
     if not rho > 0.0:
         raise DomainError(f"cylindrical radius must be positive, got {rho}")
     return (specfun.SignLog.from_value(specfun.bessel_i(mode, k * rho)),
@@ -115,6 +144,10 @@ def sph_factors(r: float, k0, mode: int = 0) -> Tuple[specfun.SignLog, specfun.S
     i_l/k_l convention of :mod:`greenchain.specfun`.
     """
     k = _k0_value(k0)
+    if isinstance(r, np.ndarray):
+        r = r.astype(float)
+        il, kl = specfun.sph_modified(mode, k * r)
+        return _pair_parts((2.0 * k / math.pi) * il, kl, ~(r > 0.0))
     if not r > 0.0:
         raise DomainError(f"spherical radius must be positive, got {r}")
     il, kl = specfun.sph_modified(mode, k * r)
@@ -134,8 +167,15 @@ def osc_factors(z: float, v: float, units: UnitSystem = NATURAL_UNITS,
     beta = math.sqrt(2.0 * units.mass * units.omega0 / units.hbar)
     y = beta * (z - center)
     pref = 0.5 * math.sqrt(units.hbar / (math.pi * units.mass * units.omega0))
-    p = (specfun.gamma_signlog(-v) * specfun.pcf_d_signlog(v, -y)).scaled(pref)
-    return p, specfun.pcf_d_signlog(v, y)
+    gam = specfun.gamma_signlog(-v)
+    if isinstance(y, np.ndarray):
+        specfun._pcf_check(v, 0.0)  # an order outside [-1, 200] raises for every position
+        sm, lm, sp, lp = specfun.pcf_d_pair_signlog(v, y)
+        # SignLog product then .scaled(pref): an exact zero keeps log_mag 0.0
+        return (gam.sign * sm, np.where(sm == 0.0, 0.0, (gam.log_mag + lm) + math.log(pref)),
+                sp, lp)
+    d_minus, d_plus = specfun._pcf_d_signlog_pair(v, y)
+    return (gam * d_minus).scaled(pref), d_plus
 
 
 def g0_rect(z: float, zp: float, k0) -> float:
@@ -175,6 +215,13 @@ class FreeGreens:
     function of every second-order 1D operator has this form, so any such
     operator plugs into the chain algebra through this type, which runs in
     O(n) factor evaluations for any number of walls.
+
+    Given a numpy array of positions, `factors` returns the pair at each of
+    them as four float arrays (sign p, log|p|, sign q, log|q|), bitwise the
+    scalar pairs, NaN in all four where the scalar call raises a
+    GreenChainError; a long chain evaluates its walls in that one call.
+    The built-in pairs do it in array arithmetic; :func:`custom_free_greens`
+    lifts a scalar pair, which it then calls once per position.
     """
 
     factors: Callable[[float, float], Tuple[specfun.SignLog, specfun.SignLog]]
@@ -210,11 +257,37 @@ def osc_free_greens(units: UnitSystem = NATURAL_UNITS, center: float = 0.0) -> F
     )
 
 
+def _lifted(pair: Callable[[float, float], Tuple[specfun.SignLog, specfun.SignLog]]):
+    """A scalar factor pair lifted to the array contract of `FreeGreens.factors`.
+
+    An array of positions is evaluated one position at a time, in order,
+    with NaN in all four arrays wherever the pair raises a GreenChainError.
+    """
+
+    def factors(x, param):
+        if not isinstance(x, np.ndarray):
+            return pair(x, param)
+        out = np.full((4, x.size), np.nan)
+        for i, xi in enumerate(x.ravel().tolist()):
+            try:
+                p, q = pair(xi, param)
+            except GreenChainError:
+                continue
+            out[:, i] = p.sign, p.log_mag, q.sign, q.log_mag
+        return tuple(part.reshape(x.shape) for part in out)
+
+    return factors
+
+
 def custom_free_greens(factors: Callable[[float, float], Tuple[specfun.SignLog, specfun.SignLog]],
                        weight_fn: Optional[Callable[[float], float]] = None) -> FreeGreens:
-    """Wrap the factor pair (p(x), q(x)) of an arbitrary operator's kernel; the weight defaults to 1."""
+    """Wrap the scalar factor pair (p(x), q(x)) of an arbitrary operator's kernel.
+
+    The pair is lifted to the array contract of `FreeGreens`, so it is
+    still called once per position; the weight defaults to 1.
+    """
     return FreeGreens(
-        factors=factors,
+        factors=_lifted(factors),
         weight=weight_fn if weight_fn is not None else (lambda a: 1.0),
     )
 

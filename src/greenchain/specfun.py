@@ -5,18 +5,17 @@ state, safe to call from any number of threads.  Every infinite series uses
 a term recurrence with compensated (Kahan) summation and stops once three
 consecutive terms fall below 1e-16 of the running partial sum.
 
-The functions take scalars, except for the array paths used by grid scans:
-:func:`kummer_m` also accepts an array of ``a``,
+The functions take scalars, except for the array paths used by grid scans
+and long chains: :func:`kummer_m` also accepts an array of ``a``,
 :func:`pcf_d_pair_signlog` gives ``D_v(-y)`` and ``D_v(y)`` over an array of
-orders, and :func:`bessel_jy` and :func:`sph_ordinary` (and ``_bessel_j``
-and ``_sph_j``, their first values alone) accept an array of ``x``.  Each
-sums every element with exactly the operations of the scalar series, with
-``math`` functions per element where numpy's are not bitwise the same, so
-the values are bitwise equal to the scalar ones; each marks with NaN the
-elements where the scalar function raises.  The Bessel pairs stack the
-x <= 12 series (J_0, J_1, J_m and the two Y log sums) as the rows of one
-Kahan loop and the two Hankel sums in another, so an array call costs a
-fixed number of numpy operations, not one series per element.
+orders or over an array of points, and :func:`bessel_i`, :func:`bessel_k`,
+:func:`sph_modified`, :func:`bessel_jy` and :func:`sph_ordinary` (and
+``_bessel_j`` and ``_sph_j``, the first values of the last two alone)
+accept an array of ``x``.  Each sums every element with exactly the
+operations of the scalar series, with ``math`` functions per element where
+numpy's are not bitwise the same, so the values are bitwise equal to the
+scalar ones; each marks with NaN the elements where the scalar function
+raises.  The Bessel array paths live in :mod:`greenchain._arrays`.
 
 Conventions fixed by this module:
 
@@ -102,9 +101,11 @@ def _check_order(m: int, name: str) -> None:
         raise DomainError(f"{name}: order must be a non-negative integer, got {m!r}")
 
 
-def _check_positive(x: float, name: str) -> None:
-    if not x > 0.0:
-        raise DomainError(f"{name}: argument must be positive, got {x}")
+def _check_positive(x: float, name: str, scale: float = 1.0) -> None:
+    """x must be finite and ``scale * x`` positive: the Bessel series take log(x/2)."""
+    if not (scale * x > 0.0 and x < math.inf):
+        raise DomainError(f"{name}: argument must be positive, finite and above the "
+                          f"double underflow, got {x}")
 
 
 def _check_gamma_arg(x: float) -> None:
@@ -171,15 +172,18 @@ def _kahan_series(first_term: float, ratio, what: str) -> float:
 # Modified Bessel functions I_m, K_m (integer order)
 # ----------------------------------------------------------------------
 
-def bessel_i(m: int, x: float) -> float:
+def bessel_i(m: int, x):
     """Modified Bessel function I_m(x) for integer m >= 0, 0 < x <= 700.
 
     Ascending series throughout: all terms are positive, so there is no
     cancellation at any admissible argument; the only failure mode is
-    overflow, guarded by the x <= 700 precondition.
+    overflow, guarded by the x <= 700 precondition.  An array of x gives the
+    array of values, bitwise the scalar ones, NaN where the scalar call raises.
     """
     _check_order(m, "bessel_i")
-    _check_positive(x, "bessel_i")
+    if isinstance(x, np.ndarray):
+        return _ik_array(m, x)[0]
+    _check_positive(x, "bessel_i", 0.5)
     if x > 700.0:
         raise RangeError(f"bessel_i: x={x} is past the overflow guard at 700")
     q = 0.25 * x * x
@@ -282,32 +286,33 @@ def _k01_asymptotic(x: float) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def bessel_k(m: int, x: float) -> float:
+def bessel_k(m: int, x):
     """Modified Bessel function K_m(x) for integer m >= 0, x > 0.
 
     K_0/K_1 come from the log series (x <= 6), a cosh-transform trapezoid
     integral (6 < x < 14) or the asymptotic expansion (x >= 14); higher
     orders use the upward recurrence, which is stable because K grows
-    with order.
+    with order.  RangeError where K_m overflows (small x).  An array of x
+    gives the array of values, bitwise the scalar ones, NaN where the scalar
+    call raises.
     """
     _check_order(m, "bessel_k")
-    _check_positive(x, "bessel_k")
+    if isinstance(x, np.ndarray):
+        return _ik_array(m, x)[1]
+    _check_positive(x, "bessel_k", 0.5)
     if x <= 6.0:
         k0, k1 = _k01_series(x)
     elif x < 14.0:
         k0, k1 = _k_cosh_integral(0, x), _k_cosh_integral(1, x)
     else:
         k0, k1 = _k01_asymptotic(x)
-    if m == 0:
-        return k0
-    if m == 1:
-        return k1
     prev, cur = k0, k1
-    for j in range(1, m):
+    for j in range(1, m):  # K grows with order, so an overflow stays infinite
         prev, cur = cur, prev + (2.0 * j / x) * cur
-        if math.isinf(cur):
-            raise RangeError(f"bessel_k({m}, {x}) overflows double range")
-    return cur
+    out = cur if m else prev
+    if math.isinf(out):
+        raise RangeError(f"bessel_k({m}, {x}) overflows double range")
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -468,161 +473,35 @@ def bessel_jy(m: int, x):
     _check_order(m, "bessel_jy")
     if isinstance(x, np.ndarray):
         return _jy_array(m, x, with_y=True)
-    _check_positive(x, "bessel_jy")
+    _check_positive(x, "bessel_jy", 0.5)
     j0, j1, y0, y1 = _y01_series(x) if x <= 12.0 else _jy01_asymptotic(x)
     yp, yc = y0, y1
     for j in range(1, m):
         yp, yc = yc, (2.0 * j / x) * yc - yp
         if math.isinf(yc):
-            raise RangeError(f"bessel_jy: Y_{m}({x}) overflows double range")
-    return _bessel_j(m, x, (j0, j1)), (yc if m else yp)
-
-
-def _series_rows(x: np.ndarray, lh: np.ndarray, orders: tuple[int, ...],
-                 y01: bool) -> np.ndarray:
-    """The x <= 12 series over an array of x, stacked as rows of one 2-D Kahan loop.
-
-    A row per order sums :func:`_bessel_j_series`; with `y01` two more rows
-    sum the log series of Y_0 and Y_1 in :func:`_y01_series`.  Row r
-    multiplies its term by (-q) / (k (m_r + k)), the scalar denominator, and
-    adds the term times 1, -H_k or H_k + H_{k+1} - 2 gamma.  Each element
-    records its sum when its own run of small terms ends, so every sum is
-    bitwise the scalar one; NaN where a J series does not converge.
-    """
-    q = 0.25 * x * x
-    n_j = len(orders)
-    ms = np.array(orders + ((0, 1) if y01 else ()), dtype=float)[:, None]
-    log_t0 = ms[:n_j] * lh - np.array([[math.lgamma(m + 1.0)] for m in orders])
-    tiny = log_t0 < _LOG_TINY
-    term = np.ones((len(ms), x.size))
-    term[:n_j] = _elementwise(math.exp, np.where(tiny, 0.0, log_t0).ravel()).reshape(n_j, -1)
-    total = term.copy()
-    floor = np.zeros((len(ms), 1))
-    weight = np.ones((len(ms), 1))
-    if y01:
-        total[n_j:] = [[0.0], [1.0 - 2.0 * _EULER_GAMMA]]  # Y_0's sum has no k = 0 term
-        floor[n_j] = 1e-300
-    comp = np.zeros(term.shape)
-    small = np.zeros(term.shape, dtype=np.int64)
-    sums = np.full(term.shape, np.nan)
-    pending = np.ones(term.shape, dtype=bool)
-    hk, hk1 = 0.0, 1.0
-    for k in range(1, _MAX_TERMS):
-        term *= (-q) / (k * (ms + k))
-        c = term
-        if y01:
-            hk += 1.0 / k
-            hk1 += 1.0 / (k + 1.0)
-            weight[n_j:] = [[-hk], [hk + hk1 - 2.0 * _EULER_GAMMA]]  # -term * hk is term * -hk
-            c = term * weight
-        y = c - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        small = np.where(np.abs(c) <= _REL_EPS * (np.abs(total) + floor), small + 1, 0)
-        done = pending & (small >= _SMALL_RUN)
-        if done.any():
-            sums[done] = total[done]
-            pending &= ~done
-            if not pending.any():
-                break
-    sums[n_j:][pending[n_j:]] = total[n_j:][pending[n_j:]]  # the Y loops end without raising
-    sums[:n_j][tiny] = 0.0
-    return sums
-
-
-def _jy01_asymptotic_array(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_jy01_asymptotic` over an array: the mu = 0 and 4 sums stacked in one loop.
-
-    Each element stops adding terms where the scalar sum breaks off.
-    """
-    term = np.ones((2, x.size))
-    p = np.ones((2, x.size))
-    qsum = np.zeros((2, x.size))
-    prev = np.full((2, x.size), math.inf)
-    live = np.ones((2, x.size), dtype=bool)
-    for k in range(1, 60):
-        odd = (2.0 * k - 1.0) ** 2
-        term *= np.array([[0.0 - odd], [4.0 - odd]]) / (8.0 * k * x)
-        at = np.abs(term)
-        live &= ~(at >= prev)
-        prev = at
-        signed = term if (k // 2) % 2 == 0 else -term
-        if k % 2 == 1:
-            qsum = np.where(live, qsum + signed, qsum)
-        else:
-            p = np.where(live, p + signed, p)
-        live &= ~(at <= _REL_EPS)
-        if not live.any():
             break
-    c = np.sqrt(2.0 / (math.pi * x))
-    vals = []
-    for mm in (0, 1):
-        chi = x - (0.5 * mm + 0.25) * math.pi
-        cos, sin = _elementwise(math.cos, chi), _elementwise(math.sin, chi)
-        vals.append(c * (p[mm] * cos - qsum[mm] * sin))  # J_mm
-        vals.append(c * (p[mm] * sin + qsum[mm] * cos))  # Y_mm
-    return vals[0], vals[2], vals[1], vals[3]
-
-
-def _jy_array(m: int, x: np.ndarray, with_y: bool):
-    """J_m over an array of x, or with `with_y` the pair (J_m, Y_m) of arrays.
-
-    Each element is bitwise the scalar value, and NaN where the scalar call
-    raises.  The J Miller branch (12 < x <= m) calls the scalar per element.
-    """
-    shape = x.shape
-    x = x.astype(float).ravel()
-    j = np.full(x.size, np.nan)
-    y0, y1 = np.full(x.size, np.nan), np.full(x.size, np.nan)
-    ok = (0.5 * x > 0.0) & (x < math.inf)  # else the scalar raises, log(x/2) included
-    series, hankel = ok & (x <= 12.0), ok & (x > 12.0)
-    with np.errstate(all="ignore"):
-        xs = x[series]
-        if xs.size:
-            lh = _elementwise(math.log, 0.5 * xs)
-            orders = ((0, 1) + ((m,) if m > 1 else ())) if with_y else (m,)
-            sums = _series_rows(xs, lh, orders, with_y)
-            j[series] = sums[min(m, 2) if with_y else 0]
-            if with_y:
-                j0, j1, s0, s1 = sums[0], sums[1], sums[-2], sums[-1]
-                y0[series] = (2.0 / math.pi) * ((lh + _EULER_GAMMA) * j0 + s0)
-                y1[series] = (2.0 / math.pi) * (lh * j1 - 1.0 / xs) - 0.5 * xs * s1 / math.pi
-        xh = x[hankel]
-        if xh.size:
-            jp, jc, y0[hankel], y1[hankel] = _jy01_asymptotic_array(xh)
-            for jj in range(1, m):
-                jp, jc = jc, (2.0 * jj / xh) * jc - jp
-            j[hankel] = jc if m else jp
-        for i in np.flatnonzero(hankel & (x <= m)).tolist():
-            try:
-                j[i] = _bessel_j_miller(m, x[i])
-            except NumericError:
-                j[i] = np.nan
-        if not with_y:
-            return j.reshape(shape)
-        yp, yc = y0, y1
-        overflow = np.zeros(x.size, dtype=bool)
-        for jj in range(1, m):
-            yp, yc = yc, (2.0 * jj / x) * yc - yp
-            overflow |= np.isinf(yc)
-        y = yc if m else yp
-    j[overflow] = np.nan
-    y[np.isnan(j)] = np.nan  # the scalar call raises for J or for Y
-    return j.reshape(shape), y.reshape(shape)
+    y = yc if m else yp
+    if math.isinf(y):  # Y_1 = -inf at x below about 1e-308, or Y_m past it
+        raise RangeError(f"bessel_jy: Y_{m}({x}) overflows double range")
+    return _bessel_j(m, x, (j0, j1)), y
 
 
 # ----------------------------------------------------------------------
 # Spherical Bessel functions (modified and ordinary)
 # ----------------------------------------------------------------------
 
-def sph_modified(l: int, x: float) -> tuple[float, float]:
+def sph_modified(l: int, x):
     """Modified spherical pair (i_l(x), k_l(x)) in the sqrt(pi/2x) convention.
 
     i_l uses the all-positive ascending series; k_l is the exact finite sum
-    ``(pi/2x) e^{-x} sum_{j<=l} (l+j)! / (j! (l-j)! (2x)^j)``.
+    ``(pi/2x) e^{-x} sum_{j<=l} (l+j)! / (j! (l-j)! (2x)^j)``, and raises
+    RangeError where it overflows (small x).  ``x`` may be a numpy array:
+    the result is then a pair of arrays of its shape, bitwise the scalar
+    values, with NaN in both where the scalar call raises.
     """
     _check_order(l, "sph_modified")
+    if isinstance(x, np.ndarray):
+        return _sph_modified_array(l, x)
     _check_positive(x, "sph_modified")
     if x > 700.0:
         raise RangeError(f"sph_modified: x={x} is past the overflow guard at 700")
@@ -646,6 +525,8 @@ def sph_modified(l: int, x: float) -> tuple[float, float]:
         term *= (l + j) * (l - j + 1.0) / (j * 2.0 * x)
         total += term
     kl = 0.5 * math.pi / x * math.exp(-x) * total
+    if math.isinf(kl):
+        raise RangeError(f"sph_modified: k_{l}({x}) overflows double range")
     return il, kl
 
 
@@ -703,55 +584,16 @@ def sph_ordinary(l: int, x):
     if isinstance(x, np.ndarray):
         return _sph_jy_array(l, x, with_y=True)
     _check_positive(x, "sph_ordinary")
+    if not x * x > 0.0:
+        raise RangeError(f"sph_ordinary: y_1({x}) overflows double range (x*x underflows)")
     sx, cx = math.sin(x), math.cos(x)
     yp, yc = -cx / x, -cx / (x * x) - sx / x  # y_0, y_1
     for j in range(1, l):
         yp, yc = yc, ((2.0 * j + 1.0) / x) * yc - yp
-    return _sph_j(l, x, (sx, cx)), (yc if l else yp)
-
-
-def _sph_jy_array(l: int, x: np.ndarray, with_y: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(j_l, y_l) over an array of x, each element bitwise the scalar value.
-
-    j and y recur upward as two rows of one loop; where l >= x, j comes from
-    the Miller recurrence as an array loop, since its start depends on l
-    alone.  NaN where the scalar call raises: `with_y` for ``sph_ordinary``,
-    else for ``_sph_j``, which needs no 1/x^2 at l = 0.
-    """
-    shape = x.shape
-    x = x.astype(float).ravel()
-    out = np.full((2, x.size), np.nan)
-    ok = (x > 0.0) & (x < math.inf)
-    if with_y or l:
-        ok &= x * x > 0.0
-    xv = x[ok]
-    with np.errstate(all="ignore"):
-        sx, cx = _elementwise(math.sin, xv), _elementwise(math.cos, xv)
-        j0, j1 = sx / xv, sx / (xv * xv) - cx / xv
-        prev = np.stack([j0, -cx / xv])  # rows j, y: order 0, then order 1
-        cur = np.stack([j1, -cx / (xv * xv) - sx / xv])
-        for jj in range(1, l):
-            prev, cur = cur, ((2.0 * jj + 1.0) / xv) * cur - prev
-        jy = cur if l else prev
-        down = np.flatnonzero(l >= xv) if l > 1 else []
-        if len(down):
-            jy[0, down] = _sph_j_miller_array(l, xv[down], j0[down], j1[down])
-    out[:, ok] = jy
-    return out[0].reshape(shape), out[1].reshape(shape)
-
-
-def _sph_j_miller_array(l: int, x: np.ndarray, j0: np.ndarray, j1: np.ndarray) -> np.ndarray:
-    """The Miller branch of :func:`_sph_j` over an array of x, operation for operation."""
-    start = l + int(math.sqrt(40.0 * (l + 1))) + 12
-    fp, fc, fl = np.zeros(x.size), np.full(x.size, 1e-30), np.zeros(x.size)
-    for j in range(start, 0, -1):
-        fp, fc = fc, ((2.0 * j + 1.0) / x) * fc - fp
-        big = np.abs(fc) > 1e250
-        if big.any():
-            fc, fp, fl = (np.where(big, f * 1e-250, f) for f in (fc, fp, fl))
-        if j - 1 == l:
-            fl = fc
-    return fl * np.where(np.abs(j0) >= np.abs(j1), j0 / fc, j1 / fp)
+    y = yc if l else yp
+    if not math.isfinite(y):
+        raise RangeError(f"sph_ordinary: y_{l}({x}) overflows double range")
+    return _sph_j(l, x, (sx, cx)), y
 
 
 # ----------------------------------------------------------------------
@@ -785,13 +627,28 @@ def _kummer_series(a: float, b: float, x: float) -> tuple[float, float]:
     raise NumericError(f"kummer_m({a}, {b}, {x}) did not converge within {_MAX_TERMS} terms")
 
 
-def _kummer_series_array(a: np.ndarray, b: float, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_kummer_series` over an array of ``a``: sums and peaks, NaN where it raises.
+def _kummer_series_array(a, b, x) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_kummer_series` over an array of ``a``, or over arrays of ``a``,
+    ``b`` and ``x`` broadcast together: sums and peaks, NaN where it raises.
 
     Every element runs the scalar recurrence, operation for operation, with
-    its own Kahan compensation, peak and run of small terms; an element
-    leaves the working set as soon as its run reaches three.
+    its own Kahan compensation, peak and run of small terms.  With a scalar
+    ``x`` an element leaves the working set as soon as its run reaches
+    three; an array of ``x`` (one order over many points) runs the blocked
+    sum of :func:`_kahan_blocks`.
     """
+    if isinstance(x, np.ndarray):
+        shape = np.broadcast(a, b, x).shape
+        a, b, x = (np.broadcast_to(np.asarray(arr, dtype=float), shape).ravel()
+                   for arr in (a, b, x))
+
+        def ratio(s0, s1, cols):
+            k = np.arange(s0, s1, dtype=float)[:, None]
+            return (a[cols] + k) * x[cols] / ((b[cols] + k) * (k + 1.0))
+
+        sums, peaks = _kahan_blocks(ratio, np.ones(a.size), np.ones(a.size), _MAX_TERMS,
+                                    with_peak=True)
+        return sums.reshape(shape), peaks.reshape(shape)
     sums = np.full(a.shape, np.nan)
     peaks = np.full(a.shape, np.nan)
     idx = np.arange(a.size)
@@ -863,6 +720,15 @@ def _pcf_bracket(v: float, y: float) -> float:
     1e-8 of the combination scale (large v together with large |y|), the
     value would be silent garbage, so a NumericError is raised instead.
     """
+    return _pcf_brackets(v, y, y)[1]
+
+
+def _pcf_brackets(v: float, y: float, shown: float) -> tuple[float, float]:
+    """:func:`_pcf_bracket` at -y and at y, bitwise, from one pair of Kummer series.
+
+    Both share q = y^2/2 and the noise bound, and the odd term only changes
+    sign.  The cancellation error names the point ``(v, shown)``.
+    """
     q = 0.5 * y * y
     m_even, peak_even = _kummer_series(-0.5 * v, 0.5, q)
     m_odd, peak_odd = _kummer_series(0.5 * (1.0 - v), 1.5, q)
@@ -873,13 +739,13 @@ def _pcf_bracket(v: float, y: float) -> float:
     noise = _REL_EPS * (peak_even * abs(rg_even) + _SQRT_2 * abs(y) * peak_odd * abs(rg_odd))
     scale = max(abs(t_even), abs(t_odd))
     if scale == 0.0:
-        return 0.0  # both solutions vanish exactly (integer v at a representable node)
+        return 0.0, 0.0  # both solutions vanish exactly (integer v at a representable node)
     if noise > 1e-8 * scale:
         raise NumericError(
-            f"pcf_d({v}, {y}): series cancellation exceeds tolerance; "
+            f"pcf_d({v}, {shown}): series cancellation exceeds tolerance; "
             "the (large v, large |y|) corner is outside the supported accuracy region"
         )
-    return t_even - t_odd
+    return t_even + t_odd, t_even - t_odd
 
 
 def pcf_d(v: float, y: float) -> float:
@@ -905,11 +771,23 @@ def pcf_d(v: float, y: float) -> float:
 def pcf_d_signlog(v: float, y: float) -> SignLog:
     """D_v(y) as a SignLog; overflow-safe building block for D_v^2 ratios."""
     _pcf_check(v, y)
-    sl = SignLog.from_value(_pcf_bracket(v, y))
+    return _pcf_signlog(_pcf_bracket(v, y), v, y)
+
+
+def _pcf_signlog(bracket: float, v: float, y: float) -> SignLog:
+    sl = SignLog.from_value(bracket)
     if sl.sign == 0:
         return sl
     log_pref = 0.5 * v * _LN_2 - 0.25 * y * y + 0.5 * math.log(math.pi)
     return SignLog(sl.sign, sl.log_mag + log_pref)
+
+
+def _pcf_d_signlog_pair(v: float, y: float) -> tuple[SignLog, SignLog]:
+    """``(pcf_d_signlog(v, -y), pcf_d_signlog(v, y))``, bitwise and raising alike,
+    from one pair of Kummer series."""
+    _pcf_check(v, y)
+    minus, plus = _pcf_brackets(v, y, -y)
+    return _pcf_signlog(minus, v, -y), _pcf_signlog(plus, v, y)
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
@@ -932,26 +810,36 @@ def _rgamma_array(x: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(sign), 0.0, sign * inv)
 
 
-def pcf_d_pair_signlog(v: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray,
-                                                          np.ndarray, np.ndarray]:
-    """D_v(-y) and D_v(y) over an array of orders v, in SignLog parts.
+def pcf_d_pair_signlog(v, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """D_v(-y) and D_v(y) over an array of orders v at one y, or over an array of y at one v.
 
     Returns ``(sign_minus, log_minus, sign_plus, log_plus)``: element i of
     ``sign_minus`` and ``log_minus`` are the ``sign`` and ``log_mag`` of
-    ``pcf_d_signlog(v[i], -y)``, bitwise, and likewise for ``+y``.  Both
-    signs share q = y^2/2, so the two Kummer series run once for the pair.
-    All four arrays hold NaN where :func:`pcf_d_signlog` would raise: v
-    outside [-1, 200], the series cancellation guard, or a series that does
-    not converge.  ``|y| > 10`` raises DomainError as in the scalar call.
+    ``pcf_d_signlog(v[i], -y)`` (or of ``pcf_d_signlog(v, -y[i])``),
+    bitwise, and likewise for ``+y``.  Both signs share q = y^2/2, so the
+    two Kummer series run once for the pair.  All four arrays hold NaN where
+    :func:`pcf_d_signlog` would raise: v outside [-1, 200], ``|y| > 10`` in
+    an array of y, the series cancellation guard, or a series that does not
+    converge.  A scalar ``|y| > 10`` raises DomainError as in the scalar call.
     """
-    if abs(y) > 10.0:
-        raise DomainError(f"pcf_d: |y|={abs(y)} outside the validated range 10")
-    v = np.asarray(v, dtype=float)
-    ok = (v >= -1.0) & (v <= 200.0)
-    w = v[ok]
+    if isinstance(y, np.ndarray):  # one order: every array below is over the valid y
+        shape = y.shape
+        ok = (np.abs(y) <= 10.0) & (-1.0 <= v <= 200.0)
+        w, y = np.full(1, float(v)), y.astype(float)[ok]
+    else:
+        if abs(y) > 10.0:
+            raise DomainError(f"pcf_d: |y|={abs(y)} outside the validated range 10")
+        v = np.asarray(v, dtype=float)
+        shape = v.shape
+        ok = (v >= -1.0) & (v <= 200.0)
+        w = v[ok]
     q = 0.5 * y * y
-    m_even, peak_even = _kummer_series_array(-0.5 * w, 0.5, q)
-    m_odd, peak_odd = _kummer_series_array(0.5 * (1.0 - w), 1.5, q)
+    if isinstance(q, np.ndarray):  # both series in one blocked sum
+        (m_even, m_odd), (peak_even, peak_odd) = _kummer_series_array(
+            np.stack([-0.5 * w, 0.5 * (1.0 - w)]), np.array([[0.5], [1.5]]), q)
+    else:
+        m_even, peak_even = _kummer_series_array(-0.5 * w, 0.5, q)
+        m_odd, peak_odd = _kummer_series_array(0.5 * (1.0 - w), 1.5, q)
     rg_even = _rgamma_array(0.5 * (1.0 - w))
     rg_odd = _rgamma_array(-0.5 * w)
     t_even = m_even * rg_even
@@ -966,9 +854,14 @@ def pcf_d_pair_signlog(v: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray,
         bracket[~(noise <= 1e-8 * scale) & (scale != 0.0)] = np.nan
         zero = bracket == 0.0
         log_abs = _elementwise(math.log, np.where(zero, 1.0, np.abs(bracket)))
-        sign = np.full(v.shape, np.nan)
-        log_mag = np.full(v.shape, np.nan)
+        sign = np.full(shape, np.nan)
+        log_mag = np.full(shape, np.nan)
         sign[ok] = np.sign(bracket)
         log_mag[ok] = np.where(zero, 0.0, log_abs + log_pref)
         out += [sign, log_mag]
     return tuple(out)
+
+
+# The array paths use the scalar helpers above, so they are bound last.
+from ._arrays import (_ik_array, _jy_array, _kahan_blocks, _sph_jy_array,  # noqa: E402
+                      _sph_modified_array)

@@ -761,3 +761,84 @@ def test_finite_deep_attenuation_matches_high_precision():
     chain = DeltaChain("rectangular", positions, lams)
     got = greens_finite(chain, rect_free_greens(), 1.234, 3.456, 2.0)
     assert abs(got - want) <= 1e-10 * abs(want)
+
+
+# ----------------------------------------------------------------------
+# One array call of the factor pair against the per-wall loop
+# ----------------------------------------------------------------------
+
+def _outcome(call):
+    """A chain value in float.hex form, or the type and message of what it raised."""
+    try:
+        value = call()
+    except Exception as exc:  # the per-wall loop's raw exceptions must match too
+        return type(exc).__name__, str(exc)
+    return (value.sign, value.log_mag.hex()) if isinstance(value, SignLog) else value.hex()
+
+
+# a spectral parameter (or span) that makes some walls raise in each kernel
+FAILING = {"rectangular": None, "cylindrical": (800.0, 1.0), "spherical": (1e-300, 1.0),
+           "oscillator": (1.5, 20.0), "custom": (800.0, 1.0)}
+
+
+@pytest.mark.parametrize("geometry,mode", [("rectangular", 0), ("cylindrical", 2),
+                                           ("spherical", 1), ("oscillator", 0), ("custom", 0)])
+def test_array_wall_factors_equal_the_per_wall_loop(geometry, mode, monkeypatch):
+    # char_func, greens_finite and greens_strong just below the crossover, at it, and
+    # well above it: bitwise the scalar loop's values, and the same exceptions
+    import greenchain.chain as chain_mod
+
+    rng = np.random.default_rng(5)
+    g0 = _kernel(geometry, mode)
+    crossover = chain_mod._ARRAY_WALLS
+    cases = []
+    for n in (crossover - 1, crossover, 64, 512):
+        positions, param, edges = _random_chain(geometry, n, rng)
+        cases.append((positions, param, edges))
+    if FAILING[geometry]:
+        param, span = FAILING[geometry]
+        positions, _, edges = _random_chain(geometry, 64, rng, span)
+        cases.append((positions, param, edges))
+    for positions, param, edges in cases:
+        n = len(positions)
+        strong = DeltaChain(geometry, positions, ALL_INFINITE)
+        finite = DeltaChain(geometry, positions, tuple(rng.uniform(0.1, 10.0, n).tolist()))
+        calls = [lambda: char_func(strong, g0, param)]
+        for x, xp in _placements(positions, edges).values():
+            calls += [lambda x=x, xp=xp: greens_finite(finite, g0, x, xp, param),
+                      lambda x=x, xp=xp: greens_strong(strong, g0, x, xp, param)]
+        got = [_outcome(call) for call in calls]
+        monkeypatch.setattr(chain_mod, "_ARRAY_WALLS", 10 ** 9)
+        want = [_outcome(call) for call in calls]
+        monkeypatch.undo()
+        assert got == want, (geometry, n, param)
+
+
+@pytest.mark.parametrize("geometry", ["rectangular", "cylindrical", "spherical", "oscillator"])
+def test_built_in_kernels_make_no_scalar_call_at_a_wall_above_the_crossover(geometry,
+                                                                             monkeypatch):
+    # a work gate: from the crossover on, the walls take one array call of the pair;
+    # below it, one scalar call each; x and x' always take a scalar call
+    import greenchain.chain as chain_mod
+    import greenchain.greens as greens_mod
+
+    name = {"rectangular": "rect_factors", "cylindrical": "cyl_factors",
+            "spherical": "sph_factors", "oscillator": "osc_factors"}[geometry]
+    real, calls = getattr(greens_mod, name), []
+
+    def spy(x, *args):
+        calls.append("array" if isinstance(x, np.ndarray) else "scalar")
+        return real(x, *args)
+
+    monkeypatch.setattr(greens_mod, name, spy)
+    g0 = free_greens_for(geometry, mode=1, center=0.5)
+    crossover = chain_mod._ARRAY_WALLS
+    for n, walls in ((crossover, ["array"]), (crossover - 1, ["scalar"] * (crossover - 1))):
+        positions, param, edges = _random_chain(geometry, n, np.random.default_rng(n))
+        x, xp = _placements(positions, edges)["distant"]
+        calls.clear()
+        char_func(DeltaChain(geometry, positions, ALL_INFINITE), g0, param)
+        assert calls == walls
+        calls.clear()
+        greens_finite(DeltaChain(geometry, positions, (1.5,) * n), g0, x, xp, param)
+        assert calls == walls + ["scalar", "scalar"]

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from greenchain import (
+    SignLog,
     UnitSystem,
+    custom_free_greens,
     cyl_free_greens,
     osc_free_greens,
     rect_free_greens,
     sph_free_greens,
 )
-from greenchain.errors import DomainError
-from greenchain.greens import Geometry, g0_cyl, g0_osc, g0_rect, g0_sph, weight
+from greenchain.errors import DomainError, GreenChainError
+from greenchain.greens import (Geometry, cyl_factors, g0_cyl, g0_osc, g0_rect, g0_sph,
+                               osc_factors, rect_factors, sph_factors, weight)
 
 H = 1e-5  # finite-difference step fixed by the validation protocol
 
@@ -188,3 +191,73 @@ def test_cyl_sph_decay_in_outer_radius():
     assert all(a > b for a, b in zip(cyl_vals, cyl_vals[1:]))
     sph_vals = [g0_sph(lo, hi, 1.0, 0) for hi in np.linspace(1.0, 6.0, 30)]
     assert all(a > b for a, b in zip(sph_vals, sph_vals[1:]))
+
+
+# ----------------------------------------------------------------------
+# Factor pairs over an array of positions
+# ----------------------------------------------------------------------
+
+def _pair_array_matches_scalar(factors, xs, *args):
+    """Element by element: NaN in all four parts where the scalar pair raises, else the
+    scalar sign and the same log bits."""
+    parts = factors(xs, *args)
+    raised = 0
+    for i, x in enumerate(xs.tolist()):
+        try:
+            p, q = factors(x, *args)
+        except GreenChainError:
+            assert all(np.isnan(part[i]) for part in parts), x
+            raised += 1
+            continue
+        assert [parts[0][i], parts[2][i]] == [p.sign, q.sign], x
+        assert [float(parts[1][i]).hex(), float(parts[3][i]).hex()] == [
+            p.log_mag.hex(), q.log_mag.hex()], x
+    return raised
+
+
+RADII = np.concatenate([np.linspace(-0.5, 1.5, 81), [1e-320, math.nan]])
+
+
+def test_rect_factor_array_is_the_scalar_pair():
+    for k0 in (0.5, 3.0, 16.0):
+        assert _pair_array_matches_scalar(rect_factors, np.linspace(-3.0, 3.0, 61), k0) == 0
+    with pytest.raises(DomainError):
+        rect_factors(np.zeros(3), 0.0)
+
+
+@pytest.mark.parametrize("factors", [cyl_factors, sph_factors], ids=["cyl", "sph"])
+def test_radial_factor_arrays_are_the_scalar_pairs(factors):
+    for mode in range(4):
+        for k0 in (0.5, 2.0, 8.0, 16.0):
+            # radius <= 0 and nan raise in the scalar call, and K_m or k_l overflow at 1e-320
+            assert _pair_array_matches_scalar(factors, RADII, k0, mode) >= 22
+        # I_m past its x <= 700 guard, or k_l past double range at tiny k0 r
+        assert _pair_array_matches_scalar(factors, RADII, 800.0, mode) > 22
+    assert _pair_array_matches_scalar(sph_factors, RADII, 1e-300, 1) > 22
+    with pytest.raises(DomainError):
+        factors(RADII, 1.0, -1)
+
+
+def test_osc_factor_array_is_the_scalar_pair():
+    zs = np.linspace(-7.0, 8.0, 61)  # |y| > 10 past about 7.07 from the centre
+    for v in (-0.9, 0.5, 2.5, 5.9, 150.5):
+        raised = _pair_array_matches_scalar(osc_factors, zs, v, UnitSystem(), 0.5)
+        assert raised >= (2 if v < 100 else 10)  # the cancellation guard at large v
+    for v in (2.0, 201.0):  # the pole of Gamma(-v), an order past 200: raised for the array
+        with pytest.raises(DomainError):
+            osc_factors(zs, v)
+
+
+def test_custom_pair_is_lifted_one_call_per_position():
+    calls = []
+
+    def pair(x, k):
+        calls.append(x)
+        if x < 0.0:
+            raise DomainError("negative")
+        return SignLog.from_value(math.sinh(k * x) / k), SignLog(1, -k * x)
+
+    g0 = custom_free_greens(pair)
+    xs = np.array([-1.0, 0.0, 0.5, 2.0])
+    assert _pair_array_matches_scalar(g0.factors, xs, 1.3) == 1
+    assert calls == xs.tolist() * 2  # once per position in the array call, once each after

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from greenchain import specfun as sf
-from greenchain.errors import DomainError, NumericError, RangeError
+from greenchain.errors import DomainError, GreenChainError, NumericError, RangeError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -362,6 +362,60 @@ def test_bessel_jy_reuses_the_series_j0_j1(monkeypatch):
     assert calls == [0, 1, 2]
 
 
+# the three K_0/K_1 branches and their seams, I_m up to its overflow guard,
+# and the edge arguments of the domain checks
+X_IK = np.concatenate([
+    np.linspace(0.05, 30.0, 600),
+    np.linspace(30.0, 720.0, 40),
+    [6.0, np.nextafter(6.0, 0.0), np.nextafter(6.0, 7.0), 14.0, np.nextafter(14.0, 0.0),
+     700.0, np.nextafter(700.0, 800.0), 1e-3, 1e-30, 1e-170, 1e-309, 1e-320],
+    [0.0, -1.0, 5e-324, math.nan, math.inf],
+])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 40])
+def test_bessel_ik_arrays_bitwise_equal_scalar_on_every_branch(m):
+    # x <= 6 series rows, the 6 < x < 14 trapezoid, the x >= 14 asymptotic sums
+    i_arr, k_arr = sf.bessel_i(m, X_IK), sf.bessel_k(m, X_IK)
+    raised_i = _array_matches_scalar([i_arr], lambda x: sf.bessel_i(m, x), X_IK)
+    raised_k = _array_matches_scalar([k_arr], lambda x: sf.bessel_k(m, x), X_IK)
+    assert raised_i >= 6  # 0, -1, 5e-324, nan, inf and x past the 700 guard
+    assert raised_k >= 5
+    if m == 40:
+        assert (i_arr == 0.0).sum() >= 3  # log_t0 underflow: the series is skipped
+        assert raised_k > 5  # the upward recurrence overflows at small x
+    if m == 1:
+        assert np.isnan(k_arr[X_IK == 1e-309])  # 1/x overflows: K_1 is inf, the scalar raises
+    assert [part.shape for part in sf._ik_array(m, X_IK[:650].reshape(5, -1))] == [(5, 130)] * 2
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 5, 8])
+def test_sph_modified_array_bitwise_equals_scalar(l):
+    got = sf.sph_modified(l, X_IK)
+    assert _array_matches_scalar(got, lambda x: sf.sph_modified(l, x), X_IK) >= 6
+    assert np.isnan(got[1][X_IK == 1e-320]).all()  # k_l overflows: RangeError in the scalar
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sf.bessel_i(0, 5e-324),
+    lambda: sf.bessel_k(0, 5e-324),
+    lambda: sf.bessel_jy(0, 5e-324),
+    lambda: sf.bessel_jy(0, math.inf),
+    lambda: sf.sph_ordinary(0, math.inf),
+    lambda: sf.sph_ordinary(2, 1e-170),
+    lambda: sf.sph_ordinary(1, 1e-160),
+    lambda: sf.sph_modified(2, 1e-170),
+    lambda: sf.sph_modified(0, 5e-324),
+    lambda: sf.bessel_k(1, 1e-309),
+    lambda: sf.bessel_jy(1, 1e-309),
+], ids=["i-tiny", "k-tiny", "jy-tiny", "jy-inf", "sph-inf", "sph-x2-underflow", "sph-y1-inf",
+        "sph_modified-k2", "sph_modified-k0", "k1-inf", "y1-inf"])
+def test_edge_arguments_raise_library_errors(call):
+    # each of these used to raise a raw ValueError/ZeroDivisionError or return an infinity
+    with pytest.raises((DomainError, RangeError)):
+        call()
+
+
 # ----------------------------------------------------------------------
 # Kummer M
 # ----------------------------------------------------------------------
@@ -462,6 +516,62 @@ def test_pcf_pair_at_small_y_and_integer_orders():
         assert _pair_matches_scalar(v, y) == 0
     with pytest.raises(DomainError):
         sf.pcf_d_pair_signlog(v, 10.5)
+
+
+def _pair_over_y_matches_scalar(v, ys):
+    """The pair over an array of y at one order, element by element against pcf_d_signlog."""
+    parts = sf.pcf_d_pair_signlog(v, ys)
+    raised = 0
+    for i, y in enumerate(ys.tolist()):
+        for sign, log_mag, yy in ((parts[0], parts[1], -y), (parts[2], parts[3], y)):
+            try:
+                sl = sf.pcf_d_signlog(v, yy)
+            except (DomainError, NumericError):
+                assert np.isnan(sign[i]) and np.isnan(log_mag[i]), (v, yy)
+                raised += 1
+                continue
+            assert sign[i] == sl.sign and bits(log_mag[i]) == bits(sl.log_mag), (v, yy)
+    return raised
+
+
+def test_pcf_pair_over_y_bitwise_equals_scalar():
+    ys = np.concatenate([np.linspace(-10.5, 10.5, 85), [0.0, 1.0, 10.0, math.nan]])
+    outside = 2 * int(np.sum(~(np.abs(ys) <= 10.0)))  # |y| > 10 and nan, at -y and y
+    for v in (-1.0, -0.9, -0.5, 0.0, 1.0, 2.0, 3.7, 5.9):
+        assert _pair_over_y_matches_scalar(v, ys) == outside
+    # large orders at large |y|: the cancellation guard
+    assert _pair_over_y_matches_scalar(150.5, ys) > outside
+    assert _pair_over_y_matches_scalar(201.0, ys) == 2 * len(ys)
+    assert [p.shape for p in sf.pcf_d_pair_signlog(0.5, ys.reshape(1, -1))] == [(1, len(ys))] * 4
+
+
+def test_kummer_series_over_x_bitwise_equals_scalar(monkeypatch):
+    xs = np.linspace(-50.0, 50.0, 101)
+    for a, b in ((-88.65, 0.5), (-3.0, 1.5), (0.7, 0.5), (12.5, 1.5)):
+        sums, peaks = sf._kummer_series_array(a, b, xs)
+        for i, x in enumerate(xs.tolist()):
+            want = sf._kummer_series(a, b, x)
+            assert (bits(sums[i]), bits(peaks[i])) == (bits(want[0]), bits(want[1])), (a, x)
+    monkeypatch.setattr(sf, "_MAX_TERMS", 20)
+    sums, _ = sf._kummer_series_array(np.array([-2.0, -40.5]), 0.5, np.array([30.0, 30.0]))
+    assert bits(sums[0]) == bits(sf._kummer_series(-2.0, 0.5, 30.0)[0]) and np.isnan(sums[1])
+
+
+def test_scalar_pcf_pair_is_the_two_scalar_calls():
+    # one pair of Kummer series for D_v(-y) and D_v(y): same bits, same exceptions
+    rng = np.random.default_rng(7)
+    points = list(zip(rng.uniform(-1.2, 201.0, 300).tolist(), rng.uniform(-10.5, 10.5, 300).tolist()))
+    points += [(150.5, 9.0), (2.0, 0.0), (0.0, 1.0), (3.0, 0.0)]
+
+    def outcome(call):
+        try:
+            return call()
+        except GreenChainError as exc:
+            return type(exc), str(exc)
+
+    for v, y in points:
+        want = outcome(lambda: (sf.pcf_d_signlog(v, -y), sf.pcf_d_signlog(v, y)))
+        assert outcome(lambda: sf._pcf_d_signlog_pair(v, y)) == want, (v, y)
 
 
 # ----------------------------------------------------------------------
