@@ -19,9 +19,10 @@ import math
 
 import numpy as np
 
-from .errors import NumericError
-from .specfun import (_EULER_GAMMA, _LN_2, _LOG_MAX, _LOG_TINY, _MAX_TERMS, _REL_EPS,
-                      _bessel_j_miller, _elementwise)
+from .specfun import (_ASYMPTOTIC_TERMS, _COSH_CUTOFF, _COSH_STEP, _EULER_GAMMA, _J_RESCALE,
+                      _JY_SERIES_MAX, _K_ASYMPTOTIC_MIN, _K_SERIES_MAX, _LN_2, _LOG_MAX,
+                      _LOG_TINY, _MAX_TERMS, _MILLER_SEED, _OVERFLOW_GUARD, _REL_EPS,
+                      _SPH_RESCALE, _Y0_FLOOR, _elementwise, _j_miller_start, _sph_miller_start)
 
 
 def _kahan_blocks(ratio, first: np.ndarray, total: np.ndarray, n_steps: int, weight=None,
@@ -147,7 +148,7 @@ def _series_rows(q: np.ndarray, first: np.ndarray, orders: tuple[float, ...],
     floor = np.zeros(len(ms))
     if log_sign:
         total[n_j:] = [[0.0], [1.0 - 2.0 * _EULER_GAMMA]]  # the order-0 sum has no k = 0 term
-        floor[n_j] = 1e-300 if log_sign < 0.0 else 0.0  # the Y_0 stopping test adds 1e-300
+        floor[n_j] = _Y0_FLOOR if log_sign < 0.0 else 0.0  # as in the Y_0 stopping test
     row = np.repeat(np.arange(len(ms)), n)
     qs, mk = np.tile(q, len(ms)), ms[row]
     hk, hk1 = [0.0], [1.0]  # H_k and H_{k+1} after step k, summed as the scalar loops do
@@ -189,21 +190,21 @@ def _i_finish(m: int, lh: np.ndarray, q: np.ndarray, scaled: np.ndarray) -> np.n
 
 
 def _k01_cosh_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_k_cosh_integral` at m = 0 and 1 over an array of x in (6, 14).
+    """:func:`_k_cosh_integral` at m = 0 and 1 over an array of x in the trapezoid band.
 
     The nodes t are the scalar loop's, accumulated the same way, and every
     exp(-x cosh t) is taken in one elementwise call, shared by K_0 and K_1.
     A node past an element's cutoff adds 0.0, which leaves the running sum
     bitwise unchanged, so each sum is accumulated in the scalar order.
     """
-    h = 0.2
+    h, cutoff = _COSH_STEP, _COSH_CUTOFF
     ts, t, x_min = [0.0], h, float(x.min())
-    while x_min * math.cosh(t) < 760.0:
+    while x_min * math.cosh(t) < cutoff:
         ts.append(t)
         t += h
     cosh_t = np.array([math.cosh(t) for t in ts])  # cosh(0) = 1: node 0 gives exp(-x)
     arg = x[:, None] * cosh_t
-    live = arg < 760.0
+    live = arg < cutoff
     e = np.zeros(arg.shape)
     e[live] = _elementwise(math.exp, -arg[live])
     terms = np.stack([e, e * cosh_t])  # cosh(0 t) = 1 for K_0, cosh(t) for K_1
@@ -222,7 +223,8 @@ def _k01_asymptotic_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pref = np.sqrt(0.5 * math.pi / x) * _elementwise(math.exp, -x)
     # the loop breaks where the terms grow again, from k near 2x, or where they fall
     # below 1e-16 of the sum, which they do before that once x > 18.5
-    for n_k in (min(59, int(2.0 * min(float(x.max()), 19.0)) + 3), 59):
+    last = _ASYMPTOTIC_TERMS - 1
+    for n_k in (min(last, int(2.0 * min(float(x.max()), 19.0)) + 3), last):
         k = np.arange(1.0, n_k + 1.0)[:, None, None]
         sums = np.empty((n_k + 1, 2, x.size))
         sums[0] = 1.0
@@ -236,7 +238,7 @@ def _k01_asymptotic_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         limit = np.abs(sums[:-1])
         limit *= _REL_EPS
         brk |= size <= limit
-        if brk.any(axis=0).all() or n_k == 59:
+        if brk.any(axis=0).all() or n_k == last:
             break
     total = np.where(brk.any(axis=0), np.take_along_axis(sums, brk.argmax(axis=0)[None], 0)[0],
                      sums[-1])
@@ -246,7 +248,7 @@ def _k01_asymptotic_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _ik_array(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(I_m, K_m) over an array of x: each bitwise the scalar value, NaN where it raises.
 
-    The I_m series, and at x <= 6 the I_0 and I_1 series and the two K log
+    The I_m series, and in the log-series band the I_0 and I_1 series and the two K log
     sums of :func:`_k01_series`, run as the rows of one blocked Kahan sum;
     the trapezoid band and the asymptotic band each take one array call.
     """
@@ -258,15 +260,16 @@ def _ik_array(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         lh = _elementwise(math.log, 0.5 * xv)
         q = 0.25 * xv * xv
-        low, mid, high = xv <= 6.0, (xv > 6.0) & (xv < 14.0), xv >= 14.0
+        low, high = xv <= _K_SERIES_MAX, xv >= _K_ASYMPTOTIC_MIN
+        mid = ~(low | high)
         orders = (0, 1) + ((m,) if m > 1 else ())
         row = min(m, 2)
         pending = np.zeros((len(orders) + 2, xv.size), dtype=bool)
         pending[[0, 1, -2, -1]] = low
-        pending[row] |= xv <= 700.0
+        pending[row] |= xv <= _OVERFLOW_GUARD
         sums = _series_rows(q, np.ones((len(orders), xv.size)), orders, 1.0, pending=pending)
         iv = _i_finish(m, lh, q, sums[row])
-        iv[xv > 700.0] = np.nan
+        iv[xv > _OVERFLOW_GUARD] = np.nan
         k0, k1 = np.empty(xv.size), np.empty(xv.size)
         if low.any():
             xl, ll, ql = xv[low], lh[low], q[low]
@@ -296,7 +299,7 @@ def _jy01_asymptotic_array(x: np.ndarray) -> tuple[np.ndarray, ...]:
     qsum = np.zeros((2, x.size))
     prev = np.full((2, x.size), math.inf)
     live = np.ones((2, x.size), dtype=bool)
-    for k in range(1, 60):
+    for k in range(1, _ASYMPTOTIC_TERMS):
         odd = (2.0 * k - 1.0) ** 2
         term *= np.array([[0.0 - odd], [4.0 - odd]]) / (8.0 * k * x)
         at = np.abs(term)
@@ -324,14 +327,14 @@ def _jy_array(m: int, x: np.ndarray, with_y: bool):
     """J_m over an array of x, or with `with_y` the pair (J_m, Y_m) of arrays.
 
     Each element is bitwise the scalar value, and NaN where the scalar call
-    raises.  The J Miller branch (12 < x <= m) calls the scalar per element.
+    raises.  The J Miller branch (12 < x <= m) is one array loop.
     """
     shape = x.shape
     x = x.astype(float).ravel()
     j = np.full(x.size, np.nan)
     y0, y1 = np.full(x.size, np.nan), np.full(x.size, np.nan)
     ok = (0.5 * x > 0.0) & (x < math.inf)  # else the scalar raises, log(x/2) included
-    series, hankel = ok & (x <= 12.0), ok & (x > 12.0)
+    series, hankel = ok & (x <= _JY_SERIES_MAX), ok & (x > _JY_SERIES_MAX)
     with np.errstate(all="ignore"):
         xs = x[series]
         if xs.size:
@@ -354,11 +357,9 @@ def _jy_array(m: int, x: np.ndarray, with_y: bool):
             for jj in range(1, m):
                 jp, jc = jc, (2.0 * jj / xh) * jc - jp
             j[hankel] = jc if m else jp
-        for i in np.flatnonzero(hankel & (x <= m)).tolist():
-            try:
-                j[i] = _bessel_j_miller(m, x[i])
-            except NumericError:
-                j[i] = np.nan
+        miller = hankel & (x <= m)
+        if miller.any():
+            j[miller] = _j_miller_array(m, x[miller])
         if not with_y:
             return j.reshape(shape)
         yp, yc = y0, y1
@@ -377,7 +378,7 @@ def _sph_modified_array(l: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shape = x.shape
     x = x.astype(float).ravel()
     out = np.full((2, x.size), np.nan)
-    ok = (x > 0.0) & (x <= 700.0)
+    ok = (x > 0.0) & (x <= _OVERFLOW_GUARD)
     xv = x[ok]
     with np.errstate(all="ignore"):
         log_t0 = l * _elementwise(math.log, xv) - (
@@ -442,13 +443,32 @@ def _sph_jy_array(l: int, x: np.ndarray, with_y: bool) -> tuple[np.ndarray, np.n
 
 def _sph_j_miller_array(l: int, x: np.ndarray, j0: np.ndarray, j1: np.ndarray) -> np.ndarray:
     """The Miller branch of :func:`_sph_j` over an array of x, operation for operation."""
-    start = l + int(math.sqrt(40.0 * (l + 1))) + 12
-    fp, fc, fl = np.zeros(x.size), np.full(x.size, 1e-30), np.zeros(x.size)
-    for j in range(start, 0, -1):
+    big, shrink = _SPH_RESCALE, 1.0 / _SPH_RESCALE
+    fp, fc, fl = np.zeros(x.size), np.full(x.size, _MILLER_SEED), np.zeros(x.size)
+    for j in range(_sph_miller_start(l), 0, -1):
         fp, fc = fc, ((2.0 * j + 1.0) / x) * fc - fp
-        big = np.abs(fc) > 1e250
-        if big.any():
-            fc, fp, fl = (np.where(big, f * 1e-250, f) for f in (fc, fp, fl))
+        over = np.abs(fc) > big
+        if over.any():
+            fc, fp, fl = (np.where(over, f * shrink, f) for f in (fc, fp, fl))
         if j - 1 == l:
             fl = fc
     return fl * np.where(np.abs(j0) >= np.abs(j1), j0 / fc, j1 / fp)
+
+
+def _j_miller_array(m: int, x: np.ndarray) -> np.ndarray:
+    """:func:`_bessel_j_miller` over an array of x, operation for operation; NaN where it raises."""
+    tox = 2.0 / x
+    big, shrink = _J_RESCALE, 1.0 / _J_RESCALE
+    fp, fc = np.zeros(x.size), np.full(x.size, _MILLER_SEED)
+    norm, ans = np.zeros(x.size), np.zeros(x.size)
+    for j in range(_j_miller_start(m), 0, -1):
+        fp, fc = fc, j * tox * fc - fp
+        over = np.abs(fc) > big
+        if over.any():
+            fc, fp, norm, ans = (np.where(over, f * shrink, f) for f in (fc, fp, norm, ans))
+        if (j - 1) % 2 == 0 and j > 1:
+            norm = norm + fc
+        if j - 1 == m:
+            ans = fc
+    norm = 2.0 * norm + fc
+    return np.where((norm == 0.0) | np.isinf(norm), np.nan, ans / norm)

@@ -310,9 +310,10 @@ def _oscillator_problem(args, units: UnitSystem) -> spectrum_mod.OscillatorProbl
     """
     prob = spectrum_mod.OscillatorProblem(args.a, units)
     alpha = prob.alpha
-    if not (alpha <= 10.0 and 0.5 * (alpha * alpha) <= 50.0):
+    y_max, x_max = specfun._PCF_Y_MAX, specfun._KUMMER_X_MAX
+    if not (alpha <= y_max and 0.5 * (alpha * alpha) <= x_max):
         raise ConfigError(f"--a {_fmt(args.a)} gives alpha = {_fmt(alpha)}, outside the "
-                          "validated range alpha <= 10 (alpha^2/2 <= 50)")
+                          f"validated range alpha <= {y_max:g} (alpha^2/2 <= {x_max:g})")
     return prob
 
 

@@ -52,6 +52,37 @@ _REL_EPS = 1e-16
 _SMALL_RUN = 3  # consecutive small terms required to stop a series
 _MAX_TERMS = 10000
 
+# Seams, guards and Miller starts that the scalar functions and their array
+# paths in greenchain._arrays share bit for bit.
+_K_SERIES_MAX = 6.0  # K_0, K_1: log series to here, then the trapezoid
+_K_ASYMPTOTIC_MIN = 14.0  # K_0, K_1: the large-argument sums from here on
+_COSH_STEP = 0.2  # trapezoid step in t of _k_cosh_integral
+_COSH_CUTOFF = 760.0  # its nodes stop where x cosh t reaches this
+_ASYMPTOTIC_TERMS = 60  # the K and Hankel large-argument sums end before this term
+_JY_SERIES_MAX = 12.0  # J, Y: ascending series to here, then Hankel or J Miller
+_OVERFLOW_GUARD = 700.0  # I_m and i_l raise RangeError past this x
+_Y0_FLOOR = 1e-300  # added to |sum| in the stopping test of the Y_0 log sum
+_MILLER_SEED = 1e-30  # the J_m and j_l Miller recurrences start from (0, this)
+_J_RESCALE = 1e100  # J_m Miller: a value past this is rescaled by its reciprocal
+_SPH_RESCALE = 1e250  # j_l Miller: likewise
+
+# Validated ranges: kummer_m takes |x| <= 50 and |a| <= 300, pcf_d v in [-1, 200] and |y| <= 10.
+_KUMMER_X_MAX = 50.0
+_KUMMER_A_MAX = 300.0
+_PCF_V_MIN, _PCF_V_MAX = -1.0, 200.0
+_PCF_Y_MAX = 10.0
+
+
+def _j_miller_start(m: int) -> int:
+    """The even order from which the J_m Miller recurrence runs down."""
+    start = m + int(math.sqrt(160.0 * (m + 1))) + 2
+    return start + start % 2
+
+
+def _sph_miller_start(l: int) -> int:
+    """The order from which the j_l Miller recurrence runs down."""
+    return l + int(math.sqrt(40.0 * (l + 1))) + 12
+
 
 @dataclass(frozen=True)
 class SignLog:
@@ -184,8 +215,8 @@ def bessel_i(m: int, x):
     if isinstance(x, np.ndarray):
         return _ik_array(m, x)[0]
     _check_positive(x, "bessel_i", 0.5)
-    if x > 700.0:
-        raise RangeError(f"bessel_i: x={x} is past the overflow guard at 700")
+    if x > _OVERFLOW_GUARD:
+        raise RangeError(f"bessel_i: x={x} is past the overflow guard at {_OVERFLOW_GUARD:g}")
     q = 0.25 * x * x
     log_t0 = m * math.log(0.5 * x) - math.lgamma(m + 1.0)
     if log_t0 + q / (m + 1.0) < _LOG_TINY:
@@ -197,42 +228,33 @@ def bessel_i(m: int, x):
     return math.exp(log_val)
 
 
-def _k01_series(x: float) -> tuple[float, float]:
-    """K_0 and K_1 by the ascending log series (A&S 9.6.11); good for x <= 6."""
-    q = 0.25 * x * x
-    lh = math.log(0.5 * x)
-    i0 = bessel_i(0, x)
-    i1 = bessel_i(1, x)
+def _log_sums(q: float, log_sign: float) -> tuple[float, float]:
+    """The two compensated log sums of K_0, K_1 (q = x^2/4, log_sign = +1, A&S 9.6.11)
+    or Y_0, Y_1 (q = -x^2/4, log_sign = -1, A&S 9.1.11).
 
-    # K_0 = -(ln(x/2)+gamma) I_0 + sum_{k>=1} H_k q^k / (k!)^2
-    term = 1.0
-    hk = 0.0
-    total = 0.0
-    comp = 0.0
-    small = 0
+    The order-0 sum adds log_sign H_k q^k / (k!)^2 over k >= 1, and the Y_0
+    stopping test adds _Y0_FLOOR to |sum|; the order-1 sum adds
+    (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!) from its k = 0 term.  Each
+    stops like :func:`_kahan_series` and keeps its last sum if it never does.
+    """
+    floor = _Y0_FLOOR if log_sign < 0.0 else 0.0
+    term, hk, total, comp, small = 1.0, 0.0, 0.0, 0.0, 0
     for k in range(1, _MAX_TERMS):
         term *= q / (k * k)
         hk += 1.0 / k
-        c = term * hk
+        c = log_sign * (term * hk)  # negation is exact: -term * hk for Y_0
         y = c - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(c) <= _REL_EPS * abs(total):
+        if abs(c) <= _REL_EPS * (abs(total) + floor):
             small += 1
             if small >= _SMALL_RUN:
                 break
         else:
             small = 0
-    k0 = -(lh + _EULER_GAMMA) * i0 + total
-
-    # K_1 = 1/x + ln(x/2) I_1 - (x/4) sum_{k>=0} (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!)
-    term = 1.0
-    hk = 0.0
-    hk1 = 1.0
-    total = 1.0 - 2.0 * _EULER_GAMMA  # k = 0 term
-    comp = 0.0
-    small = 0
+    s0 = total
+    term, hk, hk1, total, comp, small = 1.0, 0.0, 1.0, 1.0 - 2.0 * _EULER_GAMMA, 0.0, 0
     for k in range(1, _MAX_TERMS):
         term *= q / (k * (k + 1.0))
         hk += 1.0 / k
@@ -248,8 +270,15 @@ def _k01_series(x: float) -> tuple[float, float]:
                 break
         else:
             small = 0
-    k1 = 1.0 / x + lh * i1 - 0.25 * x * total
-    return k0, k1
+    return s0, total
+
+
+def _k01_series(x: float) -> tuple[float, float]:
+    """K_0 and K_1 by the ascending log series; good for x <= _K_SERIES_MAX."""
+    lh = math.log(0.5 * x)
+    s0, s1 = _log_sums(0.25 * x * x, 1.0)
+    k0 = -(lh + _EULER_GAMMA) * bessel_i(0, x) + s0
+    return k0, 1.0 / x + lh * bessel_i(1, x) - 0.25 * x * s1
 
 
 def _k_cosh_integral(m: int, x: float) -> float:
@@ -259,10 +288,10 @@ def _k_cosh_integral(m: int, x: float) -> float:
     function of t, so the trapezoid rule with h = 0.2 is already converged to
     machine precision for the 6 < x < 14 band where it is used.
     """
-    h = 0.2
+    h, cutoff = _COSH_STEP, _COSH_CUTOFF
     total = 0.5 * math.exp(-x)  # t = 0 term carries half weight
     t = h
-    while x * math.cosh(t) < 760.0:
+    while x * math.cosh(t) < cutoff:
         total += math.exp(-x * math.cosh(t)) * math.cosh(m * t)
         t += h
     return h * total
@@ -276,7 +305,7 @@ def _k01_asymptotic(x: float) -> tuple[float, float]:
         term = 1.0
         total = 1.0
         prev = 1.0
-        for k in range(1, 60):
+        for k in range(1, _ASYMPTOTIC_TERMS):
             term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
             if abs(term) >= prev or abs(term) <= _REL_EPS * abs(total):
                 break
@@ -300,9 +329,9 @@ def bessel_k(m: int, x):
     if isinstance(x, np.ndarray):
         return _ik_array(m, x)[1]
     _check_positive(x, "bessel_k", 0.5)
-    if x <= 6.0:
+    if x <= _K_SERIES_MAX:
         k0, k1 = _k01_series(x)
-    elif x < 14.0:
+    elif x < _K_ASYMPTOTIC_MIN:
         k0, k1 = _k_cosh_integral(0, x), _k_cosh_integral(1, x)
     else:
         k0, k1 = _k01_asymptotic(x)
@@ -320,7 +349,7 @@ def bessel_k(m: int, x):
 # ----------------------------------------------------------------------
 
 def _bessel_j_series(m: int, x: float) -> float:
-    """Ascending series for J_m; accurate for x <= 12 at any order."""
+    """Ascending series for J_m; accurate for x <= _JY_SERIES_MAX at any order."""
     q = 0.25 * x * x
     log_t0 = m * math.log(0.5 * x) - math.lgamma(m + 1.0)
     if log_t0 < _LOG_TINY:
@@ -330,55 +359,13 @@ def _bessel_j_series(m: int, x: float) -> float:
 
 
 def _y01_series(x: float) -> tuple[float, float, float, float]:
-    """J_0, J_1, Y_0 and Y_1 by the ascending (log) series (A&S 9.1.11); good for x <= 12."""
-    q = 0.25 * x * x
+    """J_0, J_1, Y_0 and Y_1 by the ascending (log) series; good for x <= _JY_SERIES_MAX."""
     lh = math.log(0.5 * x)
     j0 = _bessel_j_series(0, x)
     j1 = _bessel_j_series(1, x)
-
-    term = 1.0
-    hk = 0.0
-    total = 0.0
-    comp = 0.0
-    small = 0
-    for k in range(1, _MAX_TERMS):
-        term *= -q / (k * k)
-        hk += 1.0 / k
-        c = -term * hk  # (-1)^{k+1} H_k q^k/(k!)^2
-        y = c - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(c) <= _REL_EPS * (abs(total) + 1e-300):
-            small += 1
-            if small >= _SMALL_RUN:
-                break
-        else:
-            small = 0
-    y0 = (2.0 / math.pi) * ((lh + _EULER_GAMMA) * j0 + total)
-
-    term = 1.0
-    hk = 0.0
-    hk1 = 1.0
-    total = 1.0 - 2.0 * _EULER_GAMMA
-    comp = 0.0
-    small = 0
-    for k in range(1, _MAX_TERMS):
-        term *= -q / (k * (k + 1.0))
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1.0)
-        c = term * (hk + hk1 - 2.0 * _EULER_GAMMA)
-        y = c - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(c) <= _REL_EPS * abs(total):
-            small += 1
-            if small >= _SMALL_RUN:
-                break
-        else:
-            small = 0
-    y1 = (2.0 / math.pi) * (lh * j1 - 1.0 / x) - 0.5 * x * total / math.pi
+    s0, s1 = _log_sums(-(0.25 * x * x), -1.0)
+    y0 = (2.0 / math.pi) * ((lh + _EULER_GAMMA) * j0 + s0)
+    y1 = (2.0 / math.pi) * (lh * j1 - 1.0 / x) - 0.5 * x * s1 / math.pi
     return j0, j1, y0, y1
 
 
@@ -390,7 +377,7 @@ def _jy01_asymptotic(x: float) -> tuple[float, float, float, float]:
         p = 1.0
         qsum = 0.0
         prev = math.inf
-        for k in range(1, 60):
+        for k in range(1, _ASYMPTOTIC_TERMS):
             term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
             if abs(term) >= prev:
                 break
@@ -414,20 +401,13 @@ def _jy01_asymptotic(x: float) -> tuple[float, float, float, float]:
 def _bessel_j_miller(m: int, x: float) -> float:
     """J_m by downward recurrence, normalized with J_0 + 2 sum J_{2k} = 1."""
     tox = 2.0 / x
-    start = m + int(math.sqrt(160.0 * (m + 1))) + 2
-    if start % 2:
-        start += 1
-    fp, fc = 0.0, 1e-30  # f_{start+1}, f_{start}
-    norm = 0.0
-    ans = 0.0
-    for j in range(start, 0, -1):
-        fm = j * tox * fc - fp
-        fp, fc = fc, fm  # fc is now f_{j-1}
-        if abs(fc) > 1e100:
-            fc *= 1e-100
-            fp *= 1e-100
-            norm *= 1e-100
-            ans *= 1e-100
+    big, shrink = _J_RESCALE, 1.0 / _J_RESCALE
+    fp, fc = 0.0, _MILLER_SEED  # f_{start+1}, f_{start}
+    norm = ans = 0.0
+    for j in range(_j_miller_start(m), 0, -1):
+        fp, fc = fc, j * tox * fc - fp  # fc is now f_{j-1}
+        if abs(fc) > big:
+            fc, fp, norm, ans = fc * shrink, fp * shrink, norm * shrink, ans * shrink
         if (j - 1) % 2 == 0 and j - 1 > 0:
             norm += fc
         if j - 1 == m:
@@ -447,7 +427,7 @@ def _bessel_j(m: int, x, j01: tuple[float, float] | None = None):
     """
     if isinstance(x, np.ndarray):
         return _jy_array(m, x, with_y=False)
-    if x <= 12.0:
+    if x <= _JY_SERIES_MAX:
         return j01[m] if j01 and m <= 1 else _bessel_j_series(m, x)
     if x <= m:
         return _bessel_j_miller(m, x)
@@ -474,7 +454,7 @@ def bessel_jy(m: int, x):
     if isinstance(x, np.ndarray):
         return _jy_array(m, x, with_y=True)
     _check_positive(x, "bessel_jy", 0.5)
-    j0, j1, y0, y1 = _y01_series(x) if x <= 12.0 else _jy01_asymptotic(x)
+    j0, j1, y0, y1 = _y01_series(x) if x <= _JY_SERIES_MAX else _jy01_asymptotic(x)
     yp, yc = y0, y1
     for j in range(1, m):
         yp, yc = yc, (2.0 * j / x) * yc - yp
@@ -503,8 +483,8 @@ def sph_modified(l: int, x):
     if isinstance(x, np.ndarray):
         return _sph_modified_array(l, x)
     _check_positive(x, "sph_modified")
-    if x > 700.0:
-        raise RangeError(f"sph_modified: x={x} is past the overflow guard at 700")
+    if x > _OVERFLOW_GUARD:
+        raise RangeError(f"sph_modified: x={x} is past the overflow guard at {_OVERFLOW_GUARD:g}")
     # ln((2l+1)!!) = lgamma(2l+2) - l ln 2 - lgamma(l+1)
     log_t0 = l * math.log(x) - (math.lgamma(2.0 * l + 2.0) - l * _LN_2 - math.lgamma(l + 1.0))
     half_q = 0.5 * x * x
@@ -552,16 +532,13 @@ def _sph_j(l: int, x, sin_cos: tuple[float, float] | None = None):
         for j in range(1, l):
             jp, jc = jc, ((2.0 * j + 1.0) / x) * jc - jp
         return jc
-    start = l + int(math.sqrt(40.0 * (l + 1))) + 12
-    fp, fc = 0.0, 1e-30  # f_{start+1}, f_{start}
+    big, shrink = _SPH_RESCALE, 1.0 / _SPH_RESCALE
+    fp, fc = 0.0, _MILLER_SEED  # f_{start+1}, f_{start}
     fl = 0.0
-    for j in range(start, 0, -1):
-        fm = ((2.0 * j + 1.0) / x) * fc - fp
-        fp, fc = fc, fm  # fc is now f_{j-1}
-        if abs(fc) > 1e250:
-            fc *= 1e-250
-            fp *= 1e-250
-            fl *= 1e-250
+    for j in range(_sph_miller_start(l), 0, -1):
+        fp, fc = fc, ((2.0 * j + 1.0) / x) * fc - fp  # fc is now f_{j-1}
+        if abs(fc) > big:
+            fc, fp, fl = fc * shrink, fp * shrink, fl * shrink
         if j - 1 == l:
             fl = fc
     # fc = f_0, fp = f_1; normalize against whichever true value is larger
@@ -691,43 +668,40 @@ def kummer_m(a, b: float, x: float):
     where the scalar call would raise (``|a| > 300``, non-finite ``a``, or
     no convergence).  ``b`` and ``x`` stay scalars and raise as above.
     """
+    if not math.isfinite(b):
+        raise DomainError(f"kummer_m: b={b} is not finite")
     if b <= 0.0 and b == math.floor(b):
         raise DomainError(f"kummer_m: b={b} is a non-positive integer (pole)")
-    if not abs(x) <= 50.0:
-        raise DomainError(f"kummer_m: |x|={abs(x)} outside the validated range 50")
+    if not abs(x) <= _KUMMER_X_MAX:
+        raise DomainError(f"kummer_m: |x|={abs(x)} outside the validated range {_KUMMER_X_MAX:g}")
     if isinstance(a, np.ndarray):
         a = a.astype(float)
-        valid = np.abs(a) <= 300.0
+        valid = np.abs(a) <= _KUMMER_A_MAX
         out = np.full(a.shape, np.nan)
         out[valid] = _kummer_series_array(a[valid], b, x)[0]
         return out
-    if not abs(a) <= 300.0:
-        raise DomainError(f"kummer_m: |a|={abs(a)} outside the validated range 300")
+    if not abs(a) <= _KUMMER_A_MAX:
+        raise DomainError(f"kummer_m: |a|={abs(a)} outside the validated range {_KUMMER_A_MAX:g}")
     return _kummer_series(a, b, x)[0]
 
 
 def _pcf_check(v: float, y: float) -> None:
-    if not -1.0 <= v <= 200.0:
-        raise DomainError(f"pcf_d: order v={v} outside the validated range [-1, 200]")
-    if abs(y) > 10.0:
-        raise DomainError(f"pcf_d: |y|={abs(y)} outside the validated range 10")
-
-
-def _pcf_bracket(v: float, y: float) -> float:
-    """Gamma-weighted Kummer combination of D_v(y), without the 2^{v/2} sqrt(pi) e^{-y^2/4} prefactor.
-
-    The series peak terms bound the rounding noise; when that noise exceeds
-    1e-8 of the combination scale (large v together with large |y|), the
-    value would be silent garbage, so a NumericError is raised instead.
-    """
-    return _pcf_brackets(v, y, y)[1]
+    if not _PCF_V_MIN <= v <= _PCF_V_MAX:
+        raise DomainError(f"pcf_d: order v={v} outside the validated range "
+                          f"[{_PCF_V_MIN:g}, {_PCF_V_MAX:g}]")
+    if abs(y) > _PCF_Y_MAX:
+        raise DomainError(f"pcf_d: |y|={abs(y)} outside the validated range {_PCF_Y_MAX:g}")
 
 
 def _pcf_brackets(v: float, y: float, shown: float) -> tuple[float, float]:
-    """:func:`_pcf_bracket` at -y and at y, bitwise, from one pair of Kummer series.
+    """Gamma-weighted Kummer combinations of D_v(-y) and D_v(y), without the
+    2^{v/2} sqrt(pi) e^{-y^2/4} prefactor, from one pair of Kummer series.
 
     Both share q = y^2/2 and the noise bound, and the odd term only changes
-    sign.  The cancellation error names the point ``(v, shown)``.
+    sign.  The series peak terms bound the rounding noise; when that noise
+    exceeds 1e-8 of the combination scale (large v together with large
+    |y|), the value would be silent garbage, so a NumericError naming the
+    point ``(v, shown)`` is raised instead.
     """
     q = 0.5 * y * y
     m_even, peak_even = _kummer_series(-0.5 * v, 0.5, q)
@@ -764,14 +738,14 @@ def pcf_d(v: float, y: float) -> float:
     returning noise.
     """
     _pcf_check(v, y)
-    bracket = _pcf_bracket(v, y)
+    bracket = _pcf_brackets(v, y, y)[1]
     return _SQRT_PI * math.exp(0.5 * v * _LN_2 - 0.25 * y * y) * bracket
 
 
 def pcf_d_signlog(v: float, y: float) -> SignLog:
     """D_v(y) as a SignLog; overflow-safe building block for D_v^2 ratios."""
     _pcf_check(v, y)
-    return _pcf_signlog(_pcf_bracket(v, y), v, y)
+    return _pcf_signlog(_pcf_brackets(v, y, y)[1], v, y)
 
 
 def _pcf_signlog(bracket: float, v: float, y: float) -> SignLog:
@@ -824,14 +798,14 @@ def pcf_d_pair_signlog(v, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     """
     if isinstance(y, np.ndarray):  # one order: every array below is over the valid y
         shape = y.shape
-        ok = (np.abs(y) <= 10.0) & (-1.0 <= v <= 200.0)
+        ok = (np.abs(y) <= _PCF_Y_MAX) & (_PCF_V_MIN <= v <= _PCF_V_MAX)
         w, y = np.full(1, float(v)), y.astype(float)[ok]
     else:
-        if abs(y) > 10.0:
-            raise DomainError(f"pcf_d: |y|={abs(y)} outside the validated range 10")
+        if abs(y) > _PCF_Y_MAX:
+            raise DomainError(f"pcf_d: |y|={abs(y)} outside the validated range {_PCF_Y_MAX:g}")
         v = np.asarray(v, dtype=float)
         shape = v.shape
-        ok = (v >= -1.0) & (v <= 200.0)
+        ok = (v >= _PCF_V_MIN) & (v <= _PCF_V_MAX)
         w = v[ok]
     q = 0.5 * y * y
     if isinstance(q, np.ndarray):  # both series in one blocked sum

@@ -60,13 +60,12 @@ import numpy as np
 
 from .errors import DomainError, GreenChainError, NumericError, RangeError
 from .greens import NATURAL_UNITS, UnitSystem
-from .specfun import (SignLog, _bessel_j, _elementwise, _gamma_signlog_array, _sph_j, bessel_jy,
-                      gamma_signlog, kummer_m, pcf_d_pair_signlog, pcf_d_signlog, sph_ordinary)
+from .specfun import (_LOG_MAX, _PCF_V_MAX, SignLog, _bessel_j, _elementwise,
+                      _gamma_signlog_array, _sph_j, bessel_jy, gamma_signlog, kummer_m,
+                      pcf_d_pair_signlog, pcf_d_signlog, sph_ordinary)
 
 _EPS = 2.220446049250313e-16
-_V_MAX = 200.0  # validated parabolic-cylinder order range
 _STEP = 0.01  # grid step in v of the oscillator scans
-_LOG_MAX = 709.0
 _MAX_SCAN_ROWS = 10_000_000  # a scan table is held in memory whole
 
 
@@ -446,20 +445,20 @@ def _minmax_runs(alpha: float, levels: range) -> List[np.ndarray]:
     """The lattice orders in the min-max brackets of `levels` (see oscillator_spectrum).
 
     Each bracket is padded by one step on each side and clipped to
-    [0, _V_MAX]; brackets that share a lattice point merge into one run.  The
+    [0, _PCF_V_MAX]; brackets that share a lattice point merge into one run.  The
     lattice is that of a scan of the windows [20 k, 20 k + 20] at 2001
     points: v = 20 k + i fl(0.01).
     """
     per_window = 2000  # steps of _STEP in a window 20 wide
-    last = int(round(_V_MAX / _STEP))
+    last = int(round(_PCF_V_MAX / _STEP))
     a2 = alpha * alpha
     spans: List[List[int]] = []
     for j in levels:
         box = (0.5 * j * math.pi) ** 2 / a2 if a2 else math.inf
         lo = max(box, j - 0.5) - 0.5 - _STEP
-        if lo > _V_MAX:
+        if lo > _PCF_V_MAX:
             break
-        hi = min(box + 0.25 * a2 - 0.5 + _STEP, _V_MAX)
+        hi = min(box + 0.25 * a2 - 0.5 + _STEP, _PCF_V_MAX)
         first, final = max(0, math.floor(lo / _STEP)), min(last, math.ceil(hi / _STEP))
         if spans and first <= spans[-1][1]:
             spans[-1][1] = max(spans[-1][1], final)
@@ -530,9 +529,9 @@ def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-1
 
     lines = _levels(_minmax_brackets(prob, n_roots), n_roots, tol, prob.energy_of)
     if include_node_factor:
-        v_hi = lines[-1].root.value + 1.0 if lines else _V_MAX
+        v_hi = lines[-1].root.value + 1.0 if lines else _PCF_V_MAX
         try:
-            nodes = _node_factor_roots(prob, min(v_hi, _V_MAX), tol)
+            nodes = _node_factor_roots(prob, min(v_hi, _PCF_V_MAX), tol)
         except NumericError as exc:
             exc.partial = lines  # the levels are refined already
             raise
@@ -617,8 +616,8 @@ def box_spectrum_rect(a: float, n: int, units: UnitSystem = NATURAL_UNITS,
     becomes sin(kappa a)/kappa up to constant factors; its positive roots
     kappa_j = j pi / a carry energies hbar^2 kappa^2 / (2 m); `tol` bounds kappa a.
     """
-    if not a > 0.0:
-        raise DomainError(f"box length must be positive, got {a}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"box length must be positive and finite, got {a}")
     return _interval_spectrum(_sine_solution, (a,),
                               math.pi / (8.0 * a), (n + 0.75) * math.pi / a, n, units, tol)
 
@@ -627,8 +626,8 @@ def cyl_dirichlet_spectrum(b: float, mode: int, n: int,
                            units: UnitSystem = NATURAL_UNITS,
                            tol: float = 1e-12) -> List[SpectrumLine]:
     """First n roots of J_mode(kappa b): the Dirichlet disk spectrum; `tol` bounds kappa b."""
-    if not b > 0.0:
-        raise DomainError(f"radius must be positive, got {b}")
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {b}")
     return _interval_spectrum(_bessel_solution(mode, spherical=False, pair=False), (b,), 0.3 / b,
                               ((n + 1.25) * math.pi + mode + 2.0) / b, n, units, tol)
 
@@ -637,8 +636,8 @@ def sph_dirichlet_spectrum(c: float, mode: int, n: int,
                            units: UnitSystem = NATURAL_UNITS,
                            tol: float = 1e-12) -> List[SpectrumLine]:
     """First n roots of j_mode(kappa c): the Dirichlet ball spectrum; `tol` bounds kappa c."""
-    if not c > 0.0:
-        raise DomainError(f"radius must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {c}")
     return _interval_spectrum(_bessel_solution(mode, spherical=True, pair=False), (c,), 0.3 / c,
                               ((n + 1.25) * math.pi + mode + 2.0) / c, n, units, tol)
 
@@ -651,8 +650,8 @@ def cyl_annulus_spectrum(b1: float, b2: float, mode: int, n: int,
     Roots of J_m(k b1) Y_m(k b2) - J_m(k b2) Y_m(k b1), the oscillatory
     continuation of the two-wall cylindrical determinant; `tol` bounds kappa (b2 - b1).
     """
-    if not 0.0 < b1 < b2:
-        raise DomainError(f"annulus radii must satisfy 0 < b1 < b2, got ({b1}, {b2})")
+    if not 0.0 < b1 < b2 < math.inf:
+        raise DomainError(f"annulus radii must satisfy 0 < b1 < b2 < inf, got ({b1}, {b2})")
     return _interval_spectrum(_bessel_solution(mode, spherical=False, pair=True), (b1, b2),
                               math.pi / (8.0 * (b2 - b1)),
                               (n + 1.5) * math.pi / (b2 - b1), n, units, tol)
@@ -662,8 +661,8 @@ def sph_shell_spectrum(c1: float, c2: float, mode: int, n: int,
                        units: UnitSystem = NATURAL_UNITS,
                        tol: float = 1e-12) -> List[SpectrumLine]:
     """Spherical-shell Dirichlet spectrum, the j/y cross product; `tol` bounds kappa (c2 - c1)."""
-    if not 0.0 < c1 < c2:
-        raise DomainError(f"shell radii must satisfy 0 < c1 < c2, got ({c1}, {c2})")
+    if not 0.0 < c1 < c2 < math.inf:
+        raise DomainError(f"shell radii must satisfy 0 < c1 < c2 < inf, got ({c1}, {c2})")
     return _interval_spectrum(_bessel_solution(mode, spherical=True, pair=True), (c1, c2),
                               math.pi / (8.0 * (c2 - c1)),
                               (n + 1.5) * math.pi / (c2 - c1), n, units, tol)
@@ -695,8 +694,8 @@ def scan_grid(lo: float, hi: float, step: float) -> np.ndarray:
     The last point is lo + n step with n = round((hi - lo) / step); more
     than ten million points raise DomainError.
     """
-    if not step > 0.0:
-        raise DomainError(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"step must be positive and finite, got {step}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"scan range must be finite, got [{lo}, {hi}]")
     if hi < lo:

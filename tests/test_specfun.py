@@ -285,11 +285,16 @@ def test_sph_ordinary_miller_branch():
 # Bessel array paths: bitwise the scalar calls
 # ----------------------------------------------------------------------
 
+def _around(*seams):
+    """Each seam and its two float neighbours."""
+    return [x for s in seams for x in (np.nextafter(s, -math.inf), s, np.nextafter(s, math.inf))]
+
+
 # every branch: series, the x = 12 seam, Hankel, J Miller (12 < x <= m),
 # j_l Miller (x <= l), tiny x and points where the scalar call raises
 X_BESSEL = np.concatenate([
     np.linspace(0.05, 60.0, 1200),
-    [12.0, np.nextafter(12.0, 0.0), np.nextafter(12.0, 13.0), 1e-3, 1e-30, 1e-170, 5e-324],
+    _around(sf._JY_SERIES_MAX), [1e-3, 1e-30, 1e-170, 5e-324],
     [0.0, -1.0, math.nan, math.inf],
 ])
 
@@ -330,6 +335,30 @@ def test_bessel_jy_array_bitwise_equals_scalar(m):
         assert j_alone[X_BESSEL == 1e-30] == 0.0  # log_t0 < _LOG_TINY: the series is skipped
 
 
+@pytest.mark.parametrize("m", [13, 300, 1000])
+def test_j_miller_branch_is_one_array_loop(m, monkeypatch):
+    # 12 < x <= m: the downward recurrence runs once over the array, bitwise each
+    # scalar call; at m = 300 it rescales by 1e-100 (seven times at x = 13)
+    from greenchain import _arrays
+
+    xs = np.concatenate([np.linspace(sf._JY_SERIES_MAX, m, 40)[1:],
+                         [np.nextafter(sf._JY_SERIES_MAX, math.inf), 13.0]])
+    want = [sf._bessel_j_miller(m, x).hex() for x in xs.tolist()]
+    calls = []
+    real = sf._bessel_j_miller
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sf, "_bessel_j_miller", counted)
+    monkeypatch.setattr(_arrays, "_bessel_j_miller", counted, raising=False)
+    got = sf._bessel_j(m, xs)
+    sf.bessel_jy(m, xs)  # NaN where Y_m overflows, else the same J_m
+    assert calls == []
+    assert [float(g).hex() for g in got] == want
+
+
 @pytest.mark.parametrize("l", [0, 1, 2, 5, 8])
 def test_sph_ordinary_array_bitwise_equals_scalar(l):
     assert _array_matches_scalar(sf.sph_ordinary(l, X_BESSEL),
@@ -367,8 +396,8 @@ def test_bessel_jy_reuses_the_series_j0_j1(monkeypatch):
 X_IK = np.concatenate([
     np.linspace(0.05, 30.0, 600),
     np.linspace(30.0, 720.0, 40),
-    [6.0, np.nextafter(6.0, 0.0), np.nextafter(6.0, 7.0), 14.0, np.nextafter(14.0, 0.0),
-     700.0, np.nextafter(700.0, 800.0), 1e-3, 1e-30, 1e-170, 1e-309, 1e-320],
+    _around(sf._K_SERIES_MAX, sf._K_ASYMPTOTIC_MIN, sf._OVERFLOW_GUARD),
+    [1e-3, 1e-30, 1e-170, 1e-309, 1e-320],
     [0.0, -1.0, 5e-324, math.nan, math.inf],
 ])
 
@@ -381,6 +410,9 @@ def test_bessel_ik_arrays_bitwise_equal_scalar_on_every_branch(m):
     raised_k = _array_matches_scalar([k_arr], lambda x: sf.bessel_k(m, x), X_IK)
     assert raised_i >= 6  # 0, -1, 5e-324, nan, inf and x past the 700 guard
     assert raised_k >= 5
+    guard = X_IK == sf._OVERFLOW_GUARD
+    past = X_IK == np.nextafter(sf._OVERFLOW_GUARD, math.inf)
+    assert np.isfinite(i_arr[guard]).all() and np.isnan(i_arr[past]).all()
     if m == 40:
         assert (i_arr == 0.0).sum() >= 3  # log_t0 underflow: the series is skipped
         assert raised_k > 5  # the upward recurrence overflows at small x
@@ -393,6 +425,8 @@ def test_bessel_ik_arrays_bitwise_equal_scalar_on_every_branch(m):
 def test_sph_modified_array_bitwise_equals_scalar(l):
     got = sf.sph_modified(l, X_IK)
     assert _array_matches_scalar(got, lambda x: sf.sph_modified(l, x), X_IK) >= 6
+    past = X_IK == np.nextafter(sf._OVERFLOW_GUARD, math.inf)
+    assert np.isfinite(got[0][X_IK == sf._OVERFLOW_GUARD]).all() and np.isnan(got[0][past]).all()
     assert np.isnan(got[1][X_IK == 1e-320]).all()  # k_l overflows: RangeError in the scalar
 
 

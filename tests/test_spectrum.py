@@ -29,7 +29,7 @@ from greenchain import (
 )
 from greenchain.errors import DomainError, GreenChainError, NumericError
 from greenchain.spectrum import Bracket, RootKind, brent, scan_grid
-from greenchain.specfun import gamma, pcf_d, pcf_d_pair_signlog
+from greenchain.specfun import gamma, kummer_m, pcf_d, pcf_d_pair_signlog
 
 FIG1_ROOTS = (4.45, 19.27, 43.95, 78.49, 122.91, 177.19)
 
@@ -786,6 +786,32 @@ def test_bessel_spectra_reject_negative_order(spectrum, monkeypatch):
     monkeypatch.setattr(spectrum_mod, "scan_sign_changes", None)
     with pytest.raises(DomainError, match="order"):
         DIRICHLET[spectrum](3, mode=-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: box_spectrum_rect(math.inf, 2),
+    lambda: box_spectrum_rect(math.nan, 2),
+    lambda: cyl_dirichlet_spectrum(math.inf, 0, 2),
+    lambda: sph_dirichlet_spectrum(math.inf, 0, 2),
+    lambda: cyl_annulus_spectrum(1.0, math.inf, 0, 2),
+    lambda: sph_shell_spectrum(1.0, math.inf, 0, 2),
+    lambda: scan_grid(0.0, 1.0, math.inf),
+    lambda: kummer_m(1.0, math.nan, 1.0),
+    lambda: kummer_m(1.0, -math.inf, 1.0),
+    lambda: kummer_m(np.linspace(-2.0, 2.0, 50), math.nan, 1.0),
+], ids=["box-inf", "box-nan", "disk", "ball", "annulus", "shell", "scan-step", "kummer-nan",
+        "kummer-minus-inf", "kummer-array"])
+def test_non_finite_inputs_raise_up_front(call, monkeypatch):
+    # each used to return [], NaN or run a 10,000-term series before failing;
+    # none may reach a scan or a series now
+    import greenchain.specfun as specfun_mod
+    import greenchain.spectrum as spectrum_mod
+
+    monkeypatch.setattr(spectrum_mod, "scan_sign_changes", None)
+    monkeypatch.setattr(specfun_mod, "_kummer_series", None)
+    monkeypatch.setattr(specfun_mod, "_kummer_series_array", None)
+    with pytest.raises(DomainError):
+        call()
 
 
 def _scipy_sign_change_roots(f, lo, step, count):

@@ -1,6 +1,7 @@
 """Surface guard: every name the traced benchmark and the README reach must resolve,
-every README `scan`, `spectrum` and `table1` command must run, and every name a
-library module imports must be used.
+every README `scan`, `spectrum` and `table1` command must run, every name a
+library module imports must be used, and every module-level private name must be
+read somewhere in the library.
 
 The benchmark's span table (``WRAPPED`` in ``benchmark/spans.py``) names the
 module attributes it wraps, and the README examples import from the
@@ -97,3 +98,33 @@ def _unused_imports(path):
                          ids=lambda path: path.name)
 def test_library_imports_are_used(path):
     assert not _unused_imports(path)
+
+
+def _dead_private_names():
+    """Module-level private names defined in `src/greenchain` and read nowhere in it."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "greenchain").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{name}:{node.lineno} {d}" for d in defined
+                     if d.startswith("_") and not d.startswith("__") and d not in read]
+    return dead
+
+
+def test_private_names_are_read():
+    assert not _dead_private_names()
