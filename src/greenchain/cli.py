@@ -360,15 +360,16 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--n-roots must be in [1, 12], got {args.n_roots}")
     units = _units_from_args(args)
     prob = _oscillator_problem(args, units) if args.geometry == "oscillator" else None
-    print("index,root_param,energy,residual,classification")
-    lines = []
     status = EXIT_OK
     try:
         lines = _spectrum_lines(args, units, prob)
+    except DomainError as exc:  # an input the spectrum rejects, such as a length without a grid
+        raise ConfigError(str(exc)) from None
     except GreenChainError as exc:
         lines = list(getattr(exc, "partial", None) or [])  # levels refined before the failure
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_NUMERIC
+    print("index,root_param,energy,residual,classification")
     for i, line in enumerate(lines):
         print(_csv_row((i, line.root.value, line.energy, line.root.residual,
                         line.root.classification.value)))

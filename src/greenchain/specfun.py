@@ -66,6 +66,10 @@ _MILLER_SEED = 1e-30  # the J_m and j_l Miller recurrences start from (0, this)
 _J_RESCALE = 1e100  # J_m Miller: a value past this is rescaled by its reciprocal
 _SPH_RESCALE = 1e250  # j_l Miller: likewise
 
+# Elements of ``a`` from which the Kummer sum at one x runs as one array loop
+# rather than one scalar series each; CHANGES.md records the measured curve.
+_ARRAY_KUMMER = 64
+
 # Validated ranges: kummer_m takes |x| <= 50 and |a| <= 300, pcf_d v in [-1, 200] and |y| <= 10.
 _KUMMER_X_MAX = 50.0
 _KUMMER_A_MAX = 300.0
@@ -610,9 +614,10 @@ def _kummer_series_array(a, b, x) -> tuple[np.ndarray, np.ndarray]:
 
     Every element runs the scalar recurrence, operation for operation, with
     its own Kahan compensation, peak and run of small terms.  With a scalar
-    ``x`` an element leaves the working set as soon as its run reaches
-    three; an array of ``x`` (one order over many points) runs the blocked
-    sum of :func:`_kahan_blocks`.
+    ``x``, fewer than _ARRAY_KUMMER elements run the scalar series one by
+    one, and more run one array loop that an element leaves as soon as its
+    run reaches three; an array of ``x`` (one order over many points) runs
+    the blocked sum of :func:`_kahan_blocks`.
     """
     if isinstance(x, np.ndarray):
         shape = np.broadcast(a, b, x).shape
@@ -628,6 +633,14 @@ def _kummer_series_array(a, b, x) -> tuple[np.ndarray, np.ndarray]:
         return sums.reshape(shape), peaks.reshape(shape)
     sums = np.full(a.shape, np.nan)
     peaks = np.full(a.shape, np.nan)
+    if a.size < _ARRAY_KUMMER:
+        b, x = float(b), float(x)
+        for i, ai in enumerate(a.ravel().tolist()):
+            try:
+                sums.flat[i], peaks.flat[i] = _kummer_series(ai, b, x)
+            except NumericError:
+                pass
+        return sums, peaks
     idx = np.arange(a.size)
     a = a.ravel()
     term = np.ones(a.size)

@@ -38,8 +38,9 @@ min-max brackets of its own levels,
     max(E_j, j - 1/2) - 1/2 <= v_j <= E_j + alpha^2/4 - 1/2,  E_j = (j pi / 2 alpha)^2
 
 (the box level plus the minimum and maximum of the potential y^2/4, and
-the free oscillator's level j), in one array call per factor on the points
-of the 0.01 lattice of the windows [20 k, 20 k + 20] inside them.  A
+the free oscillator's level j), each narrowed to a Ritz / Kato-Temple
+enclosure of the level, in one array call per factor on the points of the
+0.01 lattice of the windows [20 k, 20 k + 20] inside them.  A
 Dirichlet spectrum scans windows in turn; it is one interval factor of a
 real-energy solution pair (u1, u2) = (sin kz / k, cos kz), (J_m, Y_m) or
 (j_l, y_l): u1(k, b) alone on [0, b], and u1(k, b1) u2(k, b2) -
@@ -441,24 +442,83 @@ def _node_factor_roots(prob: OscillatorProblem, v_hi: float, tol: float) -> List
     return roots
 
 
-def _minmax_runs(alpha: float, levels: range) -> List[np.ndarray]:
-    """The lattice orders in the min-max brackets of `levels` (see oscillator_spectrum).
+def _level_enclosures(alpha: float, levels: range) -> Tuple[List[float], List[float]]:
+    """Lower and upper bounds in v of `levels`, the levels of one parity from its first.
 
-    Each bracket is padded by one step on each side and clipped to
-    [0, _PCF_V_MAX]; brackets that share a lattice point merge into one run.  The
-    lattice is that of a scan of the windows [20 k, 20 k + 20] at 2001
-    points: v = 20 k + i fl(0.01).
+    In y in [-alpha, alpha] the levels are the eigenvalues E = v + 1/2 of
+    H = -d^2/dy^2 + y^2/4.  H is projected on the first N = len(levels) + 16
+    box sines of the parity (odd k for odd j, even k for even j), whose
+    entries are, with w = 2 alpha the box width,
+
+        H_kk = (k pi / w)^2 + w^2 (1/12 - 1/(2 k^2 pi^2)) / 4,
+        H_km = (w / pi)^2 2 k m / (k^2 - m^2)^2   (k != m).
+
+    The Ritz value theta_i bounds level i from above (Poincare min-max).
+    The residual norm eta_i of its Ritz vector c is bounded by the rows
+    k <= M = 4 N taken exactly and, past them, by |r_k| <= C / k^3 with
+    C = 2 (w / pi)^2 (16/9) sum_m m |c_m|, whose tail sums to at most
+    C^2 / (5 M^5).  With beta the min-max lower bound of the next level of
+    the parity and a = theta_{i-1} (-inf for the first), Kato-Temple gives
+    E >= theta_i - eta_i^2 / (beta - theta_i) when (beta - theta_i)
+    (theta_i - a) > eta_i^2.  Both bounds are padded by 1e-9 (1 + max theta)
+    for the rounding of eigh and the noise of the refined roots.  A bound
+    that cannot be had is -inf or inf: both, at alpha = 0 or where eigh
+    fails; the lower one, where the Kato-Temple condition fails.
+    """
+    n = len(levels)
+    lower, upper = [-math.inf] * n, [math.inf] * n
+    if not (n and alpha > 0.0):
+        return lower, upper
+    size = n + 16
+    w2 = (2.0 * alpha) ** 2
+    scale = w2 / (math.pi * math.pi)
+    k = levels.start + 2.0 * np.arange(2 * size)  # the rows k <= M of the parity
+    basis = k[:size]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = (2.0 * scale) * np.outer(k, basis) / (k[:, None] ** 2 - basis ** 2) ** 2
+        np.fill_diagonal(h, (basis * math.pi / (2.0 * alpha)) ** 2
+                         + 0.25 * w2 * (1.0 / 12.0 - 0.5 / (math.pi * math.pi * basis * basis)))
+    if not np.isfinite(h).all():
+        return lower, upper
+    try:
+        theta, vecs = np.linalg.eigh(h[:size])
+    except np.linalg.LinAlgError:
+        return lower, upper
+    c = vecs[:, :n]
+    resid = h @ c
+    resid[:size] -= theta[:n] * c
+    tail = (2.0 * scale * 16.0 / 9.0) * (basis @ np.abs(c))
+    eta2 = (resid * resid).sum(axis=0) + tail * tail / (5.0 * (4.0 * size) ** 5)
+    pad = 1e-9 * (1.0 + float(theta[n - 1]))
+    a = -math.inf
+    for i, (j, t, e2) in enumerate(zip(levels, theta[:n].tolist(), eta2.tolist())):
+        beta = max((0.5 * (j + 2) * math.pi) ** 2 / (alpha * alpha), j + 1.5)
+        if beta > t and (beta - t) * (t - a) > e2:
+            lower[i] = t - e2 / (beta - t) - 0.5 - pad
+        upper[i] = t - 0.5 + pad
+        a = t
+    return lower, upper
+
+
+def _minmax_runs(alpha: float, levels: range) -> List[np.ndarray]:
+    """The lattice orders in the brackets of `levels`, one parity from its first level.
+
+    A level's bracket is its min-max bracket (see oscillator_spectrum)
+    narrowed to its `_level_enclosures`, padded by one step on each side and
+    clipped to [0, _PCF_V_MAX]; brackets that share a lattice point merge
+    into one run.  The lattice is that of a scan of the windows
+    [20 k, 20 k + 20] at 2001 points: v = 20 k + i fl(0.01).
     """
     per_window = 2000  # steps of _STEP in a window 20 wide
     last = int(round(_PCF_V_MAX / _STEP))
     a2 = alpha * alpha
     spans: List[List[int]] = []
-    for j in levels:
+    for j, below, above in zip(levels, *_level_enclosures(alpha, levels)):
         box = (0.5 * j * math.pi) ** 2 / a2 if a2 else math.inf
-        lo = max(box, j - 0.5) - 0.5 - _STEP
+        lo = max(max(box, j - 0.5) - 0.5, below) - _STEP
         if lo > _PCF_V_MAX:
             break
-        hi = min(box + 0.25 * a2 - 0.5 + _STEP, _PCF_V_MAX)
+        hi = min(min(box + 0.25 * a2 - 0.5, above) + _STEP, _PCF_V_MAX)
         first, final = max(0, math.floor(lo / _STEP)), min(last, math.ceil(hi / _STEP))
         if spans and first <= spans[-1][1]:
             spans[-1][1] = max(spans[-1][1], final)
@@ -511,9 +571,16 @@ def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-1
 
         max(E_j, j - 1/2) - 1/2 <= v <= E_j + alpha^2/4 - 1/2,  E_j = (j pi / 2 alpha)^2,
 
-    and the scan takes the points of the 0.01 lattice of the windows
-    [20 k, 20 k + 20] inside each bracket padded by one step, so the
-    brackets are those of a scan of the whole lattice.  The degenerate
+    narrowed to an enclosure of the level: the Rayleigh-Ritz value in the
+    first len(levels) + 16 box sines of the parity above, the Kato-Temple
+    bound below, both padded by 1e-9 (1 + max theta); see
+    `_level_enclosures`.  The enclosure is narrower than one lattice step
+    from alpha = 0.2 to 10, so a level costs three or four lattice points.
+    At alpha = 0, where eigh fails, or where the Kato-Temple condition
+    fails, the min-max bound stands.  The scan takes the points of the 0.01
+    lattice of the windows [20 k, 20 k + 20] inside each bracket padded by
+    one step, so the brackets are those of a scan of the whole lattice, and
+    a narrowed bracket changes no root.  The degenerate
     integer-v zeros of the reduced ratio never enter because the wall-value
     factors do not vanish there; node-factor zeros (D_v(alpha) = 0) are
     excluded from the default list and reported flagged when
@@ -576,9 +643,17 @@ def _interval_spectrum(solution, walls: Tuple[float, ...], step: float, hi: floa
     and z.  Windows as wide as the first, [step / 4, hi], are scanned in
     turn, each in one call of `solution` that stacks both walls; the scan
     stops after _MAX_SCAN_ROWS grid points, and Brent refines kappa to
-    tol / L, L being b or b2 - b1, on the scalar path.
+    tol / L, L being b or b2 - b1, on the scalar path.  A length whose step
+    is not positive, or whose first window or row budget has no finite end,
+    raises DomainError before the scan.
     """
     b1, b2 = walls[0], walls[-1]
+    length = b2 - b1 if len(walls) == 2 else b2
+    lo = 0.25 * step
+    end = lo + _MAX_SCAN_ROWS * step
+    if not (0.0 < step and hi < math.inf and end < math.inf):
+        raise DomainError(f"length {length} gives no finite kappa scan grid "
+                          f"(step {step}, first window end {hi})")
     if len(walls) == 1:
         f = lambda kappa: solution(kappa, b2)
     else:
@@ -591,9 +666,6 @@ def _interval_spectrum(solution, walls: Tuple[float, ...], step: float, hi: floa
                     return u1_b1 * u2_b2 - u1_b2 * u2_b1
             (u1_b1, u2_b1), (u1_b2, u2_b2) = solution(kappa, b1), solution(kappa, b2)
             return u1_b1 * u2_b2 - u1_b2 * u2_b1
-    length = b2 - b1 if len(walls) == 2 else b2
-    lo = 0.25 * step
-    end = lo + _MAX_SCAN_ROWS * step
 
     def windows():
         lo_w, hi_w, width = lo, hi, hi - lo

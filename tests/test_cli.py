@@ -576,6 +576,21 @@ def test_spectrum_cylinder_very_high_mode_skips_no_grid_point(capsys):
         assert abs(float(row.split(",")[1]) - want) <= 1e-10 * want
 
 
+@pytest.mark.parametrize("argv", [
+    ["--geometry", "box", "--a", "1e308"],
+    ["--geometry", "cylinder", "--radius", "1e-310"],
+    ["--geometry", "sphere", "--radius", "1e-310"],
+    ["--geometry", "cylinder", "--radius", "1e-305", "--mode", "1000", "--n-roots", "12"],
+])
+def test_spectrum_length_without_a_kappa_grid_exits_1(capsys, argv):
+    # these printed the header alone and exited 0, or a traceback
+    assert main(["spectrum", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no finite kappa scan grid" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_spectrum_rejects_bad_n_roots(capsys):
     assert main(["spectrum", "--geometry", "box", "--n-roots", "0"]) == 1
 

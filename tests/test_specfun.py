@@ -517,6 +517,51 @@ def test_kummer_array_nan_where_the_series_does_not_converge(monkeypatch):
     assert np.isnan(got[1])
 
 
+KUMMER_ROUTE_SIZES = [1, sf._ARRAY_KUMMER - 1, sf._ARRAY_KUMMER, sf._ARRAY_KUMMER + 1]
+
+
+def _scalar_series_calls(monkeypatch):
+    """Count the scalar _kummer_series calls from here on."""
+    real, calls = sf._kummer_series, []
+
+    def counting(a, b, x):
+        calls.append(a)
+        return real(a, b, x)
+
+    monkeypatch.setattr(sf, "_kummer_series", counting)
+    return calls
+
+
+@pytest.mark.parametrize("size", KUMMER_ROUTE_SIZES)
+def test_kummer_route_is_bitwise_at_the_crossover(monkeypatch, size):
+    # below _ARRAY_KUMMER elements the sum at one x runs the scalar series per
+    # element, from it on one array loop: both give the scalar bits, NaN where
+    # it raises (|a| > 300; with 20 terms, a series that does not converge)
+    x = 0.5 * (3.0 / math.sqrt(2.0)) ** 2
+    orders = -0.5 * (np.arange(size) * 0.37)
+    calls = _scalar_series_calls(monkeypatch)
+    sums, peaks = sf._kummer_series_array(orders, 0.5, x)
+    assert len(calls) == (size if size < sf._ARRAY_KUMMER else 0)
+    for i, a in enumerate(orders.tolist()):
+        want = sf._kummer_series(a, 0.5, x)
+        assert (bits(sums[i]), bits(peaks[i])) == (bits(want[0]), bits(want[1])), a
+    monkeypatch.setattr(sf, "_MAX_TERMS", 20)
+    pattern = np.array([-2.0, 301.0, -40.5, -7.0])  # -2, -7: polynomials, a few terms each
+    raised = 0
+    for start in range(len(pattern)):
+        a = np.resize(np.roll(pattern, -start), size)
+        got = sf.kummer_m(a, 0.5, 30.0)
+        for i, ai in enumerate(a.tolist()):
+            try:
+                want = sf.kummer_m(ai, 0.5, 30.0)
+            except (DomainError, NumericError):
+                assert np.isnan(got[i]), ai
+                raised += 1
+                continue
+            assert bits(got[i]) == bits(want), ai
+    assert raised >= 2
+
+
 def _pair_matches_scalar(v, y):
     """Element by element: NaN where pcf_d_signlog raises, else the same bits."""
     sign_m, log_m, sign_p, log_p = sf.pcf_d_pair_signlog(v, y)

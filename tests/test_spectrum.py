@@ -450,7 +450,8 @@ def _dense_lattice_levels(windows, n):
     return sorted(roots, key=lambda pair: pair[0].value)[:n]
 
 
-@pytest.mark.parametrize("box_length", np.linspace(0.3, 14.1, 24).tolist())
+@pytest.mark.parametrize("box_length",
+                         np.linspace(0.3, 14.1, 24).tolist() + [1.0, 2.0, 3.0, 5.0, 8.0])
 def test_minmax_runs_equal_the_dense_lattice(box_length):
     # the min-max runs hold the dense scan's brackets, so every level is bitwise the same
     prob = OscillatorProblem(box_length)
@@ -476,6 +477,115 @@ def test_levels_lie_in_their_minmax_brackets(box_length):
         assert max(box, j - 0.5) - 0.5 - 1e-10 <= line.root.value <= box + a2 / 4.0 - 0.5 + 1e-10
         parity = RootKind.EVEN_BRACKET if j % 2 else RootKind.ODD_BRACKET
         assert line.root.classification is parity
+
+
+def _plain_minmax_runs(alpha, levels):
+    """The lattice runs of the min-max brackets alone, each padded by one step, merged."""
+    step, spans = 0.01, []
+    for j in levels:
+        box = (0.5 * j * math.pi) ** 2 / alpha ** 2
+        lo, hi = max(box, j - 0.5) - 0.5 - step, min(box + 0.25 * alpha ** 2 - 0.5 + step, 200.0)
+        if lo > 200.0:
+            break
+        first, final = max(0, math.floor(lo / step)), math.ceil(hi / step)
+        if spans and first <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], final)
+        else:
+            spans.append([first, final])
+    return [20.0 * (i // 2000) + (i % 2000) * step
+            for first, final in spans for i in range(first, final + 1)]
+
+
+def _run_points(runs):
+    return np.concatenate(runs).tolist() if runs else []
+
+
+@pytest.mark.parametrize("box_length", np.linspace(0.3, 14.1, 24).tolist())
+def test_levels_lie_in_their_enclosures(box_length):
+    # Ritz above, Kato-Temple below: each refined level lies in its padded
+    # enclosure, the Kato-Temple condition holds for every level asked, and
+    # the enclosure is narrower than one lattice step
+    import greenchain.spectrum as spectrum_mod
+
+    prob = OscillatorProblem(box_length)
+    values = [line.root.value for line in oscillator_spectrum(prob, 12)]
+    assert values
+    for first in (1, 2):
+        levels = range(first, 13, 2)
+        lower, upper = spectrum_mod._level_enclosures(prob.alpha, levels)
+        assert all(math.isfinite(bound) for bound in lower + upper)
+        for j, below, above in zip(levels, lower, upper):
+            assert below < above < below + spectrum_mod._STEP
+            if j <= len(values):
+                assert below <= values[j - 1] <= above, (j, below, values[j - 1], above)
+
+
+def test_kato_temple_bound_falls_back_where_its_condition_fails(monkeypatch):
+    # Ritz values pushed above the next level's lower bound beta break the
+    # condition (beta - theta)(theta - a) > eta^2 of every level: the lower
+    # bounds are dropped, the runs are the min-max runs, and the levels stay
+    import greenchain.spectrum as spectrum_mod
+
+    prob = OscillatorProblem(3.0)
+    want = oscillator_spectrum(prob, 12)
+    real_eigh = np.linalg.eigh
+
+    def raised_eigh(h):
+        theta, vecs = real_eigh(h)
+        return theta + 100.0, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", raised_eigh)
+    for first in (1, 2):
+        levels = range(first, 13, 2)
+        lower, upper = spectrum_mod._level_enclosures(prob.alpha, levels)
+        assert lower == [-math.inf] * 6 and all(above > 100.0 for above in upper)
+        plain = _run_points(spectrum_mod._minmax_runs(prob.alpha, levels))
+        assert plain == _plain_minmax_runs(prob.alpha, levels)
+    assert oscillator_spectrum(prob, 12) == want
+
+
+def test_enclosure_fallback_gives_the_min_max_runs(monkeypatch):
+    # alpha = 0 or a failing eigh: no enclosure, so the runs are the min-max
+    # runs; with the enclosure every run lies inside them, and both give the
+    # same levels
+    import greenchain.spectrum as spectrum_mod
+
+    lower, upper = spectrum_mod._level_enclosures(0.0, range(1, 13, 2))
+    assert lower == [-math.inf] * 6 and upper == [math.inf] * 6
+    prob = OscillatorProblem(3.0)
+    want = oscillator_spectrum(prob, 12)
+    narrow = {first: _run_points(spectrum_mod._minmax_runs(prob.alpha, range(first, 13, 2)))
+              for first in (1, 2)}
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    for first in (1, 2):
+        levels = range(first, 13, 2)
+        plain = _run_points(spectrum_mod._minmax_runs(prob.alpha, levels))
+        assert plain == _plain_minmax_runs(prob.alpha, levels)
+        assert set(narrow[first]) <= set(plain) and len(narrow[first]) < len(plain)
+    assert oscillator_spectrum(prob, 12) == want
+
+
+@pytest.mark.parametrize("box_length", [1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
+def test_enclosures_scan_a_few_lattice_points_per_level(monkeypatch, box_length):
+    # work gate: the array kummer_m calls of a request see at most five
+    # lattice points per level asked (the min-max runs saw up to 3,455 at L = 5)
+    import greenchain.spectrum as spectrum_mod
+
+    real_kummer, sizes = spectrum_mod.kummer_m, []
+
+    def kummer_spy(a, b, x):
+        if isinstance(a, np.ndarray):
+            sizes.append(a.size)
+        return real_kummer(a, b, x)
+
+    monkeypatch.setattr(spectrum_mod, "kummer_m", kummer_spy)
+    n = min(12, int(20.0 * box_length / math.pi))
+    assert len(oscillator_spectrum(OscillatorProblem(box_length), n)) == n
+    assert len(sizes) == 2 and sum(sizes) <= 5 * n
 
 
 def test_array_char_functions_match_scalar(unit_box):
@@ -811,6 +921,24 @@ def test_non_finite_inputs_raise_up_front(call, monkeypatch):
     monkeypatch.setattr(specfun_mod, "_kummer_series", None)
     monkeypatch.setattr(specfun_mod, "_kummer_series_array", None)
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: box_spectrum_rect(1e308, 2),  # the step pi / (8 a) underflows to 0
+    lambda: box_spectrum_rect(1e-310, 2),
+    lambda: cyl_dirichlet_spectrum(1e-310, 0, 2),  # 0.3 / b overflows
+    lambda: cyl_dirichlet_spectrum(1e-305, 1000, 12),  # the row budget's end overflows
+    lambda: sph_dirichlet_spectrum(1e-310, 0, 2),
+    lambda: cyl_annulus_spectrum(1e-310, 2e-310, 0, 2),
+    lambda: sph_shell_spectrum(1e-310, 2e-310, 0, 2),
+], ids=["box-long", "box-short", "disk", "disk-high-order", "ball", "annulus", "shell"])
+def test_lengths_without_a_finite_kappa_grid_raise_up_front(call, monkeypatch):
+    # each used to return [] or stop on an OverflowError mid-scan
+    import greenchain.spectrum as spectrum_mod
+
+    monkeypatch.setattr(spectrum_mod, "scan_sign_changes", None)
+    with pytest.raises(DomainError, match="no finite kappa scan grid"):
         call()
 
 
