@@ -343,7 +343,7 @@ def _jy_array(m: int, x: np.ndarray, with_y: bool):
             log_t0 = np.array(orders, dtype=float)[:, None] * lh - np.array(
                 [[math.lgamma(mm + 1.0)] for mm in orders])
             tiny = log_t0 < _LOG_TINY
-            first = _elementwise(math.exp, np.where(tiny, 0.0, log_t0).ravel()).reshape(tiny.shape)
+            first = _elementwise(math.exp, np.where(tiny, 0.0, log_t0))
             sums = _series_rows(-(0.25 * xs * xs), first, orders, -1.0 if with_y else 0.0)
             sums[:len(orders)][tiny] = 0.0
             j[series] = sums[min(m, 2) if with_y else 0]

@@ -9,6 +9,7 @@ become empty cells.  Output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -323,13 +324,11 @@ def cmd_scan(args) -> int:
     except DomainError as exc:
         raise ConfigError(f"bad --lo/--hi/--step: {exc}") from None
     prob = _oscillator_problem(args, _units_from_args(args))
-    # one D_v(-alpha), D_v(alpha) series pass over the window serves both columns
-    dv = specfun.pcf_d_pair_signlog(grid, prob.alpha)
+    # one D_v pair and one set of its squares over the window serve both columns
     cols = [np.where(np.isfinite(col), np.abs(col), np.nan).tolist()
-            for col in (spectrum_mod.oscillator_char_reduced(grid, prob, dv),
-                        spectrum_mod.oscillator_char_full(grid, prob, dv))]
-    # the cells of _fmt; a non-finite one is NaN here, and no number prints "nan"
-    text = "".join([f"{v:.12g},{r:.12g},{f:.12g}\n" for v, r, f in zip(grid.tolist(), *cols)])
+            for col in spectrum_mod._char_columns(grid, prob)]
+    # _fmt's cells (the same .12g conversion); a non-finite one is NaN, and no number prints "nan"
+    text = "".join(["%.12g,%.12g,%.12g\n" % row for row in zip(grid.tolist(), *cols)])
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write("v,abs_reduced,abs_full\n" + text.replace("nan", ""))
@@ -398,10 +397,15 @@ def cmd_table1(args) -> int:
     return EXIT_NUMERIC
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -105,10 +105,10 @@ def _pair_parts(p: np.ndarray, q: np.ndarray, bad: np.ndarray):
     raises there)."""
     values = np.stack([p, q])
     zero = values == 0.0
-    logs = specfun._elementwise(math.log, np.where(zero, 1.0, np.abs(values)).ravel())
+    logs = specfun._elementwise(math.log, np.where(zero, 1.0, np.abs(values)))
     out = np.empty((4, p.size))
     out[0::2] = np.sign(values)
-    out[1::2] = np.where(zero, 0.0, logs.reshape(values.shape))
+    out[1::2] = np.where(zero, 0.0, logs)
     out[:, bad | np.isnan(values).any(axis=0)] = np.nan
     return tuple(part.reshape(p.shape) for part in out)
 

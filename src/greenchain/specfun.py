@@ -609,8 +609,9 @@ def _kummer_series(a: float, b: float, x: float) -> tuple[float, float]:
 
 
 def _kummer_series_array(a, b, x) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_kummer_series` over an array of ``a``, or over arrays of ``a``,
-    ``b`` and ``x`` broadcast together: sums and peaks, NaN where it raises.
+    """:func:`_kummer_series` over arrays of ``a`` and ``b`` (or a scalar ``b``)
+    broadcast together, at one ``x`` or over an array of ``x``: sums and
+    peaks, NaN where it raises.
 
     Every element runs the scalar recurrence, operation for operation, with
     its own Kahan compensation, peak and run of small terms.  With a scalar
@@ -631,18 +632,19 @@ def _kummer_series_array(a, b, x) -> tuple[np.ndarray, np.ndarray]:
         sums, peaks = _kahan_blocks(ratio, np.ones(a.size), np.ones(a.size), _MAX_TERMS,
                                     with_peak=True)
         return sums.reshape(shape), peaks.reshape(shape)
-    sums = np.full(a.shape, np.nan)
-    peaks = np.full(a.shape, np.nan)
+    b_each = isinstance(b, np.ndarray)  # one b per element, dropped with it below
+    if b_each:
+        a, b = np.broadcast_arrays(a, b.astype(float))
+    sums, peaks = np.full((2,) + a.shape, np.nan)
+    a, b, x = a.ravel(), (b.ravel() if b_each else float(b)), float(x)
     if a.size < _ARRAY_KUMMER:
-        b, x = float(b), float(x)
-        for i, ai in enumerate(a.ravel().tolist()):
+        for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist() if b_each else [b] * a.size)):
             try:
-                sums.flat[i], peaks.flat[i] = _kummer_series(ai, b, x)
+                sums.flat[i], peaks.flat[i] = _kummer_series(ai, bi, x)
             except NumericError:
                 pass
         return sums, peaks
     idx = np.arange(a.size)
-    a = a.ravel()
     term = np.ones(a.size)
     total = np.ones(a.size)
     comp = np.zeros(a.size)
@@ -666,6 +668,8 @@ def _kummer_series_array(a, b, x) -> tuple[np.ndarray, np.ndarray]:
             keep = ~done
             idx, a, term, total, comp, peak, small = (
                 arr[keep] for arr in (idx, a, term, total, comp, peak, small))
+            if b_each:
+                b = b[keep]
     return sums, peaks
 
 
@@ -779,7 +783,7 @@ def _pcf_d_signlog_pair(v: float, y: float) -> tuple[SignLog, SignLog]:
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` from ``math`` at each element of ``x``: ``np.exp`` is not bitwise ``math.exp``."""
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _gamma_signlog_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -804,7 +808,7 @@ def pcf_d_pair_signlog(v, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     ``sign_minus`` and ``log_minus`` are the ``sign`` and ``log_mag`` of
     ``pcf_d_signlog(v[i], -y)`` (or of ``pcf_d_signlog(v, -y[i])``),
     bitwise, and likewise for ``+y``.  Both signs share q = y^2/2, so the
-    two Kummer series run once for the pair.  All four arrays hold NaN where
+    two Kummer series run in one call for the pair.  All four arrays hold NaN where
     :func:`pcf_d_signlog` would raise: v outside [-1, 200], ``|y| > 10`` in
     an array of y, the series cancellation guard, or a series that does not
     converge.  A scalar ``|y| > 10`` raises DomainError as in the scalar call.
@@ -820,33 +824,25 @@ def pcf_d_pair_signlog(v, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
         shape = v.shape
         ok = (v >= _PCF_V_MIN) & (v <= _PCF_V_MAX)
         w = v[ok]
-    q = 0.5 * y * y
-    if isinstance(q, np.ndarray):  # both series in one blocked sum
-        (m_even, m_odd), (peak_even, peak_odd) = _kummer_series_array(
-            np.stack([-0.5 * w, 0.5 * (1.0 - w)]), np.array([[0.5], [1.5]]), q)
-    else:
-        m_even, peak_even = _kummer_series_array(-0.5 * w, 0.5, q)
-        m_odd, peak_odd = _kummer_series_array(0.5 * (1.0 - w), 1.5, q)
-    rg_even = _rgamma_array(0.5 * (1.0 - w))
-    rg_odd = _rgamma_array(-0.5 * w)
+    # both series of q = y^2/2 in one call; their a are the reciprocal gammas' arguments, swapped
+    a = np.stack([-0.5 * w, 0.5 * (1.0 - w)])
+    (m_even, m_odd), (peak_even, peak_odd) = _kummer_series_array(
+        a, np.array([[0.5], [1.5]]), 0.5 * y * y)
+    rg_odd, rg_even = _rgamma_array(a)
     t_even = m_even * rg_even
     noise = _REL_EPS * (peak_even * np.abs(rg_even)
                         + _SQRT_2 * abs(y) * peak_odd * np.abs(rg_odd))
     log_pref = 0.5 * w * _LN_2 - 0.25 * y * y + 0.5 * math.log(math.pi)
-    out = []
-    for s in (-y, y):
-        t_odd = _SQRT_2 * s * m_odd * rg_odd
-        scale = np.maximum(np.abs(t_even), np.abs(t_odd))
-        bracket = np.where(scale == 0.0, 0.0, t_even - t_odd)
-        bracket[~(noise <= 1e-8 * scale) & (scale != 0.0)] = np.nan
-        zero = bracket == 0.0
-        log_abs = _elementwise(math.log, np.where(zero, 1.0, np.abs(bracket)))
-        sign = np.full(shape, np.nan)
-        log_mag = np.full(shape, np.nan)
-        sign[ok] = np.sign(bracket)
-        log_mag[ok] = np.where(zero, 0.0, log_abs + log_pref)
-        out += [sign, log_mag]
-    return tuple(out)
+    t_odd = _SQRT_2 * (np.array([[-1.0], [1.0]]) * y) * m_odd * rg_odd  # rows -y, y
+    scale = np.maximum(np.abs(t_even), np.abs(t_odd))
+    bracket = np.where(scale == 0.0, 0.0, t_even - t_odd)
+    bracket[~(noise <= 1e-8 * scale) & (scale != 0.0)] = np.nan
+    zero = bracket == 0.0
+    log_abs = _elementwise(math.log, np.where(zero, 1.0, np.abs(bracket)))
+    sign, log_mag = np.full((2, 2) + shape, np.nan)
+    sign[:, ok] = np.sign(bracket)
+    log_mag[:, ok] = np.where(zero, 0.0, log_abs + log_pref)
+    return sign[0], log_mag[0], sign[1], log_mag[1]
 
 
 # The array paths use the scalar helpers above, so they are bound last.

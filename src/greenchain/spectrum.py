@@ -304,29 +304,41 @@ _Orders = Union[float, np.ndarray]
 _DvPair = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _pair(v: _Orders, prob: OscillatorProblem, dv: Optional[_DvPair]) -> _DvPair:
-    """`dv` or the D_v pair of v; a scalar v gives length-1 parts or raises as `pcf_d_signlog`."""
+def _char_columns(v: _Orders, prob: OscillatorProblem, dv: Optional[_DvPair] = None,
+                  full: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """r(v) and, with `full`, Delta(v) as arrays (length 1 for a scalar order, which raises
+    as `pcf_d_signlog`), NaN where undefined: a scan's two columns from one exponentiation
+    of the D_v squares, each over e^lead, lead the larger log square (0.0 where both
+    vanish); a vanishing D_v gives 0.0.  `dv` is the pair already evaluated on the orders.
+    """
     if not isinstance(v, np.ndarray):
         dm, dp = pcf_d_signlog(v, -prob.alpha), pcf_d_signlog(v, prob.alpha)
-        return np.array([[dm.sign], [dm.log_mag], [dp.sign], [dp.log_mag]], dtype=float)
-    if dv is None:
+        dv = np.array([[dm.sign], [dm.log_mag], [dp.sign], [dp.log_mag]], dtype=float)
+    elif dv is None:
         dv = pcf_d_pair_signlog(v, prob.alpha)
-    if any(len(part) != len(v) for part in dv):
+    elif any(len(part) != len(v) for part in dv):
         raise DomainError("the D_v pair was evaluated on a different grid")
-    return dv
-
-
-def _rescaled_squares(dv: _DvPair) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D_v(-alpha)^2 and D_v(alpha)^2 over e^lead, and lead, the larger log square.
-
-    A vanishing D_v gives 0.0, and lead is 0.0 where both vanish.  NaN where the pair is NaN.
-    """
     sm, lm, sp, lp = dv
     lm2, lp2 = lm + lm, lp + lp
     lead = np.maximum(np.where(sm != 0.0, lm2, -np.inf), np.where(sp != 0.0, lp2, -np.inf))
     lead[np.isneginf(lead)] = 0.0
     em, ep = np.split(_elementwise(math.exp, np.concatenate([lm2 - lead, lp2 - lead])), 2)
-    return np.where(sm != 0.0, em, 0.0), np.where(sp != 0.0, ep, 0.0), lead
+    em, ep = np.where(sm != 0.0, em, 0.0), np.where(sp != 0.0, ep, 0.0)
+    diff = em - ep
+    with np.errstate(invalid="ignore"):
+        reduced = diff / (em + ep)  # NaN where both vanish
+    if not full:
+        return reduced, None
+    g_log = (_gamma_signlog_array(-v)[1] if isinstance(v, np.ndarray)
+             else np.array([gamma_signlog(-v).log_mag]))
+    log_bracket = _elementwise(math.log, np.where(diff == 0.0, 1.0, np.abs(diff))) + lead
+    den = math.pi * prob.units.hbar * prob.units.omega0
+    c = prob.units.mass / den if den else math.inf  # hbar w0 underflows: Delta overflows
+    log_total = g_log + g_log + lp2 + log_bracket + math.log(c if c else 1.0)
+    mag = _elementwise(math.exp, np.where(log_total > _LOG_MAX, np.nan, log_total))
+    out = np.where((sp == 0.0) | (diff == 0.0) | (c == 0.0), 0.0, np.sign(diff) * mag)
+    out[np.isnan(g_log)] = np.nan  # the Gamma(-v) poles
+    return reduced, out
 
 
 def oscillator_char_full(v: _Orders, prob: OscillatorProblem,
@@ -344,19 +356,8 @@ def oscillator_char_full(v: _Orders, prob: OscillatorProblem,
     already evaluated on the same orders.  A scalar order runs the same
     array operations on one element, so both give bitwise the same values.
     """
-    dv = _pair(v, prob, dv)
-    scalar = not isinstance(v, np.ndarray)
-    g_log = np.array([gamma_signlog(-v).log_mag]) if scalar else _gamma_signlog_array(-v)[1]
-    em, ep, lead = _rescaled_squares(dv)
-    diff = em - ep
-    log_bracket = _elementwise(math.log, np.where(diff == 0.0, 1.0, np.abs(diff))) + lead
-    den = math.pi * prob.units.hbar * prob.units.omega0
-    c = prob.units.mass / den if den else math.inf  # hbar w0 underflows: Delta overflows
-    log_total = g_log + g_log + (dv[3] + dv[3]) + log_bracket + math.log(c if c else 1.0)
-    mag = _elementwise(math.exp, np.where(log_total > _LOG_MAX, np.nan, log_total))
-    out = np.where((dv[2] == 0.0) | (diff == 0.0) | (c == 0.0), 0.0, np.sign(diff) * mag)
-    out[np.isnan(g_log)] = np.nan  # the Gamma(-v) poles
-    if not scalar:
+    out = _char_columns(v, prob, dv)[1]
+    if isinstance(v, np.ndarray):
         return out
     if math.isnan(out[0]):
         raise RangeError(f"Delta({v}) overflows double range; use oscillator_char_reduced "
@@ -377,9 +378,7 @@ def oscillator_char_reduced(v: _Orders, prob: OscillatorProblem,
     NumericError for a scalar order, NaN in an array.  Arrays of orders and
     `dv` work as in :func:`oscillator_char_full`.
     """
-    em, ep, _ = _rescaled_squares(_pair(v, prob, dv))
-    with np.errstate(invalid="ignore"):
-        out = (em - ep) / (em + ep)  # NaN where both vanish
+    out = _char_columns(v, prob, dv, full=False)[0]
     if isinstance(v, np.ndarray):
         return out
     if math.isnan(out[0]):

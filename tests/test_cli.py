@@ -298,8 +298,8 @@ def test_scan_csv_equals_scalar_composition(tmp_path, monkeypatch, box_length):
 
 
 def test_scan_runs_one_series_pass_per_factor(tmp_path, monkeypatch):
-    # a 1001-row window: the two Kummer series run once each over the whole
-    # window, instead of 8 scalar series per row
+    # a 1001-row window: the two Kummer series run together in one array call
+    # over the whole window, instead of 8 scalar series per row
     from greenchain import specfun
 
     calls = {"array": 0, "scalar": 0}
@@ -319,7 +319,87 @@ def test_scan_runs_one_series_pass_per_factor(tmp_path, monkeypatch):
     assert main(["scan", "--geometry", "oscillator", "--a", "3", "--lo", "40",
                  "--hi", "50", "--step", "0.01", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 1001
-    assert calls == {"array": 2, "scalar": 0}
+    assert calls == {"array": 1, "scalar": 0}
+
+
+def test_scan_exponentiates_the_squares_once(tmp_path, monkeypatch):
+    # both columns share one set of rescaled D_v squares: one _char_columns call
+    # per window, and math.exp runs over the 2 x 1001 squares and the 1001
+    # magnitudes of Delta, where the two column functions took 5 x 1001
+    import greenchain.spectrum as spectrum_mod
+
+    columns, exps = [], []
+    real_columns, real_elementwise = spectrum_mod._char_columns, spectrum_mod._elementwise
+
+    def columns_spy(*args, **kwargs):
+        columns.append(args[0].size)
+        return real_columns(*args, **kwargs)
+
+    def elementwise_spy(fn, x):
+        if fn is math.exp:
+            exps.append(x.size)
+        return real_elementwise(fn, x)
+
+    monkeypatch.setattr(spectrum_mod, "_char_columns", columns_spy)
+    monkeypatch.setattr(spectrum_mod, "_elementwise", elementwise_spy)
+    out = tmp_path / "window.csv"
+    assert main(["scan", "--geometry", "oscillator", "--a", "3", "--lo", "40",
+                 "--hi", "50", "--step", "0.01", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 1001
+    assert columns == [1001]
+    assert exps == [2 * 1001, 1001]
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    from greenchain import cli
+
+    built = []
+    real_build = cli.build_parser
+
+    def build_spy():
+        built.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", build_spy)
+    cli._parser.cache_clear()
+    for argv in (["table1"], ["spectrum", "--geometry", "box", "--n-roots", "2"], ["table1"]):
+        assert main(argv) == 0
+    assert len(built) <= 1
+
+
+def test_reused_parser_answers_as_a_fresh_one(tmp_path, monkeypatch, capsys):
+    # one parser serves every call of the process: no flag, default or config
+    # override of one call may leak into the next, in exit codes or output bytes
+    from greenchain import cli
+
+    config = write_config(tmp_path, {"geometry": "cylindrical", "positions": [0.5, 0.9],
+                                     "couplings": [1.5, -0.7], "mode": 1})
+    out = tmp_path / "scan.csv"
+    scan = ["scan", "--geometry", "oscillator", "--a", "3", "--lo", "39.5", "--hi", "41",
+            "--step", "0.01", "--out", str(out)]
+    calls = [
+        scan,
+        ["spectrum", "--geometry", "cylinder", "--mode", "2"],
+        ["spectrum", "--geometry", "cylinder"],
+        ["greens", config, "0.6", "0.8", "2.0", "--mode", "3"],
+        ["greens", config, "0.6", "0.8", "2.0"],
+        ["spectrum", "--geometry", "torus"],
+        ["table1"],
+        scan,
+    ]
+
+    def run_all():
+        seen = []
+        for argv in calls:
+            code = main(argv)
+            written = out.read_bytes() if argv is scan else None
+            seen.append((code, capsys.readouterr(), written))
+        return seen
+
+    reused = run_all()
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 1, 0, 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser for every call
+    assert run_all() == reused
 
 
 def test_scan_builds_no_signlog_per_row(tmp_path, monkeypatch):

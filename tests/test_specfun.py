@@ -562,6 +562,60 @@ def test_kummer_route_is_bitwise_at_the_crossover(monkeypatch, size):
     assert raised >= 2
 
 
+def _stacked_matches_scalar(a, b, x):
+    """_kummer_series_array over a stack of orders and their b against per-element
+    _kummer_series: the same bits, NaN in sums and peaks where it raises."""
+    sums, peaks = sf._kummer_series_array(a, b, x)
+    assert sums.shape == peaks.shape == a.shape
+    raised = 0
+    b = np.broadcast_to(b, a.shape)
+    for got_s, got_p, ai, bi in zip(*(arr.ravel().tolist() for arr in (sums, peaks, a, b))):
+        try:
+            want = sf._kummer_series(ai, bi, x)
+        except NumericError:
+            assert math.isnan(got_s) and math.isnan(got_p), (ai, bi)
+            raised += 1
+            continue
+        assert (bits(got_s), bits(got_p)) == (bits(want[0]), bits(want[1])), (ai, bi)
+    return raised
+
+
+@pytest.mark.parametrize("size", [sf._ARRAY_KUMMER - 1, sf._ARRAY_KUMMER, sf._ARRAY_KUMMER + 1])
+def test_stacked_kummer_series_is_bitwise_at_the_crossover(monkeypatch, size):
+    # the even (b = 1/2) and odd (b = 3/2) series of the D_v pair as one call:
+    # the crossover reads the element count of the stack, and either route
+    # gives each element the bits of its own scalar series
+    x = 0.5 * (3.0 / math.sqrt(2.0)) ** 2
+    n = (size + 1) // 2
+    w = np.arange(n) * 0.37
+    a = np.stack([-0.5 * w, 0.5 * (1.0 - w)]).ravel()[:size]
+    b = np.repeat([0.5, 1.5], n)[:size]
+    calls = _scalar_series_calls(monkeypatch)
+    sf._kummer_series_array(a, b, x)
+    assert len(calls) == (size if size < sf._ARRAY_KUMMER else 0)
+    assert _stacked_matches_scalar(a, b, x) == 0
+    # with 20 terms the long series are cut: NaN in both outputs, on both routes
+    monkeypatch.setattr(sf, "_MAX_TERMS", 20)
+    a = np.resize([-2.0, -40.5, -7.0, 30.25], size)  # -2, -7: polynomials, a few terms each
+    sums, peaks = sf._kummer_series_array(a, b, 30.0)
+    cut = np.isnan(sums)
+    assert (cut == np.isnan(peaks)).all() and 2 <= cut.sum() < size
+    assert _stacked_matches_scalar(a, b, 30.0) == cut.sum()
+
+
+@pytest.mark.parametrize("box_length", [1.0, 2.0, 3.0])
+def test_stacked_pair_window_is_bitwise_from_v0(box_length):
+    # one 2 x 1001 scan window from v = 0: its elements stop after 3 terms up
+    # to 15, 22 and 28 terms at L = 1, 2, 3, so the shrinking loop drops them
+    # at many different steps
+    alpha = box_length / math.sqrt(2.0)
+    w = V_LATTICE[:1001]
+    a = np.stack([-0.5 * w, 0.5 * (1.0 - w)])
+    assert _stacked_matches_scalar(a, np.array([[0.5], [1.5]]), 0.5 * alpha * alpha) == 0
+    # and the pair built on it is still the scalar D_v(-alpha), D_v(alpha), NaN mask included
+    _pair_matches_scalar(w, alpha)
+
+
 def _pair_matches_scalar(v, y):
     """Element by element: NaN where pcf_d_signlog raises, else the same bits."""
     sign_m, log_m, sign_p, log_p = sf.pcf_d_pair_signlog(v, y)
