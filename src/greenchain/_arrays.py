@@ -132,8 +132,8 @@ def _series_rows(q: np.ndarray, first: np.ndarray, orders: tuple[float, ...],
     :func:`_bessel_j_series` and q = x^2/4 the scaled series of
     :func:`bessel_i`.  A nonzero `log_sign` adds two rows for the log
     sums of orders 0 and 1, which add the term times log_sign H_k and
-    H_k + H_{k+1} - 2 gamma: Y_0 and Y_1 of :func:`_y01_series` (-1) or K_0
-    and K_1 of :func:`_k01_series` (+1).  Each wanted element (`pending`,
+    H_k + H_{k+1} - 2 gamma: those of Y_0 and Y_1 (-1) or K_0 and K_1 (+1)
+    in :func:`_series01`.  Each wanted element (`pending`,
     default all) stops where its scalar loop stops, so every sum is bitwise
     the scalar one; an order row is NaN where its series does not converge,
     and a log row keeps its last total, as the scalar loops end without
@@ -190,7 +190,7 @@ def _i_finish(m: int, lh: np.ndarray, q: np.ndarray, scaled: np.ndarray) -> np.n
 
 
 def _k01_cosh_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_k_cosh_integral` at m = 0 and 1 over an array of x in the trapezoid band.
+    """:func:`_k01_cosh_integral` over an array of x in the trapezoid band.
 
     The nodes t are the scalar loop's, accumulated the same way, and every
     exp(-x cosh t) is taken in one elementwise call, shared by K_0 and K_1.
@@ -214,7 +214,7 @@ def _k01_cosh_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _k01_asymptotic_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_k01_asymptotic` over an array: the mu = 0 and 4 sums for every k at once.
+    """The K sums of :func:`_asymptotic01` over an array: mu = 0 and 4, every k at once.
 
     The terms are one cumulative product and the partial sums one
     cumulative sum, both in the scalar order; each element keeps the
@@ -249,7 +249,7 @@ def _ik_array(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(I_m, K_m) over an array of x: each bitwise the scalar value, NaN where it raises.
 
     The I_m series, and in the log-series band the I_0 and I_1 series and the two K log
-    sums of :func:`_k01_series`, run as the rows of one blocked Kahan sum;
+    sums of :func:`_series01`, run as the rows of one blocked Kahan sum;
     the trapezoid band and the asymptotic band each take one array call.
     """
     shape = x.shape

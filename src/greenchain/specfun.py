@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, islice, pairwise
 
 import numpy as np
 
@@ -56,7 +57,7 @@ _MAX_TERMS = 10000
 # paths in greenchain._arrays share bit for bit.
 _K_SERIES_MAX = 6.0  # K_0, K_1: log series to here, then the trapezoid
 _K_ASYMPTOTIC_MIN = 14.0  # K_0, K_1: the large-argument sums from here on
-_COSH_STEP = 0.2  # trapezoid step in t of _k_cosh_integral
+_COSH_STEP = 0.2  # trapezoid step in t of _k01_cosh_integral
 _COSH_CUTOFF = 760.0  # its nodes stop where x cosh t reaches this
 _ASYMPTOTIC_TERMS = 60  # the K and Hankel large-argument sums end before this term
 _JY_SERIES_MAX = 12.0  # J, Y: ascending series to here, then Hankel or J Miller
@@ -179,27 +180,19 @@ def _rgamma(x: float) -> float:
     return sign * math.exp(-lg)
 
 
-def _kahan_series(first_term: float, ratio, what: str) -> float:
-    """Sum ``first_term * prod_{j<=k} ratio(j)`` with Kahan compensation.
-
-    ``ratio(k)`` maps term ``k-1`` to term ``k`` (k >= 1).
-    """
-    term = first_term
-    total = first_term
-    comp = 0.0
-    small = 0
+def _kahan_series(first_term: float, q: float, m: int, stride: int, what: str) -> float:
+    """Sum ``first_term * prod_{j<=k} q / (j (m + stride j))`` with Kahan compensation;
+    the denominators are exact integers, so each ratio is bitwise the one written in floats."""
+    term = total = first_term
+    comp, small = 0.0, 0
     for k in range(1, _MAX_TERMS):
-        term *= ratio(k)
+        term *= q / (k * (m + stride * k))
         y = term - comp
         t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) <= _REL_EPS * abs(total):
-            small += 1
-            if small >= _SMALL_RUN:
-                return total
-        else:
-            small = 0
+        comp, total = (t - total) - y, t
+        small = small + 1 if abs(term) <= _REL_EPS * abs(t) else 0
+        if small >= _SMALL_RUN:
+            return total
     raise NumericError(f"{what} did not converge within {_MAX_TERMS} terms")
 
 
@@ -225,98 +218,127 @@ def bessel_i(m: int, x):
     log_t0 = m * math.log(0.5 * x) - math.lgamma(m + 1.0)
     if log_t0 + q / (m + 1.0) < _LOG_TINY:
         return 0.0  # entire sum is below double underflow (m >> x)
-    scaled = _kahan_series(1.0, lambda k: q / (k * (m + k)), "bessel_i series")
+    scaled = _kahan_series(1.0, q, m, 1, "bessel_i series")
     log_val = log_t0 + math.log(scaled)
     if log_val > _LOG_MAX:
         raise RangeError(f"bessel_i({m}, {x}) overflows double range")
     return math.exp(log_val)
 
 
-def _log_sums(q: float, log_sign: float) -> tuple[float, float]:
-    """The two compensated log sums of K_0, K_1 (q = x^2/4, log_sign = +1, A&S 9.6.11)
-    or Y_0, Y_1 (q = -x^2/4, log_sign = -1, A&S 9.1.11).
+# Rows k = 1..168 of the order-0/1 ascending series: k^2, k (k + 1), H_k and
+# H_k + H_{k+1} - 2 gamma, with H_k summed term by term.  At |q| <= 36 (x <= 12) every
+# term is 0 by row 162, so each sum of _series01 stops within the table.
+_ASCENDING = [(float(k * k), k * (k + 1.0), h, h + h1 - 2.0 * _EULER_GAMMA) for k, (h, h1)
+              in enumerate(pairwise(accumulate(1.0 / j for j in range(1, 170))), 1)]
 
-    The order-0 sum adds log_sign H_k q^k / (k!)^2 over k >= 1, and the Y_0
-    stopping test adds _Y0_FLOOR to |sum|; the order-1 sum adds
-    (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!) from its k = 0 term.  Each
-    stops like :func:`_kahan_series` and keeps its last sum if it never does.
-    """
+
+def _series01(q: float, log_sign: float, first1: float) -> tuple[float, float, float, float]:
+    """In one loop, the J_0, J_1 series (q = -x^2/4, log_sign = -1, first1 = exp(log(x/2)))
+    or scaled I_0, I_1 series (q = x^2/4, +1, first1 = 1) and the log sums of Y_0, Y_1
+    (A&S 9.1.11) or K_0, K_1 (A&S 9.6.11), which add log_sign H_k times the order-0 term
+    and (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!).  Each sum stops as _kahan_series does
+    (the Y_0 test adds _Y0_FLOOR to |sum|), and a log sum that never stops is kept as is."""
+    eps, run = _REL_EPS, _SMALL_RUN
     floor = _Y0_FLOOR if log_sign < 0.0 else 0.0
-    term, hk, total, comp, small = 1.0, 0.0, 0.0, 0.0, 0
-    for k in range(1, _MAX_TERMS):
-        term *= q / (k * k)
-        hk += 1.0 / k
-        c = log_sign * (term * hk)  # negation is exact: -term * hk for Y_0
-        y = c - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(c) <= _REL_EPS * (abs(total) + floor):
-            small += 1
-            if small >= _SMALL_RUN:
-                break
-        else:
-            small = 0
-    s0 = total
-    term, hk, hk1, total, comp, small = 1.0, 0.0, 1.0, 1.0 - 2.0 * _EULER_GAMMA, 0.0, 0
-    for k in range(1, _MAX_TERMS):
-        term *= q / (k * (k + 1.0))
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1.0)
-        c = term * (hk + hk1 - 2.0 * _EULER_GAMMA)
-        y = c - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(c) <= _REL_EPS * abs(total):
-            small += 1
-            if small >= _SMALL_RUN:
-                break
-        else:
-            small = 0
-    return s0, total
+    t0, t1, u1 = 1.0, first1, 1.0  # the order-0 term, the order-1 term, the order-1 log term
+    j0, j1, s0, s1 = 1.0, first1, 0.0, 1.0 - 2.0 * _EULER_GAMMA
+    e0 = e1 = f0 = f1 = 0.0  # Kahan compensations
+    n0 = n1 = m0 = m1 = 0  # runs of small terms
+    for kk, kk1, hk, w in islice(_ASCENDING, _MAX_TERMS - 1):
+        t0 *= q / kk
+        r1 = q / kk1
+        if n0 < run:
+            y = t0 - e0
+            t = j0 + y
+            e0, j0 = (t - j0) - y, t
+            n0 = n0 + 1 if abs(t0) <= eps * abs(t) else 0
+        if n1 < run:
+            t1 *= r1
+            y = t1 - e1
+            t = j1 + y
+            e1, j1 = (t - j1) - y, t
+            n1 = n1 + 1 if abs(t1) <= eps * abs(t) else 0
+        if m0 < run:
+            c = log_sign * (t0 * hk)  # negation is exact: -term * hk for Y_0
+            y = c - f0
+            t = s0 + y
+            f0, s0 = (t - s0) - y, t
+            m0 = m0 + 1 if abs(c) <= eps * (abs(t) + floor) else 0
+        if m1 < run:
+            u1 *= r1
+            c = u1 * w
+            y = c - f1
+            t = s1 + y
+            f1, s1 = (t - s1) - y, t
+            m1 = m1 + 1 if abs(c) <= eps * abs(t) else 0
+        elif m0 == run and n0 == run and n1 == run:
+            return j0, j1, s0, s1
+    if n0 < run or n1 < run:
+        raise NumericError(f"bessel_{'j' if log_sign < 0.0 else 'i'} series did not converge "
+                           f"within {_MAX_TERMS} terms")
+    return j0, j1, s0, s1
 
 
-def _k01_series(x: float) -> tuple[float, float]:
-    """K_0 and K_1 by the ascending log series; good for x <= _K_SERIES_MAX."""
-    lh = math.log(0.5 * x)
-    s0, s1 = _log_sums(0.25 * x * x, 1.0)
-    k0 = -(lh + _EULER_GAMMA) * bessel_i(0, x) + s0
-    return k0, 1.0 / x + lh * bessel_i(1, x) - 0.25 * x * s1
-
-
-def _k_cosh_integral(m: int, x: float) -> float:
-    """K_m(x) = integral_0^inf exp(-x cosh t) cosh(m t) dt by trapezoid.
+def _k01_cosh_integral(x: float) -> tuple[float, float]:
+    """K_0 and K_1 as integral_0^inf exp(-x cosh t) cosh(m t) dt by trapezoid, in one pass.
 
     The integrand extends to an analytic, doubly-exponentially decaying even
     function of t, so the trapezoid rule with h = 0.2 is already converged to
     machine precision for the 6 < x < 14 band where it is used.
     """
     h, cutoff = _COSH_STEP, _COSH_CUTOFF
-    total = 0.5 * math.exp(-x)  # t = 0 term carries half weight
+    k0 = k1 = 0.5 * math.exp(-x)  # t = 0 term carries half weight
     t = h
-    while x * math.cosh(t) < cutoff:
-        total += math.exp(-x * math.cosh(t)) * math.cosh(m * t)
-        t += h
-    return h * total
+    while x * (c := math.cosh(t)) < cutoff:
+        e = math.exp(-x * c)
+        k0, k1, t = k0 + e, k1 + e * c, t + h  # cosh(0 t) = 1
+    return h * k0, h * k1
 
 
-def _k01_asymptotic(x: float) -> tuple[float, float]:
-    """K_0 and K_1 from the large-argument expansion, truncated at the smallest term."""
-    pref = math.sqrt(0.5 * math.pi / x) * math.exp(-x)
-    out = []
-    for mu in (0.0, 4.0):
-        term = 1.0
-        total = 1.0
-        prev = 1.0
-        for k in range(1, _ASYMPTOTIC_TERMS):
-            term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-            if abs(term) >= prev or abs(term) <= _REL_EPS * abs(total):
-                break
-            total += term
-            prev = abs(term)
-        out.append(pref * total)
-    return out[0], out[1]
+# Rows k < _ASYMPTOTIC_TERMS of the large-argument sums at mu = 0 and 4, whose term k is term
+# k-1 times (mu - (2k-1)^2) / (8k x): 0 - (2k-1)^2, 4 - (2k-1)^2, 8k, and whether the term goes
+# to Q rather than P.  K adds every term to P; the Hankel sums add i^k times it to P + iQ, the
+# sign of i^k carried by a numerator negated at even k (which negates the product exactly).
+_K_ROWS = [(0.0 - (2.0 * k - 1.0) ** 2, 4.0 - (2.0 * k - 1.0) ** 2, 8.0 * k, False)
+           for k in range(1, _ASYMPTOTIC_TERMS)]
+_HANKEL_ROWS = [(-n0, -n4, k8, False) if k % 2 == 0 else (n0, n4, k8, True)
+                for k, (n0, n4, k8, _) in enumerate(_K_ROWS, 1)]
+
+
+def _asymptotic01(x: float, rows: list, rel: float, tol: float) -> tuple[float, ...]:
+    """The large-argument sums (P, Q) at mu = 0 and at mu = 4 over `rows`, in one loop.
+
+    A mu stops before a term no smaller than its last one (from term 0 = 1) or
+    at most rel |P|, or after adding one at most tol: K stops relative to its
+    sum, the Hankel sums of J and Y below an absolute 1e-16."""
+    t0 = t4 = p0 = p4 = prev0 = prev4 = 1.0
+    q0 = q4 = 0.0
+    live0 = live4 = True
+    for n0, n4, k8, odd in rows:
+        d = k8 * x
+        if live0:
+            t0 *= n0 / d
+            a = abs(t0)
+            live0 = not (a >= prev0 or a <= rel * abs(p0))
+            if live0:
+                prev0, live0 = a, not a <= tol
+                if odd:
+                    q0 += t0
+                else:
+                    p0 += t0
+        if live4:
+            t4 *= n4 / d
+            a = abs(t4)
+            live4 = not (a >= prev4 or a <= rel * abs(p4))
+            if live4:
+                prev4, live4 = a, not a <= tol
+                if odd:
+                    q4 += t4
+                else:
+                    p4 += t4
+        elif not live0:
+            break
+    return p0, q0, p4, q4
 
 
 def bessel_k(m: int, x):
@@ -333,12 +355,17 @@ def bessel_k(m: int, x):
     if isinstance(x, np.ndarray):
         return _ik_array(m, x)[1]
     _check_positive(x, "bessel_k", 0.5)
-    if x <= _K_SERIES_MAX:
-        k0, k1 = _k01_series(x)
+    if x <= _K_SERIES_MAX:  # the log series; I_0 and I_1 finished as bessel_i finishes them
+        lh = math.log(0.5 * x)
+        i0, i1, s0, s1 = _series01(0.25 * x * x, 1.0, 1.0)
+        k0 = -(lh + _EULER_GAMMA) * math.exp(math.log(i0)) + s0
+        k1 = 1.0 / x + lh * math.exp(lh + math.log(i1)) - 0.25 * x * s1
     elif x < _K_ASYMPTOTIC_MIN:
-        k0, k1 = _k_cosh_integral(0, x), _k_cosh_integral(1, x)
+        k0, k1 = _k01_cosh_integral(x)
     else:
-        k0, k1 = _k01_asymptotic(x)
+        p0, _, p4, _ = _asymptotic01(x, _K_ROWS, _REL_EPS, 0.0)
+        pref = math.sqrt(0.5 * math.pi / x) * math.exp(-x)
+        k0, k1 = pref * p0, pref * p4
     prev, cur = k0, k1
     for j in range(1, m):  # K grows with order, so an overflow stays infinite
         prev, cur = cur, prev + (2.0 * j / x) * cur
@@ -354,52 +381,20 @@ def bessel_k(m: int, x):
 
 def _bessel_j_series(m: int, x: float) -> float:
     """Ascending series for J_m; accurate for x <= _JY_SERIES_MAX at any order."""
-    q = 0.25 * x * x
     log_t0 = m * math.log(0.5 * x) - math.lgamma(m + 1.0)
     if log_t0 < _LOG_TINY:
         return 0.0
-    t0 = math.exp(log_t0)
-    return _kahan_series(t0, lambda k: -q / (k * (m + k)), "bessel_j series")
-
-
-def _y01_series(x: float) -> tuple[float, float, float, float]:
-    """J_0, J_1, Y_0 and Y_1 by the ascending (log) series; good for x <= _JY_SERIES_MAX."""
-    lh = math.log(0.5 * x)
-    j0 = _bessel_j_series(0, x)
-    j1 = _bessel_j_series(1, x)
-    s0, s1 = _log_sums(-(0.25 * x * x), -1.0)
-    y0 = (2.0 / math.pi) * ((lh + _EULER_GAMMA) * j0 + s0)
-    y1 = (2.0 / math.pi) * (lh * j1 - 1.0 / x) - 0.5 * x * s1 / math.pi
-    return j0, j1, y0, y1
+    return _kahan_series(math.exp(log_t0), -(0.25 * x * x), m, 1, "bessel_j series")
 
 
 def _jy01_asymptotic(x: float) -> tuple[float, float, float, float]:
-    """J_0, J_1, Y_0, Y_1 from the Hankel expansion, truncated at the smallest term."""
-    out = []
-    for mu in (0.0, 4.0):
-        term = 1.0
-        p = 1.0
-        qsum = 0.0
-        prev = math.inf
-        for k in range(1, _ASYMPTOTIC_TERMS):
-            term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-            if abs(term) >= prev:
-                break
-            prev = abs(term)
-            if k % 2 == 1:
-                qsum += term if (k // 2) % 2 == 0 else -term
-            else:
-                p += term if (k // 2) % 2 == 0 else -term
-            if abs(term) <= _REL_EPS:
-                break
-        out.append((p, qsum))
+    """J_0, J_1, Y_0, Y_1 from the Hankel expansion (x > 12), truncated at the smallest term."""
+    p0, q0, p1, q1 = _asymptotic01(x, _HANKEL_ROWS, 0.0, _REL_EPS)
     c = math.sqrt(2.0 / (math.pi * x))
-    vals = []
-    for mm, (p, qq) in enumerate(out):
-        chi = x - (0.5 * mm + 0.25) * math.pi
-        vals.append(c * (p * math.cos(chi) - qq * math.sin(chi)))  # J_mm
-        vals.append(c * (p * math.sin(chi) + qq * math.cos(chi)))  # Y_mm
-    return vals[0], vals[2], vals[1], vals[3]
+    chi0, chi1 = x - 0.25 * math.pi, x - 0.75 * math.pi
+    cos0, sin0, cos1, sin1 = math.cos(chi0), math.sin(chi0), math.cos(chi1), math.sin(chi1)
+    return (c * (p0 * cos0 - q0 * sin0), c * (p1 * cos1 - q1 * sin1),  # J_0, J_1
+            c * (p0 * sin0 + q0 * cos0), c * (p1 * sin1 + q1 * cos1))  # Y_0, Y_1
 
 
 def _bessel_j_miller(m: int, x: float) -> float:
@@ -458,7 +453,13 @@ def bessel_jy(m: int, x):
     if isinstance(x, np.ndarray):
         return _jy_array(m, x, with_y=True)
     _check_positive(x, "bessel_jy", 0.5)
-    j0, j1, y0, y1 = _y01_series(x) if x <= _JY_SERIES_MAX else _jy01_asymptotic(x)
+    if x <= _JY_SERIES_MAX:  # the log series of Y_0 and Y_1
+        lh = math.log(0.5 * x)
+        j0, j1, s0, s1 = _series01(-(0.25 * x * x), -1.0, math.exp(lh))
+        y0 = (2.0 / math.pi) * ((lh + _EULER_GAMMA) * j0 + s0)
+        y1 = (2.0 / math.pi) * (lh * j1 - 1.0 / x) - 0.5 * x * s1 / math.pi
+    else:
+        j0, j1, y0, y1 = _jy01_asymptotic(x)
     yp, yc = y0, y1
     for j in range(1, m):
         yp, yc = yc, (2.0 * j / x) * yc - yp
@@ -495,9 +496,7 @@ def sph_modified(l: int, x):
     if log_t0 + half_q / (2.0 * l + 3.0) < _LOG_TINY:
         il = 0.0
     else:
-        scaled = _kahan_series(
-            1.0, lambda k: half_q / (k * (2.0 * l + 2.0 * k + 1.0)), "sph_modified series"
-        )
+        scaled = _kahan_series(1.0, half_q, 2 * l + 1, 2, "sph_modified series")
         log_val = log_t0 + math.log(scaled)
         if log_val > _LOG_MAX:
             raise RangeError(f"sph_modified: i_{l}({x}) overflows double range")

@@ -385,10 +385,104 @@ def test_bessel_jy_reuses_the_series_j0_j1(monkeypatch):
     for m in (0, 1):
         calls.clear()
         sf.bessel_jy(m, 5.0)
-        assert calls == [0, 1]
+        assert calls == []
     calls.clear()
     sf.bessel_jy(2, 5.0)
-    assert calls == [0, 1, 2]
+    assert calls == [2]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(sf, name)
+    monkeypatch.setattr(sf, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_scalar_bessel_sums_each_band_in_one_loop(monkeypatch):
+    # one pass of the order-0/1 loop per bessel_jy at x <= 12 and per bessel_k at x <= 6,
+    # one pass of the large-argument loop above the asymptotic seams
+    ascending, asymptotic = (_counting(monkeypatch, name)
+                             for name in ("_series01", "_asymptotic01"))
+    for fn, xs, beyond in ((sf.bessel_jy, (1e-3, 0.5, 5.0, 12.0), 12.5),
+                           (sf.bessel_k, (1e-3, 0.5, 3.0, 6.0), 14.0)):
+        for m in (0, 1, 2, 5):
+            for x in xs:
+                ascending.clear()
+                fn(m, x)
+                assert len(ascending) == 1, (fn.__name__, m, x)
+            ascending.clear()
+            asymptotic.clear()
+            fn(m, beyond)
+            assert (len(ascending), len(asymptotic)) == (0, 1)
+
+
+def test_ascending_table_outlasts_every_series_in_its_band():
+    # every term of the four sums is 0 three rows before the table ends at the largest q
+    # of each band, so each run of small terms completes within the table
+    x_jy, x_k = sf._JY_SERIES_MAX, sf._K_SERIES_MAX
+    for q, first1 in ((-0.25 * x_jy * x_jy, math.exp(math.log(0.5 * x_jy))),
+                      (0.25 * x_k * x_k, 1.0)):
+        t0, t1 = 1.0, first1
+        for kk, kk1, _, _ in sf._ASCENDING[:-3]:
+            t0, t1 = t0 * (q / kk), t1 * (q / kk1)
+        assert t0 == t1 == 0.0
+
+
+def _outcome(fn, *args):
+    """The float.hex of each value, or the exception's type and message."""
+    try:
+        got = fn(*args)
+    except Exception as exc:  # the reference must raise the same type and message
+        return type(exc).__name__, str(exc)
+    return [v.hex() for v in (got if isinstance(got, tuple) else (got,))]
+
+
+# log-uniform x over every band of the scalar kernels, each seam and its neighbours, the
+# zeros of J_0, J_1, Y_0 and Y_1 below 12 (where a sum is small and runs longest),
+# and the edge arguments of the domain checks and of double range
+_RNG = np.random.default_rng(7)
+_ZEROS_BELOW_12 = [2.404825557695773, 5.520078110286311, 8.653727912911013, 11.79153443901428,
+                   3.831705970207512, 7.015586669815619, 10.17346813506272,
+                   0.8935769662791675, 3.957678419314858, 7.086051060301773, 10.22234504349642,
+                   2.197141326031017, 5.429681040794135, 8.596005868331169, 11.74915483332025]
+X_REFERENCE = np.concatenate(
+    [np.exp(_RNG.uniform(math.log(lo), math.log(hi), 100))
+     for lo, hi in ((1e-3, 6.0), (6.0, 14.0), (14.0, 700.0), (1e-3, 12.0), (12.0, 120.0))]
+    + [_around(sf._K_SERIES_MAX, sf._K_ASYMPTOTIC_MIN, sf._JY_SERIES_MAX, sf._OVERFLOW_GUARD,
+               *_ZEROS_BELOW_12),
+       [1e-3, 1e-30, 1e-170, 1e-309, 1e-320, 1e-323, 5e-324, 0.0, -1.0, math.nan, math.inf,
+        1e300, 1.7e308]]).tolist()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 40])
+def test_scalar_bessel_kernels_bitwise_equal_the_reference(m):
+    # the fused loops against the loops they replaced, kept verbatim in bessel_reference
+    import bessel_reference as ref
+
+    for name in ("bessel_jy", "bessel_k", "bessel_i", "sph_modified"):
+        fn, want = getattr(sf, name), getattr(ref, name)
+        for x in X_REFERENCE:
+            assert _outcome(fn, m, x) == _outcome(want, m, x), (name, x)
+    j_alone, j_want = _checked(sf._bessel_j, m), _checked(ref._bessel_j, m)
+    for x in X_REFERENCE:
+        assert _outcome(j_alone, x) == _outcome(j_want, x), ("_bessel_j", x)
+
+
+def test_scalar_bessel_kernels_cut_at_max_terms_like_the_reference(monkeypatch):
+    # a lowered term limit stops both sides alike: the same value where every series
+    # ends in time, and the same NumericError where an order series does not
+    import bessel_reference as ref
+
+    raised = 0
+    for cut in (3, 5, 8, 20):
+        monkeypatch.setattr(sf, "_MAX_TERMS", cut)
+        monkeypatch.setattr(ref, "_MAX_TERMS", cut)
+        for name in ("bessel_jy", "bessel_k", "bessel_i", "sph_modified"):
+            for m, x in ((0, 1e-3), (1, 0.5), (0, 5.0), (2, 11.0)):
+                got = _outcome(getattr(sf, name), m, x)
+                assert got == _outcome(getattr(ref, name), m, x), (cut, name, m, x)
+                raised += got[0] == "NumericError"
+    assert raised >= 8
 
 
 # the three K_0/K_1 branches and their seams, I_m up to its overflow guard,
