@@ -10,7 +10,9 @@ not bitwise the same, and each element is NaN where the scalar call
 raises.  The ascending series run as the rows of one blocked Kahan sum
 (:func:`_kahan_blocks`, which the Kummer series over an array of points
 share), so an array call costs a number of numpy operations that grows
-with the longest series, not with the number of elements.
+with the longest series, not with the number of elements.  The large-argument
+sums of K and of the Hankel P and Q run over the scalar row tables in one
+fold (:func:`_asymptotic01_array`), every term at once.
 """
 
 from __future__ import annotations
@@ -19,16 +21,15 @@ import math
 
 import numpy as np
 
-from .specfun import (_ASYMPTOTIC_TERMS, _COSH_CUTOFF, _COSH_STEP, _EULER_GAMMA, _J_RESCALE,
-                      _JY_SERIES_MAX, _K_ASYMPTOTIC_MIN, _K_SERIES_MAX, _LN_2, _LOG_MAX,
+from .specfun import (_COSH_CUTOFF, _COSH_STEP, _EULER_GAMMA, _HANKEL_ROWS, _J_RESCALE,
+                      _JY_SERIES_MAX, _K_ASYMPTOTIC_MIN, _K_ROWS, _K_SERIES_MAX, _LN_2, _LOG_MAX,
                       _LOG_TINY, _MAX_TERMS, _MILLER_SEED, _OVERFLOW_GUARD, _REL_EPS,
-                      _SPH_RESCALE, _Y0_FLOOR, _elementwise, _j_miller_start, _sph_miller_start)
+                      _SPH_RESCALE, _elementwise, _j_miller_start, _sph_miller_start)
 
 
 def _kahan_blocks(ratio, first: np.ndarray, total: np.ndarray, n_steps: int, weight=None,
-                  floor=0.0, pending: np.ndarray | None = None,
-                  keep_last: np.ndarray | None = None, with_peak: bool = False,
-                  first_block: int = 16):
+                  pending: np.ndarray | None = None, keep_last: np.ndarray | None = None,
+                  with_peak: bool = False, first_block: int = 16):
     """Compensated sums of many series at once, each stopped where its scalar loop stops.
 
     Element i starts from the term ``first[i]`` and the partial sum
@@ -36,7 +37,7 @@ def _kahan_blocks(ratio, first: np.ndarray, total: np.ndarray, n_steps: int, wei
     ratio, ``ratio(s0, s1, cols)[s - s0]`` for the elements `cols`, and adds
     it (times ``weight(s0, s1, cols)[s - s0]`` if given) with Kahan
     compensation.  An element stops after three consecutive steps whose
-    added |c| is <= 1e-16 (|sum| + floor), and records that sum and, with
+    added |c| is <= 1e-16 |sum|, and records that sum and, with
     `with_peak`, the largest |term| so far.  The steps run in blocks: one
     cumulative product gives a block's terms, in the order of the scalar
     ``term *=``, and only the compensated additions loop step by step; the
@@ -51,8 +52,6 @@ def _kahan_blocks(ratio, first: np.ndarray, total: np.ndarray, n_steps: int, wei
     else:
         cols = np.flatnonzero(pending)
         term, total = first[cols], total[cols]
-        if isinstance(floor, np.ndarray):
-            floor = floor[cols]
     comp = np.zeros(cols.size)
     peak = np.abs(term)
     small = np.zeros((2, cols.size), dtype=bool)  # the last two steps were small
@@ -82,11 +81,7 @@ def _kahan_blocks(ratio, first: np.ndarray, total: np.ndarray, n_steps: int, wei
         total = total.copy()
         flags = np.empty((s1 - s + 2, cols.size), dtype=bool)
         flags[:2] = small
-        scale = np.abs(run)
-        if isinstance(floor, np.ndarray):
-            scale += floor
-        scale *= _REL_EPS
-        np.less_equal(np.abs(c, out=c), scale, out=flags[2:])
+        np.less_equal(np.abs(c, out=c), _REL_EPS * np.abs(run), out=flags[2:])
         stop = flags[2:] & flags[1:-1]
         stop &= flags[:-2]
         small = flags[-2:]
@@ -103,8 +98,6 @@ def _kahan_blocks(ratio, first: np.ndarray, total: np.ndarray, n_steps: int, wei
             keep = ~hit
             cols, term, total, comp, peak = (arr[keep] for arr in (cols, term, total, comp, peak))
             small = small[:, keep]
-            if isinstance(floor, np.ndarray):
-                floor = floor[keep]
         s = s1
     if keep_last is not None:
         last = keep_last[cols]
@@ -145,10 +138,8 @@ def _series_rows(q: np.ndarray, first: np.ndarray, orders: tuple[float, ...],
     term = np.ones(shape)
     term[:n_j] = first
     total = term.copy()
-    floor = np.zeros(len(ms))
     if log_sign:
         total[n_j:] = [[0.0], [1.0 - 2.0 * _EULER_GAMMA]]  # the order-0 sum has no k = 0 term
-        floor[n_j] = _Y0_FLOOR if log_sign < 0.0 else 0.0  # as in the Y_0 stopping test
     row = np.repeat(np.arange(len(ms)), n)
     qs, mk = np.tile(q, len(ms)), ms[row]
     hk, hk1 = [0.0], [1.0]  # H_k and H_{k+1} after step k, summed as the scalar loops do
@@ -170,8 +161,7 @@ def _series_rows(q: np.ndarray, first: np.ndarray, orders: tuple[float, ...],
     logs = row >= n_j
     pending = np.ones(row.size, dtype=bool) if pending is None else pending.ravel()
     sums = _kahan_blocks(ratio, term.ravel(), total.ravel(), _MAX_TERMS - 1,
-                         weight if np.count_nonzero(pending & logs) else None,
-                         floor[row] if floor.any() else 0.0, pending, logs,
+                         weight if np.count_nonzero(pending & logs) else None, pending, logs,
                          first_block=_first_block(float(np.abs(q).max(initial=0.0)), ms.min(), 1))
     return sums.reshape(shape)
 
@@ -213,36 +203,45 @@ def _k01_cosh_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h * k0, h * k1
 
 
-def _k01_asymptotic_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The K sums of :func:`_asymptotic01` over an array: mu = 0 and 4, every k at once.
+# Elements per pass of _asymptotic01_array: its tables take about 3 kB per element, so
+# one pass over a 66,698-point scan window would peak near 220 MiB (17 MiB in passes).
+_FOLD_PASS = 4096
 
-    The terms are one cumulative product and the partial sums one
-    cumulative sum, both in the scalar order; each element keeps the
-    partial sum from before the term at which the scalar loop breaks.
+
+def _asymptotic01_array(x: np.ndarray, rows: list, rel: float, tol: float) -> tuple:
+    """:func:`_asymptotic01` over an array of x: (P_0, Q_0, P_4, Q_4), every k at once.
+
+    The terms are one cumulative product, and P and Q cumulative sums over
+    their own terms, all in the scalar order.  Each element and mu keeps its
+    terms before the one at which the scalar loop breaks, and through the
+    first one at most tol.  More than _FOLD_PASS elements run in passes.
     """
-    pref = np.sqrt(0.5 * math.pi / x) * _elementwise(math.exp, -x)
+    if x.size > _FOLD_PASS:
+        parts = [_asymptotic01_array(xc, rows, rel, tol)
+                 for xc in np.array_split(x, -(-x.size // _FOLD_PASS))]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    table = np.array(rows, dtype=float)
     # the loop breaks where the terms grow again, from k near 2x, or where they fall
-    # below 1e-16 of the sum, which they do before that once x > 18.5
-    last = _ASYMPTOTIC_TERMS - 1
-    for n_k in (min(last, int(2.0 * min(float(x.max()), 19.0)) + 3), last):
-        k = np.arange(1.0, n_k + 1.0)[:, None, None]
-        sums = np.empty((n_k + 1, 2, x.size))
-        sums[0] = 1.0
-        sums[1:] = (np.array([[0.0], [4.0]]) - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        terms = np.multiply.accumulate(sums[1:], axis=0, out=sums[1:])
+    # below 1e-16, which they do before that once x > 18.5
+    for n_k in (min(len(rows), int(2.0 * min(float(x.max()), 19.0)) + 3), len(rows)):
+        odd = table[:n_k, 3] > 0.0
+        n_p = np.concatenate([[0], np.cumsum(~odd)])  # P terms among the first j
+        terms = np.multiply.accumulate(table[:n_k, :2, None] / (table[:n_k, 2, None, None] * x))
+        p = np.add.accumulate(np.concatenate([np.ones((1, 2, x.size)), terms[~odd]]))
+        q = np.add.accumulate(np.concatenate([np.zeros((1, 2, x.size)), terms[odd]]))
         size = np.abs(terms)
-        brk = np.empty(size.shape, dtype=bool)
-        np.greater_equal(size[0], 1.0, out=brk[0])  # the first term against prev = 1
-        np.greater_equal(size[1:], size[:-1], out=brk[1:])
-        np.add.accumulate(sums, axis=0, out=sums)  # sums[j]: the partial sum before term j + 1
-        limit = np.abs(sums[:-1])
-        limit *= _REL_EPS
-        brk |= size <= limit
-        if brk.any(axis=0).all() or n_k == last:
+        end = np.zeros((n_k + 1, 2, x.size), dtype=bool)  # end[j]: the sums keep j terms
+        np.greater_equal(size[0], 1.0, out=end[0])  # the first term against prev = 1
+        np.greater_equal(size[1:], size[:-1], out=end[1:-1])
+        end[:-1] |= size <= rel * np.abs(p[n_p[:-1]])
+        end[1:] |= size <= tol
+        if end.any(axis=0).all() or n_k == len(rows):
             break
-    total = np.where(brk.any(axis=0), np.take_along_axis(sums, brk.argmax(axis=0)[None], 0)[0],
-                     sums[-1])
-    return pref * total[0], pref * total[1]
+    end[-1] = True
+    j = end.argmax(axis=0)
+    (p0, p4), (q0, q4) = (np.take_along_axis(sums, at[None], 0)[0]
+                          for sums, at in ((p, n_p[j]), (q, j - n_p[j])))
+    return p0, q0, p4, q4
 
 
 def _ik_array(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +278,10 @@ def _ik_array(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if mid.any():
             k0[mid], k1[mid] = _k01_cosh_array(xv[mid])
         if high.any():
-            k0[high], k1[high] = _k01_asymptotic_array(xv[high])
+            xh = xv[high]
+            p0, _, p4, _ = _asymptotic01_array(xh, _K_ROWS, _REL_EPS, 0.0)
+            pref = np.sqrt(0.5 * math.pi / xh) * _elementwise(math.exp, -xh)
+            k0[high], k1[high] = pref * p0, pref * p4
         prev, cur = k0, k1
         for j in range(1, m):
             prev, cur = cur, prev + (2.0 * j / xv) * cur
@@ -287,40 +289,6 @@ def _ik_array(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i_m[ok] = iv
     k_m[ok] = np.where(np.isinf(kv), np.nan, kv)
     return i_m.reshape(shape), k_m.reshape(shape)
-
-
-def _jy01_asymptotic_array(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_jy01_asymptotic` over an array: the mu = 0 and 4 sums stacked in one loop.
-
-    Each element stops adding terms where the scalar sum breaks off.
-    """
-    term = np.ones((2, x.size))
-    p = np.ones((2, x.size))
-    qsum = np.zeros((2, x.size))
-    prev = np.full((2, x.size), math.inf)
-    live = np.ones((2, x.size), dtype=bool)
-    for k in range(1, _ASYMPTOTIC_TERMS):
-        odd = (2.0 * k - 1.0) ** 2
-        term *= np.array([[0.0 - odd], [4.0 - odd]]) / (8.0 * k * x)
-        at = np.abs(term)
-        live &= ~(at >= prev)
-        prev = at
-        signed = term if (k // 2) % 2 == 0 else -term
-        if k % 2 == 1:
-            qsum = np.where(live, qsum + signed, qsum)
-        else:
-            p = np.where(live, p + signed, p)
-        live &= ~(at <= _REL_EPS)
-        if not live.any():
-            break
-    c = np.sqrt(2.0 / (math.pi * x))
-    vals = []
-    for mm in (0, 1):
-        chi = x - (0.5 * mm + 0.25) * math.pi
-        cos, sin = _elementwise(math.cos, chi), _elementwise(math.sin, chi)
-        vals.append(c * (p[mm] * cos - qsum[mm] * sin))  # J_mm
-        vals.append(c * (p[mm] * sin + qsum[mm] * cos))  # Y_mm
-    return vals[0], vals[2], vals[1], vals[3]
 
 
 def _jy_array(m: int, x: np.ndarray, with_y: bool):
@@ -353,7 +321,13 @@ def _jy_array(m: int, x: np.ndarray, with_y: bool):
                 y1[series] = (2.0 / math.pi) * (lh * j1 - 1.0 / xs) - 0.5 * xs * s1 / math.pi
         xh = x[hankel]
         if xh.size:
-            jp, jc, y0[hankel], y1[hankel] = _jy01_asymptotic_array(xh)
+            p0, q0, p1, q1 = _asymptotic01_array(xh, _HANKEL_ROWS, 0.0, _REL_EPS)
+            c = np.sqrt(2.0 / (math.pi * xh))
+            chi0, chi1 = xh - 0.25 * math.pi, xh - 0.75 * math.pi
+            cos0, sin0, cos1, sin1 = (_elementwise(fn, chi) for chi in (chi0, chi1)
+                                      for fn in (math.cos, math.sin))
+            jp, jc = c * (p0 * cos0 - q0 * sin0), c * (p1 * cos1 - q1 * sin1)
+            y0[hankel], y1[hankel] = c * (p0 * sin0 + q0 * cos0), c * (p1 * sin1 + q1 * cos1)
             for jj in range(1, m):
                 jp, jc = jc, (2.0 * jj / xh) * jc - jp
             j[hankel] = jc if m else jp

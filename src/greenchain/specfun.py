@@ -62,7 +62,6 @@ _COSH_CUTOFF = 760.0  # its nodes stop where x cosh t reaches this
 _ASYMPTOTIC_TERMS = 60  # the K and Hankel large-argument sums end before this term
 _JY_SERIES_MAX = 12.0  # J, Y: ascending series to here, then Hankel or J Miller
 _OVERFLOW_GUARD = 700.0  # I_m and i_l raise RangeError past this x
-_Y0_FLOOR = 1e-300  # added to |sum| in the stopping test of the Y_0 log sum
 _MILLER_SEED = 1e-30  # the J_m and j_l Miller recurrences start from (0, this)
 _J_RESCALE = 1e100  # J_m Miller: a value past this is rescaled by its reciprocal
 _SPH_RESCALE = 1e250  # j_l Miller: likewise
@@ -236,10 +235,9 @@ def _series01(q: float, log_sign: float, first1: float) -> tuple[float, float, f
     """In one loop, the J_0, J_1 series (q = -x^2/4, log_sign = -1, first1 = exp(log(x/2)))
     or scaled I_0, I_1 series (q = x^2/4, +1, first1 = 1) and the log sums of Y_0, Y_1
     (A&S 9.1.11) or K_0, K_1 (A&S 9.6.11), which add log_sign H_k times the order-0 term
-    and (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!).  Each sum stops as _kahan_series does
-    (the Y_0 test adds _Y0_FLOOR to |sum|), and a log sum that never stops is kept as is."""
+    and (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!).  Each sum stops as _kahan_series does,
+    and a log sum that never stops is kept as is."""
     eps, run = _REL_EPS, _SMALL_RUN
-    floor = _Y0_FLOOR if log_sign < 0.0 else 0.0
     t0, t1, u1 = 1.0, first1, 1.0  # the order-0 term, the order-1 term, the order-1 log term
     j0, j1, s0, s1 = 1.0, first1, 0.0, 1.0 - 2.0 * _EULER_GAMMA
     e0 = e1 = f0 = f1 = 0.0  # Kahan compensations
@@ -263,7 +261,7 @@ def _series01(q: float, log_sign: float, first1: float) -> tuple[float, float, f
             y = c - f0
             t = s0 + y
             f0, s0 = (t - s0) - y, t
-            m0 = m0 + 1 if abs(c) <= eps * (abs(t) + floor) else 0
+            m0 = m0 + 1 if abs(c) <= eps * abs(t) else 0
         if m1 < run:
             u1 *= r1
             c = u1 * w

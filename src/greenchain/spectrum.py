@@ -62,8 +62,8 @@ import numpy as np
 from .errors import DomainError, GreenChainError, NumericError, RangeError
 from .greens import NATURAL_UNITS, UnitSystem
 from .specfun import (_LOG_MAX, _PCF_V_MAX, SignLog, _bessel_j, _elementwise,
-                      _gamma_signlog_array, _sph_j, bessel_jy, gamma_signlog, kummer_m,
-                      pcf_d_pair_signlog, pcf_d_signlog, sph_ordinary)
+                      _gamma_signlog_array, _pcf_d_signlog_pair, _sph_j, bessel_jy,
+                      gamma_signlog, kummer_m, pcf_d_pair_signlog, pcf_d_signlog, sph_ordinary)
 
 _EPS = 2.220446049250313e-16
 _STEP = 0.01  # grid step in v of the oscillator scans
@@ -312,7 +312,7 @@ def _char_columns(v: _Orders, prob: OscillatorProblem, dv: Optional[_DvPair] = N
     vanish); a vanishing D_v gives 0.0.  `dv` is the pair already evaluated on the orders.
     """
     if not isinstance(v, np.ndarray):
-        dm, dp = pcf_d_signlog(v, -prob.alpha), pcf_d_signlog(v, prob.alpha)
+        dm, dp = _pcf_d_signlog_pair(v, prob.alpha)
         dv = np.array([[dm.sign], [dm.log_mag], [dp.sign], [dp.log_mag]], dtype=float)
     elif dv is None:
         dv = pcf_d_pair_signlog(v, prob.alpha)

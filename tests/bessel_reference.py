@@ -19,8 +19,9 @@ from greenchain.errors import NumericError, RangeError
 from greenchain.specfun import (_ASYMPTOTIC_TERMS, _COSH_CUTOFF, _COSH_STEP, _EULER_GAMMA,
                                 _JY_SERIES_MAX, _K_ASYMPTOTIC_MIN, _K_SERIES_MAX, _LN_2,
                                 _LOG_MAX, _LOG_TINY, _MAX_TERMS, _OVERFLOW_GUARD, _REL_EPS,
-                                _SMALL_RUN, _Y0_FLOOR, _bessel_j_miller, _check_order,
-                                _check_positive)
+                                _SMALL_RUN, _bessel_j_miller, _check_order, _check_positive)
+
+_Y0_FLOOR = 1e-300  # added to |sum| in the stopping test of the Y_0 log sum
 
 
 def _kahan_series(first_term: float, ratio, what: str) -> float:

@@ -290,11 +290,17 @@ def _around(*seams):
     return [x for s in seams for x in (np.nextafter(s, -math.inf), s, np.nextafter(s, math.inf))]
 
 
+# x where q = x^2/4 is subnormal or first underflows (the neighbours of 2 sqrt(tiny)): only
+# there could a floor added to |sum| move the stop of the Y_0 log sum, as the earlier loops
+# in bessel_reference stop it a term sooner at 1e-160 and 2e-158, to the same value
+X_Q_UNDERFLOW = [1e-160, 2e-158, 3e-155, 1e-154, *_around(2.0 * math.sqrt(np.finfo(float).tiny))]
+
+
 # every branch: series, the x = 12 seam, Hankel, J Miller (12 < x <= m),
 # j_l Miller (x <= l), tiny x and points where the scalar call raises
 X_BESSEL = np.concatenate([
     np.linspace(0.05, 60.0, 1200),
-    _around(sf._JY_SERIES_MAX), [1e-3, 1e-30, 1e-170, 5e-324],
+    _around(sf._JY_SERIES_MAX), [1e-3, 1e-30, 1e-170, 5e-324], X_Q_UNDERFLOW,
     [0.0, -1.0, math.nan, math.inf],
 ])
 
@@ -451,7 +457,7 @@ X_REFERENCE = np.concatenate(
     + [_around(sf._K_SERIES_MAX, sf._K_ASYMPTOTIC_MIN, sf._JY_SERIES_MAX, sf._OVERFLOW_GUARD,
                *_ZEROS_BELOW_12),
        [1e-3, 1e-30, 1e-170, 1e-309, 1e-320, 1e-323, 5e-324, 0.0, -1.0, math.nan, math.inf,
-        1e300, 1.7e308]]).tolist()
+        1e300, 1.7e308], X_Q_UNDERFLOW]).tolist()
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 40])
@@ -492,7 +498,7 @@ X_IK = np.concatenate([
     np.linspace(30.0, 720.0, 40),
     _around(sf._K_SERIES_MAX, sf._K_ASYMPTOTIC_MIN, sf._OVERFLOW_GUARD),
     [1e-3, 1e-30, 1e-170, 1e-309, 1e-320],
-    [0.0, -1.0, 5e-324, math.nan, math.inf],
+    [0.0, -1.0, 5e-324, math.nan, math.inf], X_Q_UNDERFLOW,
 ])
 
 
@@ -513,6 +519,58 @@ def test_bessel_ik_arrays_bitwise_equal_scalar_on_every_branch(m):
     if m == 1:
         assert np.isnan(k_arr[X_IK == 1e-309])  # 1/x overflows: K_1 is inf, the scalar raises
     assert [part.shape for part in sf._ik_array(m, X_IK[:650].reshape(5, -1))] == [(5, 130)] * 2
+
+
+# the array fold of the large-argument sums takes int(2 x.max) + 3 terms while x.max < 19
+# and 41 from there on: windows all below 18.5 (past the J/Y seam at 12 and the K seam at
+# 14), all at or past 19, and straddling 18.5-19
+@pytest.mark.parametrize("name, lo, hi", [
+    ("bessel_jy", 12.0, 18.5), ("bessel_k", 14.0, 18.5), ("bessel_jy", 19.0, 80.0),
+    ("bessel_k", 19.0, 80.0), ("bessel_jy", 18.5, 19.0), ("bessel_k", 18.5, 19.0)])
+@pytest.mark.parametrize("m", [0, 1, 2, 5])
+def test_large_argument_arrays_bitwise_equal_scalar_in_each_window(m, name, lo, hi):
+    xs = np.linspace(lo, hi, 150)
+    if hi == 18.5:
+        xs = xs[1:-1]  # the open windows (12, 18.5) and (14, 18.5)
+    fn = getattr(sf, name)
+    got = fn(m, xs)
+    assert _array_matches_scalar(got if name == "bessel_jy" else [got],
+                                 lambda x: fn(m, x), xs) == 0
+
+
+@pytest.mark.parametrize("rows, rel, tol", [
+    (sf._K_ROWS, sf._REL_EPS, 0.0), (sf._HANKEL_ROWS, 0.0, sf._REL_EPS),
+    (sf._HANKEL_ROWS, 1e-12, 1e-10), (sf._K_ROWS, 0.0, 0.0), (sf._HANKEL_ROWS, 0.0, 0.0)])
+def test_asymptotic_fold_stops_each_element_where_the_scalar_loop_does(rows, rel, tol):
+    # with neither a relative nor an absolute stop only growing terms break a sum: past
+    # x = 20 the first 41 terms leave elements open and the fold runs all rows again, and
+    # past x = 29 a sum never breaks and keeps every row, as the scalar loop does; the
+    # array is longer than one pass of the fold
+    from greenchain import _arrays
+
+    xs = np.linspace(12.0, 60.0, _arrays._FOLD_PASS + 400)
+    got = _arrays._asymptotic01_array(xs, rows, rel, tol)
+    for i, x in enumerate(xs.tolist()):
+        want = sf._asymptotic01(x, rows, rel, tol)
+        assert [float(part[i]).hex() for part in got] == [w.hex() for w in want], x
+
+
+def test_array_bessel_sums_the_large_argument_band_in_one_call(monkeypatch):
+    # one fold per array bessel_jy / bessel_k call with any x past its seam, none otherwise
+    from greenchain import _arrays
+
+    calls = []
+    real = _arrays._asymptotic01_array
+    monkeypatch.setattr(_arrays, "_asymptotic01_array",
+                        lambda *args: calls.append(args) or real(*args))
+    for fn, below, past in ((sf.bessel_jy, [1e-3, 0.5, 5.0, sf._JY_SERIES_MAX], 12.5),
+                            (sf.bessel_k, [1e-3, 3.0, 6.0, 10.0, 13.9], sf._K_ASYMPTOTIC_MIN)):
+        for m in (0, 1, 2, 5):
+            for xs, n_calls in ((below, 0), (below + [past], 1), (below + [past, 50.0, 700.0], 1),
+                                ([past, 30.0], 1)):
+                calls.clear()
+                fn(m, np.array(xs))
+                assert len(calls) == n_calls, (fn.__name__, m, xs)
 
 
 @pytest.mark.parametrize("l", [0, 1, 2, 5, 8])
