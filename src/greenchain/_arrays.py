@@ -207,8 +207,11 @@ def _k01_cosh_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # one pass over a 66,698-point scan window would peak near 220 MiB (17 MiB in passes).
 _FOLD_PASS = 4096
 
+# _K_ROWS and _HANKEL_ROWS as float tables, built once rather than on every fold.
+_K_TABLE, _HANKEL_TABLE = (np.array(rows, dtype=float) for rows in (_K_ROWS, _HANKEL_ROWS))
 
-def _asymptotic01_array(x: np.ndarray, rows: list, rel: float, tol: float) -> tuple:
+
+def _asymptotic01_array(x: np.ndarray, rows, rel: float, tol: float) -> tuple:
     """:func:`_asymptotic01` over an array of x: (P_0, Q_0, P_4, Q_4), every k at once.
 
     The terms are one cumulative product, and P and Q cumulative sums over
@@ -216,14 +219,14 @@ def _asymptotic01_array(x: np.ndarray, rows: list, rel: float, tol: float) -> tu
     terms before the one at which the scalar loop breaks, and through the
     first one at most tol.  More than _FOLD_PASS elements run in passes.
     """
+    table = np.asarray(rows, dtype=float)
     if x.size > _FOLD_PASS:
-        parts = [_asymptotic01_array(xc, rows, rel, tol)
+        parts = [_asymptotic01_array(xc, table, rel, tol)
                  for xc in np.array_split(x, -(-x.size // _FOLD_PASS))]
         return tuple(np.concatenate(part) for part in zip(*parts))
-    table = np.array(rows, dtype=float)
     # the loop breaks where the terms grow again, from k near 2x, or where they fall
     # below 1e-16, which they do before that once x > 18.5
-    for n_k in (min(len(rows), int(2.0 * min(float(x.max()), 19.0)) + 3), len(rows)):
+    for n_k in (min(len(table), int(2.0 * min(float(x.max()), 19.0)) + 3), len(table)):
         odd = table[:n_k, 3] > 0.0
         n_p = np.concatenate([[0], np.cumsum(~odd)])  # P terms among the first j
         terms = np.multiply.accumulate(table[:n_k, :2, None] / (table[:n_k, 2, None, None] * x))
@@ -235,7 +238,7 @@ def _asymptotic01_array(x: np.ndarray, rows: list, rel: float, tol: float) -> tu
         np.greater_equal(size[1:], size[:-1], out=end[1:-1])
         end[:-1] |= size <= rel * np.abs(p[n_p[:-1]])
         end[1:] |= size <= tol
-        if end.any(axis=0).all() or n_k == len(rows):
+        if end.any(axis=0).all() or n_k == len(table):
             break
     end[-1] = True
     j = end.argmax(axis=0)
@@ -279,7 +282,7 @@ def _ik_array(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             k0[mid], k1[mid] = _k01_cosh_array(xv[mid])
         if high.any():
             xh = xv[high]
-            p0, _, p4, _ = _asymptotic01_array(xh, _K_ROWS, _REL_EPS, 0.0)
+            p0, _, p4, _ = _asymptotic01_array(xh, _K_TABLE, _REL_EPS, 0.0)
             pref = np.sqrt(0.5 * math.pi / xh) * _elementwise(math.exp, -xh)
             k0[high], k1[high] = pref * p0, pref * p4
         prev, cur = k0, k1
@@ -321,7 +324,7 @@ def _jy_array(m: int, x: np.ndarray, with_y: bool):
                 y1[series] = (2.0 / math.pi) * (lh * j1 - 1.0 / xs) - 0.5 * xs * s1 / math.pi
         xh = x[hankel]
         if xh.size:
-            p0, q0, p1, q1 = _asymptotic01_array(xh, _HANKEL_ROWS, 0.0, _REL_EPS)
+            p0, q0, p1, q1 = _asymptotic01_array(xh, _HANKEL_TABLE, 0.0, _REL_EPS)
             c = np.sqrt(2.0 / (math.pi * xh))
             chi0, chi1 = xh - 0.25 * math.pi, xh - 0.75 * math.pi
             cos0, sin0, cos1, sin1 = (_elementwise(fn, chi) for chi in (chi0, chi1)

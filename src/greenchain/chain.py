@@ -36,7 +36,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, NearPoleError, SingularMatrixError
+from .errors import DomainError, NearPoleError, RangeError, SingularMatrixError
 from .greens import FreeGreens, Geometry, NATURAL_UNITS, UnitSystem
 from .specfun import SignLog
 
@@ -347,9 +347,13 @@ def greens_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
         raise DomainError("chain has infinite couplings; use greens_strong")
     lo, hi = _ordered(x, xp)
     positions = chain.positions
-    walls = [(sp, sq, 0.5 * (lp - lq), g0.weight(a) * lam * math.exp(lp + lq))
-             for sp, lp, sq, lq, a, lam in zip(*_wall_factors(g0, positions, param),
-                                               positions, chain.lambdas)]
+    factors = _wall_factors(g0, positions, param)
+    try:
+        walls = [(sp, sq, 0.5 * (lp - lq), g0.weight(a) * lam * math.exp(lp + lq))
+                 for sp, lp, sq, lq, a, lam in zip(*factors, positions, chain.lambdas)]
+    except OverflowError:  # math.exp of the log of |g0(a, a)|
+        raise RangeError(f"|g0(a, a)| at a wall overflows double range at parameter "
+                         f"{param}") from None
     left, peak = _sweep(walls, walls[0][2])
     (a_n, log_a), _ = left[-1]  # P's p coefficient right of the chain, a_n e^log_a
     if not a_n or log_a + math.log(abs(a_n)) < peak + _LOG_NEAR_POLE:

@@ -63,8 +63,8 @@ class UnitSystem:
 
     def __post_init__(self):
         for name in ("hbar", "mass", "omega0"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"UnitSystem.{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"UnitSystem.{name} must be positive and finite")
 
 
 NATURAL_UNITS = UnitSystem()

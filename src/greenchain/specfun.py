@@ -66,10 +66,6 @@ _MILLER_SEED = 1e-30  # the J_m and j_l Miller recurrences start from (0, this)
 _J_RESCALE = 1e100  # J_m Miller: a value past this is rescaled by its reciprocal
 _SPH_RESCALE = 1e250  # j_l Miller: likewise
 
-# Elements of ``a`` from which the Kummer sum at one x runs as one array loop
-# rather than one scalar series each; CHANGES.md records the measured curve.
-_ARRAY_KUMMER = 64
-
 # Validated ranges: kummer_m takes |x| <= 50 and |a| <= 300, pcf_d v in [-1, 200] and |y| <= 10.
 _KUMMER_X_MAX = 50.0
 _KUMMER_A_MAX = 300.0
@@ -606,21 +602,19 @@ def _kummer_series(a: float, b: float, x: float) -> tuple[float, float]:
 
 
 def _kummer_series_array(a, b, x) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_kummer_series` over arrays of ``a`` and ``b`` (or a scalar ``b``)
-    broadcast together, at one ``x`` or over an array of ``x``: sums and
+    """:func:`_kummer_series` over ``a``, ``b`` and ``x`` broadcast together: sums and
     peaks, NaN where it raises.
 
     Every element runs the scalar recurrence, operation for operation, with
-    its own Kahan compensation, peak and run of small terms.  With a scalar
-    ``x``, fewer than _ARRAY_KUMMER elements run the scalar series one by
-    one, and more run one array loop that an element leaves as soon as its
+    its own Kahan compensation, peak and run of small terms.  At one ``x``
+    (many orders) one array loop runs, which an element leaves as soon as its
     run reaches three; an array of ``x`` (one order over many points) runs
     the blocked sum of :func:`_kahan_blocks`.
     """
+    shape = np.broadcast(a, b, x).shape
+    a, b = (np.broadcast_to(np.asarray(arr, dtype=float), shape).ravel() for arr in (a, b))
     if isinstance(x, np.ndarray):
-        shape = np.broadcast(a, b, x).shape
-        a, b, x = (np.broadcast_to(np.asarray(arr, dtype=float), shape).ravel()
-                   for arr in (a, b, x))
+        x = np.broadcast_to(x.astype(float), shape).ravel()
 
         def ratio(s0, s1, cols):
             k = np.arange(s0, s1, dtype=float)[:, None]
@@ -629,18 +623,8 @@ def _kummer_series_array(a, b, x) -> tuple[np.ndarray, np.ndarray]:
         sums, peaks = _kahan_blocks(ratio, np.ones(a.size), np.ones(a.size), _MAX_TERMS,
                                     with_peak=True)
         return sums.reshape(shape), peaks.reshape(shape)
-    b_each = isinstance(b, np.ndarray)  # one b per element, dropped with it below
-    if b_each:
-        a, b = np.broadcast_arrays(a, b.astype(float))
-    sums, peaks = np.full((2,) + a.shape, np.nan)
-    a, b, x = a.ravel(), (b.ravel() if b_each else float(b)), float(x)
-    if a.size < _ARRAY_KUMMER:
-        for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist() if b_each else [b] * a.size)):
-            try:
-                sums.flat[i], peaks.flat[i] = _kummer_series(ai, bi, x)
-            except NumericError:
-                pass
-        return sums, peaks
+    x = float(x)
+    sums, peaks = np.full((2,) + shape, np.nan)
     idx = np.arange(a.size)
     term = np.ones(a.size)
     total = np.ones(a.size)
@@ -663,10 +647,8 @@ def _kummer_series_array(a, b, x) -> tuple[np.ndarray, np.ndarray]:
             sums.flat[idx[done]] = total[done]
             peaks.flat[idx[done]] = peak[done]
             keep = ~done
-            idx, a, term, total, comp, peak, small = (
-                arr[keep] for arr in (idx, a, term, total, comp, peak, small))
-            if b_each:
-                b = b[keep]
+            idx, a, b, term, total, comp, peak, small = (
+                arr[keep] for arr in (idx, a, b, term, total, comp, peak, small))
     return sums, peaks
 
 

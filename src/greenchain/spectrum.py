@@ -39,12 +39,12 @@ min-max brackets of its own levels,
 
 (the box level plus the minimum and maximum of the potential y^2/4, and
 the free oscillator's level j), each narrowed to a Ritz / Kato-Temple
-enclosure of the level, in one array call per factor on the points of the
-0.01 lattice of the windows [20 k, 20 k + 20] inside them.  A
-Dirichlet spectrum scans windows in turn; it is one interval factor of a
-real-energy solution pair (u1, u2) = (sin kz / k, cos kz), (J_m, Y_m) or
-(j_l, y_l): u1(k, b) alone on [0, b], and u1(k, b1) u2(k, b2) -
-u1(k, b2) u2(k, b1) on [b1, b2].
+enclosure of the level, on the points of the 0.01 lattice of the windows
+[20 k, 20 k + 20] inside them, taken on the scalar path through
+`pointwise` as Brent does.  A Dirichlet spectrum scans windows in turn;
+it is one interval factor of a real-energy solution pair (u1, u2) =
+(sin kz / k, cos kz), (J_m, Y_m) or (j_l, y_l): u1(k, b) alone on
+[0, b], and u1(k, b1) u2(k, b2) - u1(k, b2) u2(k, b1) on [b1, b2].
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import DomainError, GreenChainError, NumericError, RangeError
 from .greens import NATURAL_UNITS, UnitSystem
-from .specfun import (_LOG_MAX, _PCF_V_MAX, SignLog, _bessel_j, _elementwise,
+from .specfun import (_KUMMER_X_MAX, _LOG_MAX, _PCF_V_MAX, SignLog, _bessel_j, _elementwise,
                       _gamma_signlog_array, _pcf_d_signlog_pair, _sph_j, bessel_jy,
                       gamma_signlog, kummer_m, pcf_d_pair_signlog, pcf_d_signlog, sph_ordinary)
 
@@ -301,24 +301,20 @@ def _levels(batches: Iterable[List[Tuple[Bracket, Callable[[float], float], Root
 # ----------------------------------------------------------------------
 
 _Orders = Union[float, np.ndarray]
-_DvPair = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _char_columns(v: _Orders, prob: OscillatorProblem, dv: Optional[_DvPair] = None,
+def _char_columns(v: _Orders, prob: OscillatorProblem,
                   full: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """r(v) and, with `full`, Delta(v) as arrays (length 1 for a scalar order, which raises
     as `pcf_d_signlog`), NaN where undefined: a scan's two columns from one exponentiation
     of the D_v squares, each over e^lead, lead the larger log square (0.0 where both
-    vanish); a vanishing D_v gives 0.0.  `dv` is the pair already evaluated on the orders.
+    vanish); a vanishing D_v gives 0.0.
     """
-    if not isinstance(v, np.ndarray):
+    if isinstance(v, np.ndarray):
+        sm, lm, sp, lp = pcf_d_pair_signlog(v, prob.alpha)
+    else:
         dm, dp = _pcf_d_signlog_pair(v, prob.alpha)
-        dv = np.array([[dm.sign], [dm.log_mag], [dp.sign], [dp.log_mag]], dtype=float)
-    elif dv is None:
-        dv = pcf_d_pair_signlog(v, prob.alpha)
-    elif any(len(part) != len(v) for part in dv):
-        raise DomainError("the D_v pair was evaluated on a different grid")
-    sm, lm, sp, lp = dv
+        sm, lm, sp, lp = np.array([[dm.sign], [dm.log_mag], [dp.sign], [dp.log_mag]], dtype=float)
     lm2, lp2 = lm + lm, lp + lp
     lead = np.maximum(np.where(sm != 0.0, lm2, -np.inf), np.where(sp != 0.0, lp2, -np.inf))
     lead[np.isneginf(lead)] = 0.0
@@ -341,8 +337,7 @@ def _char_columns(v: _Orders, prob: OscillatorProblem, dv: Optional[_DvPair] = N
     return reduced, out
 
 
-def oscillator_char_full(v: _Orders, prob: OscillatorProblem,
-                         dv: Optional[_DvPair] = None) -> _Orders:
+def oscillator_char_full(v: _Orders, prob: OscillatorProblem) -> _Orders:
     """Determinant Delta(v) of the two-wall oscillator boundary matrix.
 
     Gamma(-v)^2 D_v(alpha)^2 [D_v(-alpha)^2 - D_v(alpha)^2] m / (pi hbar w0)
@@ -352,11 +347,10 @@ def oscillator_char_full(v: _Orders, prob: OscillatorProblem,
     v is large (RangeError suggesting the reduced form).
 
     For an array of orders the result is an array, NaN wherever the scalar
-    call raises; `dv`, if given, is ``pcf_d_pair_signlog(v, prob.alpha)``
-    already evaluated on the same orders.  A scalar order runs the same
-    array operations on one element, so both give bitwise the same values.
+    call raises.  A scalar order runs the same array operations on one
+    element, so both give bitwise the same values.
     """
-    out = _char_columns(v, prob, dv)[1]
+    out = _char_columns(v, prob)[1]
     if isinstance(v, np.ndarray):
         return out
     if math.isnan(out[0]):
@@ -365,8 +359,7 @@ def oscillator_char_full(v: _Orders, prob: OscillatorProblem,
     return float(out[0])
 
 
-def oscillator_char_reduced(v: _Orders, prob: OscillatorProblem,
-                            dv: Optional[_DvPair] = None) -> _Orders:
+def oscillator_char_reduced(v: _Orders, prob: OscillatorProblem) -> _Orders:
     """Bounded reduced ratio r(v) in [-1, 1] sharing the sign of Delta(v).
 
     The two log squares are rescaled by their common maximum before they are
@@ -375,10 +368,10 @@ def oscillator_char_reduced(v: _Orders, prob: OscillatorProblem,
     the two parabolic cylinder solutions degenerate; those crossings are not
     spectrum points (see oscillator_spectrum).  Where D_v(-alpha) and
     D_v(alpha) both vanish (alpha = 0 at odd integer v) r(v) has no value:
-    NumericError for a scalar order, NaN in an array.  Arrays of orders and
-    `dv` work as in :func:`oscillator_char_full`.
+    NumericError for a scalar order, NaN in an array.  Arrays of orders work
+    as in :func:`oscillator_char_full`.
     """
-    out = _char_columns(v, prob, dv, full=False)[0]
+    out = _char_columns(v, prob, full=False)[0]
     if isinstance(v, np.ndarray):
         return out
     if math.isnan(out[0]):
@@ -533,22 +526,18 @@ def _minmax_runs(alpha: float, levels: range) -> List[np.ndarray]:
 def _minmax_brackets(prob: OscillatorProblem, n: int):
     """The boxed oscillator's brackets for `_levels`: sign changes inside its min-max runs.
 
-    Each parity factor is evaluated once, on all the runs of its levels, and
-    sign changes are sought inside a run only.  The one batch holds the
-    brackets of both parities in ascending order.  A run without a value at
-    an end point may hide a level: the batch then stops below that run, and
-    NumericError follows it.
+    Each run is evaluated on its own, point by point, by `pointwise` over the
+    scalar wall factor that Brent refines, and sign changes are sought inside
+    a run only.  The one batch holds the brackets of both parities in
+    ascending order.  A run without a value at an end point may hide a level:
+    the batch then stops below that run, and NumericError follows it.
     """
     even = lambda v: even_wall_value(v, prob)
     odd = lambda v: odd_wall_value(v, prob)
     found, broken = [], math.inf
     for first, f, kind in ((1, even, RootKind.EVEN_BRACKET), (2, odd, RootKind.ODD_BRACKET)):
-        runs = _minmax_runs(prob.alpha, range(first, n + 1, 2))
-        if not runs:
-            continue
-        vals = _grid_values(f, np.concatenate(runs))
-        for xs in runs:
-            fs, vals = vals[:len(xs)], vals[len(xs):]
+        for xs in _minmax_runs(prob.alpha, range(first, n + 1, 2)):
+            fs = pointwise(f)(xs)
             if not (math.isfinite(fs[0]) and math.isfinite(fs[-1])):
                 broken = min(broken, float(xs[0]))
             found += [(br, f, kind) for br in _sign_change_brackets(xs, fs)]
@@ -585,11 +574,15 @@ def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-1
     excluded from the default list and reported flagged when
     `include_node_factor` is set.
 
-    Fewer than `n_roots` levels are returned when the validated order range
-    v <= 200 is exhausted first.  A NumericError from Brent or from a scan
-    run without a value at an end carries the levels below the failure as
-    `partial`; one from the node-factor scan carries all the levels.
+    alpha^2/2 > 50 raises DomainError first.  Fewer than `n_roots` levels are
+    returned when the validated order range v <= 200 is exhausted first.  A
+    NumericError from Brent or from a scan run without a value at an end
+    carries the levels below the failure as `partial`; one from the
+    node-factor scan carries all the levels.
     """
+    if not 0.5 * (prob.alpha * prob.alpha) <= _KUMMER_X_MAX:
+        raise DomainError(f"alpha = {prob.alpha}: alpha^2/2 is past {_KUMMER_X_MAX:g}, "
+                          "the validated range of kummer_m")
     if not 1 <= n_roots <= 12:
         raise DomainError(f"n_roots must be in [1, 12], got {n_roots}")
 
@@ -745,10 +738,14 @@ def delta_well_bound_state(mu: float, units: UnitSystem = NATURAL_UNITS) -> Opti
     Returns None for repulsive (or zero) coupling: the corrected kernel has
     no pole on the positive k0 axis then.  The pole sits at k0 = -lambda/2
     and carries energy -hbar^2 k0^2 / (2 m) = -m mu^2 / (2 hbar^2).
+    RangeError where lambda = 2 m mu / hbar^2 is infinite, or so small that
+    the Brent tolerance 1e-13 |lambda| underflows to 0.
     """
     if mu >= 0.0:
         return None
     lam = 2.0 * units.mass * mu / (units.hbar * units.hbar)
+    if not (1e-13 * abs(lam) > 0.0 and abs(lam) < math.inf):
+        raise RangeError(f"delta well: lambda = 2 m mu / hbar^2 = {lam} leaves double range")
 
     def f(k0: float) -> float:
         return 1.0 + lam / (2.0 * k0)

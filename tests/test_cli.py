@@ -278,8 +278,8 @@ def test_scan_csv_equals_scalar_composition(tmp_path, monkeypatch, box_length):
     assert main(["scan", "--geometry", "oscillator", "--a", repr(box_length), "--lo", "0",
                  "--hi", "200", "--step", "0.01", "--out", str(out)]) == 0
 
-    monkeypatch.setattr(spectrum_mod, "pcf_d_signlog",
-                        functools.lru_cache(maxsize=None)(spectrum_mod.pcf_d_signlog))
+    monkeypatch.setattr(spectrum_mod, "_pcf_d_signlog_pair",
+                        functools.lru_cache(maxsize=None)(spectrum_mod._pcf_d_signlog_pair))
     prob = spectrum_mod.OscillatorProblem(box_length)
 
     def cell(fn, v):

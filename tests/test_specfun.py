@@ -669,7 +669,8 @@ def test_kummer_array_nan_where_the_series_does_not_converge(monkeypatch):
     assert np.isnan(got[1])
 
 
-KUMMER_ROUTE_SIZES = [1, sf._ARRAY_KUMMER - 1, sf._ARRAY_KUMMER, sf._ARRAY_KUMMER + 1]
+# one series, and sizes on either side of 64: every size runs the one array loop
+KUMMER_ROUTE_SIZES = [1, 63, 64, 65]
 
 
 def _scalar_series_calls(monkeypatch):
@@ -686,14 +687,14 @@ def _scalar_series_calls(monkeypatch):
 
 @pytest.mark.parametrize("size", KUMMER_ROUTE_SIZES)
 def test_kummer_route_is_bitwise_at_the_crossover(monkeypatch, size):
-    # below _ARRAY_KUMMER elements the sum at one x runs the scalar series per
-    # element, from it on one array loop: both give the scalar bits, NaN where
-    # it raises (|a| > 300; with 20 terms, a series that does not converge)
+    # at any size the sum at one x runs one array loop and no scalar series:
+    # it gives the scalar bits, NaN where the scalar call raises (|a| > 300;
+    # with 20 terms, a series that does not converge)
     x = 0.5 * (3.0 / math.sqrt(2.0)) ** 2
     orders = -0.5 * (np.arange(size) * 0.37)
     calls = _scalar_series_calls(monkeypatch)
     sums, peaks = sf._kummer_series_array(orders, 0.5, x)
-    assert len(calls) == (size if size < sf._ARRAY_KUMMER else 0)
+    assert calls == []
     for i, a in enumerate(orders.tolist()):
         want = sf._kummer_series(a, 0.5, x)
         assert (bits(sums[i]), bits(peaks[i])) == (bits(want[0]), bits(want[1])), a
@@ -702,7 +703,9 @@ def test_kummer_route_is_bitwise_at_the_crossover(monkeypatch, size):
     raised = 0
     for start in range(len(pattern)):
         a = np.resize(np.roll(pattern, -start), size)
+        calls.clear()
         got = sf.kummer_m(a, 0.5, 30.0)
+        assert calls == []
         for i, ai in enumerate(a.tolist()):
             try:
                 want = sf.kummer_m(ai, 0.5, 30.0)
@@ -732,11 +735,11 @@ def _stacked_matches_scalar(a, b, x):
     return raised
 
 
-@pytest.mark.parametrize("size", [sf._ARRAY_KUMMER - 1, sf._ARRAY_KUMMER, sf._ARRAY_KUMMER + 1])
+@pytest.mark.parametrize("size", KUMMER_ROUTE_SIZES[1:])
 def test_stacked_kummer_series_is_bitwise_at_the_crossover(monkeypatch, size):
     # the even (b = 1/2) and odd (b = 3/2) series of the D_v pair as one call:
-    # the crossover reads the element count of the stack, and either route
-    # gives each element the bits of its own scalar series
+    # the array loop runs no scalar series at any size of the stack and gives
+    # each element the bits of its own scalar series
     x = 0.5 * (3.0 / math.sqrt(2.0)) ** 2
     n = (size + 1) // 2
     w = np.arange(n) * 0.37
@@ -744,12 +747,14 @@ def test_stacked_kummer_series_is_bitwise_at_the_crossover(monkeypatch, size):
     b = np.repeat([0.5, 1.5], n)[:size]
     calls = _scalar_series_calls(monkeypatch)
     sf._kummer_series_array(a, b, x)
-    assert len(calls) == (size if size < sf._ARRAY_KUMMER else 0)
+    assert calls == []
     assert _stacked_matches_scalar(a, b, x) == 0
-    # with 20 terms the long series are cut: NaN in both outputs, on both routes
+    # with 20 terms the long series are cut: NaN in both outputs
     monkeypatch.setattr(sf, "_MAX_TERMS", 20)
     a = np.resize([-2.0, -40.5, -7.0, 30.25], size)  # -2, -7: polynomials, a few terms each
+    calls.clear()
     sums, peaks = sf._kummer_series_array(a, b, 30.0)
+    assert calls == []
     cut = np.isnan(sums)
     assert (cut == np.isnan(peaks)).all() and 2 <= cut.sum() < size
     assert _stacked_matches_scalar(a, b, 30.0) == cut.sum()

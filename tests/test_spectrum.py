@@ -27,7 +27,7 @@ from greenchain import (
     sph_dirichlet_spectrum,
     sph_shell_spectrum,
 )
-from greenchain.errors import DomainError, GreenChainError, NumericError
+from greenchain.errors import DomainError, GreenChainError, NumericError, RangeError
 from greenchain.spectrum import Bracket, RootKind, brent, scan_grid
 from greenchain.specfun import gamma, kummer_m, pcf_d, pcf_d_pair_signlog
 
@@ -405,8 +405,8 @@ def test_spectrum_equals_scalar_grid_reference(monkeypatch, box_length):
 
 
 def test_spectrum_kummer_call_counts(monkeypatch, unit_box):
-    # deterministic work gate: each parity factor costs one array call over
-    # all of its min-max runs; scalar calls come from Brent alone
+    # deterministic work gate: no array call; one scalar call per lattice point
+    # of the min-max runs of both parities, and one per Brent evaluation
     import greenchain.spectrum as spectrum_mod
 
     real_kummer, real_brent = spectrum_mod.kummer_m, spectrum_mod.brent
@@ -425,9 +425,11 @@ def test_spectrum_kummer_call_counts(monkeypatch, unit_box):
     monkeypatch.setattr(spectrum_mod, "brent", brent_spy)
     lines = oscillator_spectrum(unit_box, 6)
     assert len(lines) == 6
-    assert calls["array"] == 2  # one per parity
-    assert calls["scalar"] == calls["brent_evals"]
-    assert 0 < calls["scalar"] < 200
+    points = sum(len(xs) for first in (1, 2)
+                 for xs in spectrum_mod._minmax_runs(unit_box.alpha, range(first, 7, 2)))
+    assert calls["array"] == 0
+    assert calls["scalar"] == points + calls["brent_evals"]
+    assert 0 < points <= 5 * 6 and calls["scalar"] < 200
 
 
 def _dense_lattice_brackets(prob):
@@ -569,23 +571,54 @@ def test_enclosure_fallback_gives_the_min_max_runs(monkeypatch):
     assert oscillator_spectrum(prob, 12) == want
 
 
-@pytest.mark.parametrize("box_length", [1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
-def test_enclosures_scan_a_few_lattice_points_per_level(monkeypatch, box_length):
-    # work gate: the array kummer_m calls of a request see at most five
-    # lattice points per level asked (the min-max runs saw up to 3,455 at L = 5)
+@pytest.mark.parametrize("box_length", [8.0, 14.1])
+def test_minmax_fallback_merges_the_runs_of_a_parity(monkeypatch, box_length):
+    # without the enclosures the min-max brackets of one parity's levels
+    # overlap and merge into one run of thousands of lattice points; the
+    # levels are float.hex-identical to the enclosure route's
     import greenchain.spectrum as spectrum_mod
 
-    real_kummer, sizes = spectrum_mod.kummer_m, []
+    prob = OscillatorProblem(box_length)
+    want = [(line.root.value.hex(), line.root.residual.hex(), line.root.iterations,
+             line.root.classification) for line in oscillator_spectrum(prob, 12)]
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    for first in (1, 2):
+        runs = spectrum_mod._minmax_runs(prob.alpha, range(first, 13, 2))
+        assert len(runs) == 1 and 1500 < len(runs[0]) < 3000, [len(xs) for xs in runs]
+    got = [(line.root.value.hex(), line.root.residual.hex(), line.root.iterations,
+            line.root.classification) for line in oscillator_spectrum(prob, 12)]
+    assert got == want and len(got) == 12
+
+
+@pytest.mark.parametrize("box_length", [1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
+def test_enclosures_scan_a_few_lattice_points_per_level(monkeypatch, box_length):
+    # work gate: the scalar kummer_m calls of a request outside Brent, one per
+    # lattice point, are at most five per level asked (the min-max runs saw up
+    # to 3,455 at L = 5)
+    import greenchain.spectrum as spectrum_mod
+
+    real_kummer, real_brent = spectrum_mod.kummer_m, spectrum_mod.brent
+    calls = {"array": 0, "scalar": 0, "brent_evals": 0}
 
     def kummer_spy(a, b, x):
-        if isinstance(a, np.ndarray):
-            sizes.append(a.size)
+        calls["array" if isinstance(a, np.ndarray) else "scalar"] += 1
         return real_kummer(a, b, x)
 
+    def brent_spy(f, bracket, tol=1e-10, max_iter=200):
+        root = real_brent(f, bracket, tol=tol, max_iter=max_iter)
+        calls["brent_evals"] += root.iterations - 1
+        return root
+
     monkeypatch.setattr(spectrum_mod, "kummer_m", kummer_spy)
+    monkeypatch.setattr(spectrum_mod, "brent", brent_spy)
     n = min(12, int(20.0 * box_length / math.pi))
     assert len(oscillator_spectrum(OscillatorProblem(box_length), n)) == n
-    assert len(sizes) == 2 and sum(sizes) <= 5 * n
+    assert calls["array"] == 0
+    assert 0 < calls["scalar"] - calls["brent_evals"] <= 5 * n
 
 
 def test_array_char_functions_match_scalar(unit_box):
@@ -617,9 +650,17 @@ def test_char_columns_match_signlog_composition_bit_for_bit(box_length):
     for kernel, reference in ((oscillator_char_full, char_full_columns),
                               (oscillator_char_reduced, char_reduced_columns)):
         want = reference(v, prob, dv)
-        assert [x.hex() for x in kernel(v, prob, dv).tolist()] == [x.hex() for x in want.tolist()]
         assert [x.hex() for x in kernel(v, prob).tolist()] == [x.hex() for x in want.tolist()]
-    assert np.isnan(oscillator_char_full(v, prob, dv)).sum() >= 201  # the Gamma poles at least
+    assert np.isnan(oscillator_char_full(v, prob)).sum() >= 201  # the Gamma poles at least
+
+
+def test_scalar_char_full_raises_where_delta_overflows():
+    # m / (pi hbar w0) = 1e300 / (pi 1e-300) overflows: the array holds NaN, the scalar raises
+    prob = OscillatorProblem(1.0, UnitSystem(mass=1e300, omega0=1e-300))
+    with pytest.raises(RangeError, match="overflows"):
+        oscillator_char_full(4.3, prob)
+    assert np.isnan(oscillator_char_full(np.array([4.3]), prob)).all()
+    assert math.isfinite(oscillator_char_reduced(4.3, prob))
 
 
 def test_char_reduced_without_a_value():
@@ -1108,13 +1149,15 @@ def test_run_without_an_end_value_raises_with_the_levels_below(monkeypatch):
     import greenchain.spectrum as spectrum_mod
 
     want = oscillator_spectrum(OscillatorProblem(3.0), 12)
-    real_kummer = spectrum_mod.kummer_m
+    real_kummer, odd_calls = spectrum_mod.kummer_m, []
 
     def odd_run_without_a_start(a, b, x):
-        out = real_kummer(a, b, x)
-        if isinstance(a, np.ndarray) and b == 1.5:
-            out[0] = math.nan
-        return out
+        # the even runs are evaluated first: the first odd call is that run's first point
+        if b == 1.5:
+            odd_calls.append(a)
+            if len(odd_calls) == 1:
+                return math.nan
+        return real_kummer(a, b, x)
 
     monkeypatch.setattr(spectrum_mod, "kummer_m", odd_run_without_a_start)
     with warnings.catch_warnings():
