@@ -1,9 +1,11 @@
 """Array paths of the Bessel family in :mod:`greenchain.specfun`.
 
-:func:`~greenchain.specfun.bessel_i`, :func:`~greenchain.specfun.bessel_k`,
 :func:`~greenchain.specfun.bessel_jy`, :func:`~greenchain.specfun.sph_modified`
 and :func:`~greenchain.specfun.sph_ordinary` hand an array of x to the
-functions here.  Each element is bitwise the scalar value: every series
+functions here, and a long cylindrical chain (``greens.cyl_factors``) calls
+:func:`_ik_array` for I_m and K_m together; the scalar
+:func:`~greenchain.specfun.bessel_i` and :func:`~greenchain.specfun.bessel_k`
+take one x.  Each element is bitwise the scalar value: every series
 runs the scalar recurrence operation for operation and stops where the
 scalar loop stops, with ``math`` functions per element where numpy's are
 not bitwise the same, and each element is NaN where the scalar call

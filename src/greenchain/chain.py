@@ -281,9 +281,12 @@ def _terms(coef, p: SignLog, q: SignLog):
     return fp * p.sign * math.exp(lp - top), fq * q.sign * math.exp(lq - top), top
 
 
-def _value(hat: float, log_mag: float) -> float:
-    """hat * e^log_mag, raising RangeError past double range."""
-    return (SignLog.from_value(hat) * SignLog(1, log_mag)).value()
+def _value(hat: float, log_mag: float, param: float) -> float:
+    """hat * e^log_mag, raising RangeError past double range or where it is not finite."""
+    out = (SignLog.from_value(hat) * SignLog(1, log_mag)).value()
+    if not math.isfinite(out):  # a factor's log or a weight left double range: inf - inf
+        raise RangeError(f"the Green's function at parameter {param} is not a finite double")
+    return out
 
 
 def _sweep(walls, sigma: float):
@@ -340,8 +343,9 @@ def greens_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
     walls by the kinks the deltas impose (O(n) work, no wall cap).  The
     Wronskian is P's p coefficient A_n right of the chain; NearPoleError is
     raised when A_n cancels below 1e-12 of its largest summand, i.e. on a
-    bound-state pole, and SingularMatrixError when a factor vanishes at a
-    wall.
+    bound-state pole, SingularMatrixError when a factor vanishes at a
+    wall, and RangeError, naming the parameter, where |g0(a, a)| or the
+    result is not finite in double precision.
     """
     if chain.is_strong:
         raise DomainError("chain has infinite couplings; use greens_strong")
@@ -370,7 +374,7 @@ def greens_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
     p1, p2, p_log = _terms(left[bisect_left(positions, lo)], *g0.factors(lo, param))
     q1, q2, q_log = _terms((p_coef, q_coef), *g0.factors(hi, param))
     # Q = q e^{sigma_n} right of the chain, so W[P, Q] = a_n e^{log_a + sigma_n}
-    return _value((p1 + p2) * (q1 + q2) / a_n, p_log + q_log - log_a - sigma_n)
+    return _value((p1 + p2) * (q1 + q2) / a_n, p_log + q_log - log_a - sigma_n, param)
 
 
 def _vanishing_at(sp, lp, sq, lq):
@@ -388,7 +392,9 @@ def greens_strong(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
     vanishes on the interval's left wall (h_l = p left of the chain), h_r
     likewise on its right wall (h_r = q right of the chain), and inside the
     chain W[h_l, h_r] = -d_k.  Raises NearPoleError when d_k cancels below
-    1e-12 of its two products, i.e. on a Dirichlet level of the interval.
+    1e-12 of its two products, i.e. on a Dirichlet level of the interval,
+    and RangeError, naming the parameter, where the result is not finite
+    in double precision.
     """
     lo, hi = _ordered(x, xp)
     positions, n = chain.positions, chain.n
@@ -410,9 +416,15 @@ def greens_strong(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
         )
     l1, l2, l_log = _terms(h_l, *g0.factors(lo, param))
     r1, r2, r_log = _terms(h_r, *g0.factors(hi, param))
-    return _value((l1 + l2) * (r1 + r2) / (t1 + t2), l_log + r_log - w_log)
+    return _value((l1 + l2) * (r1 + r2) / (t1 + t2), l_log + r_log - w_log, param)
 
 
 def char_func(chain: DeltaChain, g0: FreeGreens, param: float) -> SignLog:
-    """Characteristic function det[g0(a_i, a_j)] at the given parameter."""
-    return _factor_det(_wall_factors(g0, chain.positions, param))
+    """Characteristic function det[g0(a_i, a_j)] at the given parameter; RangeError
+    where its log magnitude is not finite (a factor's log left double range)."""
+    factors = _wall_factors(g0, chain.positions, param)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: raised below
+        out = _factor_det(factors)
+    if not math.isfinite(out.log_mag):
+        raise RangeError(f"char_func at parameter {param}: log|det G0| is not a finite double")
+    return out

@@ -42,6 +42,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import specfun
+from ._arrays import _ik_array
 from .errors import DomainError, GreenChainError
 
 
@@ -128,8 +129,7 @@ def cyl_factors(rho, k0, mode: int = 0):
     if isinstance(rho, np.ndarray):
         specfun._check_order(mode, "bessel_i")
         rho = rho.astype(float)
-        i_m, k_m = specfun._ik_array(mode, k * rho)
-        return _pair_parts(i_m, k_m, ~(rho > 0.0))
+        return _pair_parts(*_ik_array(mode, k * rho), ~(rho > 0.0))
     if not rho > 0.0:
         raise DomainError(f"cylindrical radius must be positive, got {rho}")
     return (specfun.SignLog.from_value(specfun.bessel_i(mode, k * rho)),

@@ -5,17 +5,17 @@ state, safe to call from any number of threads.  Every infinite series uses
 a term recurrence with compensated (Kahan) summation and stops once three
 consecutive terms fall below 1e-16 of the running partial sum.
 
-The functions take scalars, except for the array paths used by grid scans
-and long chains: :func:`kummer_m` also accepts an array of ``a``,
-:func:`pcf_d_pair_signlog` gives ``D_v(-y)`` and ``D_v(y)`` over an array of
-orders or over an array of points, and :func:`bessel_i`, :func:`bessel_k`,
-:func:`sph_modified`, :func:`bessel_jy` and :func:`sph_ordinary` (and
-``_bessel_j`` and ``_sph_j``, the first values of the last two alone)
-accept an array of ``x``.  Each sums every element with exactly the
-operations of the scalar series, with ``math`` functions per element where
-numpy's are not bitwise the same, so the values are bitwise equal to the
-scalar ones; each marks with NaN the elements where the scalar function
-raises.  The Bessel array paths live in :mod:`greenchain._arrays`.
+The functions take scalars (:func:`kummer_m`, :func:`bessel_i` and
+:func:`bessel_k` among them), except where grid scans and long chains pass
+arrays: :func:`pcf_d_pair_signlog` gives ``D_v(-y)`` and ``D_v(y)`` over an
+array of orders or of points, and :func:`sph_modified`, :func:`bessel_jy`
+and :func:`sph_ordinary` (and ``_bessel_j`` and ``_sph_j``, the first values
+of the last two alone) accept an array of ``x``.  Each sums every element
+with exactly the operations of the scalar series, with ``math`` functions
+per element where numpy's are not bitwise the same, so the values are
+bitwise equal to the scalar ones; each marks with NaN the elements where
+the scalar function raises.  The Bessel array paths, and the (I_m, K_m)
+pair of long cylindrical chains, live in :mod:`greenchain._arrays`.
 
 Conventions fixed by this module:
 
@@ -195,17 +195,14 @@ def _kahan_series(first_term: float, q: float, m: int, stride: int, what: str) -
 # Modified Bessel functions I_m, K_m (integer order)
 # ----------------------------------------------------------------------
 
-def bessel_i(m: int, x):
+def bessel_i(m: int, x: float) -> float:
     """Modified Bessel function I_m(x) for integer m >= 0, 0 < x <= 700.
 
     Ascending series throughout: all terms are positive, so there is no
     cancellation at any admissible argument; the only failure mode is
-    overflow, guarded by the x <= 700 precondition.  An array of x gives the
-    array of values, bitwise the scalar ones, NaN where the scalar call raises.
+    overflow, guarded by the x <= 700 precondition.  Takes one x.
     """
     _check_order(m, "bessel_i")
-    if isinstance(x, np.ndarray):
-        return _ik_array(m, x)[0]
     _check_positive(x, "bessel_i", 0.5)
     if x > _OVERFLOW_GUARD:
         raise RangeError(f"bessel_i: x={x} is past the overflow guard at {_OVERFLOW_GUARD:g}")
@@ -335,19 +332,15 @@ def _asymptotic01(x: float, rows: list, rel: float, tol: float) -> tuple[float, 
     return p0, q0, p4, q4
 
 
-def bessel_k(m: int, x):
+def bessel_k(m: int, x: float) -> float:
     """Modified Bessel function K_m(x) for integer m >= 0, x > 0.
 
     K_0/K_1 come from the log series (x <= 6), a cosh-transform trapezoid
     integral (6 < x < 14) or the asymptotic expansion (x >= 14); higher
     orders use the upward recurrence, which is stable because K grows
-    with order.  RangeError where K_m overflows (small x).  An array of x
-    gives the array of values, bitwise the scalar ones, NaN where the scalar
-    call raises.
+    with order.  RangeError where K_m overflows (small x).  Takes one x.
     """
     _check_order(m, "bessel_k")
-    if isinstance(x, np.ndarray):
-        return _ik_array(m, x)[1]
     _check_positive(x, "bessel_k", 0.5)
     if x <= _K_SERIES_MAX:  # the log series; I_0 and I_1 finished as bessel_i finishes them
         lh = math.log(0.5 * x)
@@ -652,17 +645,12 @@ def _kummer_series_array(a, b, x) -> tuple[np.ndarray, np.ndarray]:
     return sums, peaks
 
 
-def kummer_m(a, b: float, x: float):
-    """Confluent hypergeometric M(a, b, x) by the ascending series.
+def kummer_m(a: float, b: float, x: float) -> float:
+    """Confluent hypergeometric M(a, b, x) at one order a, by the ascending series.
 
     Term recurrence with compensated summation; stops after three
     consecutive terms below 1e-16 of the partial sum.  Validated for
     |x| <= 50 and |a| <= 300 with b away from non-positive integers.
-
-    ``a`` may be a numpy array: the result is then an array of the same
-    shape, bitwise equal to the scalar values, with NaN at every element
-    where the scalar call would raise (``|a| > 300``, non-finite ``a``, or
-    no convergence).  ``b`` and ``x`` stay scalars and raise as above.
     """
     if not math.isfinite(b):
         raise DomainError(f"kummer_m: b={b} is not finite")
@@ -670,12 +658,6 @@ def kummer_m(a, b: float, x: float):
         raise DomainError(f"kummer_m: b={b} is a non-positive integer (pole)")
     if not abs(x) <= _KUMMER_X_MAX:
         raise DomainError(f"kummer_m: |x|={abs(x)} outside the validated range {_KUMMER_X_MAX:g}")
-    if isinstance(a, np.ndarray):
-        a = a.astype(float)
-        valid = np.abs(a) <= _KUMMER_A_MAX
-        out = np.full(a.shape, np.nan)
-        out[valid] = _kummer_series_array(a[valid], b, x)[0]
-        return out
     if not abs(a) <= _KUMMER_A_MAX:
         raise DomainError(f"kummer_m: |a|={abs(a)} outside the validated range {_KUMMER_A_MAX:g}")
     return _kummer_series(a, b, x)[0]
@@ -825,5 +807,5 @@ def pcf_d_pair_signlog(v, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 
 
 # The array paths use the scalar helpers above, so they are bound last.
-from ._arrays import (_ik_array, _jy_array, _kahan_blocks, _sph_jy_array,  # noqa: E402
+from ._arrays import (_jy_array, _kahan_blocks, _sph_jy_array,  # noqa: E402
                       _sph_modified_array)

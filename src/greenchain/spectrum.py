@@ -21,11 +21,11 @@ also a sign change of r(v).
 
 Grid scans hand the function the whole grid as one float64 array and read
 back an array of the same length, NaN or infinite where a point has no
-value.  The oscillator factors take arrays of v natively (one Kummer
-series pass per factor and grid), the Dirichlet solution pairs arrays of
-kappa (one Bessel series pass per window, both walls stacked), and
-`pointwise` lifts a user's scalar function.  Brent refinement evaluates
-the scalar path.  Delta(v) and r(v) combine the
+value.  Delta(v) and r(v) take arrays of v natively (one Kummer series
+pass for the D_v pair), the Dirichlet solution pairs arrays of kappa (one
+Bessel series pass per window, both walls stacked), and `pointwise` lifts
+a scalar function: a user's, or a wall factor, which takes one order.
+Brent refinement evaluates the scalar path.  Delta(v) and r(v) combine the
 (sign, log) arrays of the D_v(-+alpha) pair in numpy float operations, with
 exp, log and lgamma from `math` per element; a scalar order runs the same
 operations on one element, so its value is bitwise the array's.
@@ -380,26 +380,24 @@ def oscillator_char_reduced(v: _Orders, prob: OscillatorProblem) -> _Orders:
     return float(out[0])
 
 
-def even_wall_value(v: _Orders, prob: OscillatorProblem) -> _Orders:
+def even_wall_value(v: float, prob: OscillatorProblem) -> float:
     """Wall value of the even-parity oscillator solution, M(-v/2, 1/2, alpha^2/2).
 
     Proportional to D_v(-alpha) + D_v(alpha) with a factor that never
     vanishes at non-integer v; its zeros are exactly the even levels of the
-    boxed oscillator.  An array of orders gives the array of values, each
-    bitwise equal to the scalar one.
+    boxed oscillator.  Takes one order; lift it with :func:`pointwise` to
+    scan a grid, as :func:`oscillator_spectrum` does.
     """
-    a2 = prob.alpha * prob.alpha
-    return kummer_m(-0.5 * v, 0.5, 0.5 * a2)
+    return kummer_m(-0.5 * v, 0.5, 0.5 * (prob.alpha * prob.alpha))
 
 
-def odd_wall_value(v: _Orders, prob: OscillatorProblem) -> _Orders:
+def odd_wall_value(v: float, prob: OscillatorProblem) -> float:
     """Wall value of the odd-parity oscillator solution, M((1-v)/2, 3/2, alpha^2/2).
 
     Proportional to D_v(-alpha) - D_v(alpha); its zeros are the odd levels.
-    Takes an array of orders like :func:`even_wall_value`.
+    Takes one order, like :func:`even_wall_value`.
     """
-    a2 = prob.alpha * prob.alpha
-    return kummer_m(0.5 * (1.0 - v), 1.5, 0.5 * a2)
+    return kummer_m(0.5 * (1.0 - v), 1.5, 0.5 * (prob.alpha * prob.alpha))
 
 
 def _node_factor_roots(prob: OscillatorProblem, v_hi: float, tol: float) -> List[Root]:

@@ -1,27 +1,31 @@
-"""Extreme inputs: every public spectrum and chain call raises a GreenChainError or answers.
+"""Extreme inputs: every public spectrum and chain call raises a GreenChainError or answers
+with finite numbers.
 
 Lengths and radii span 1e-310 to 1e300, delta strengths -1e-320 to -inf and
 spectral parameters (k0, or v for the oscillator) 1e-320 to 1e300, with unit
 constants at the edges of double range.  No call may escape with a raw
-Python exception (OverflowError, ZeroDivisionError, ...), and the CLI lines
-built on them exit 1 or 2 with one line on stderr.
+Python exception (OverflowError, ZeroDivisionError, ...) or answer NaN or an
+infinity, and the CLI lines built on them exit 1 or 2 with one line on
+stderr.
 """
 
 import itertools
 import json
 import math
+import re
 import warnings
 
 import pytest
 
 from greenchain import (ALL_INFINITE, DeltaChain, GreenChainError, OscillatorProblem, RangeError,
-                        UnitSystem, box_spectrum_rect, char_func, cyl_annulus_spectrum,
+                        SignLog, UnitSystem, box_spectrum_rect, char_func, cyl_annulus_spectrum,
                         cyl_dirichlet_spectrum, delta_well_bound_state, even_wall_value,
                         free_greens_for, greens_finite, greens_strong, odd_wall_value,
                         oscillator_char_full, oscillator_char_reduced, oscillator_spectrum,
                         sph_dirichlet_spectrum, sph_shell_spectrum)
 from greenchain.cli import main
 from greenchain.errors import DomainError
+from greenchain.spectrum import SpectrumLine
 
 LENGTHS = [1e-310, 1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300]
 MUS = [-1e-320, -1e-300, -1e-150, -1.0, -1e150, -1e300, -math.inf]
@@ -61,18 +65,35 @@ def _chain_calls():
             lambda c=finite, g=g0, p=param: char_func(c, g, p)
 
 
+def _numbers(answer):
+    """The numbers an answer carries: a float, the log magnitude of a SignLog whose sign
+    is not 0, and the root and energy of each level."""
+    if isinstance(answer, SignLog):
+        return [answer.log_mag] if answer.sign else []
+    if isinstance(answer, (list, SpectrumLine)):
+        lines = answer if isinstance(answer, list) else [answer]
+        return [x for line in lines for x in (line.root.value, line.energy)]
+    return [] if answer is None else [answer]  # None: the delta well of a repulsive coupling
+
+
 def test_extreme_inputs_raise_only_greenchain_errors():
-    escaped = []
+    # every call raises a GreenChainError or answers finite numbers
+    escaped, non_finite, answered = [], [], 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # skipped grid points
         for name, call in itertools.chain(_spectrum_calls(), _chain_calls()):
             try:
-                call()
+                answer = call()
             except GreenChainError:
-                pass
+                continue
             except Exception as exc:  # noqa: BLE001 - the sweep reports every escape
                 escaped.append(f"{name}: {type(exc).__name__}: {exc}")
-    assert escaped == []
+                continue
+            answered += 1
+            if not all(math.isfinite(x) for x in _numbers(answer)):
+                non_finite.append(f"{name}: {answer!r}")
+    assert escaped == [] and non_finite == []
+    assert answered > 400  # the sweep still reaches most calls
 
 
 @pytest.mark.parametrize("mu, units", [(-1e-320, UnitSystem()), (-1.0, UnitSystem(hbar=1e200)),
@@ -108,6 +129,26 @@ def test_greens_finite_raises_where_the_wall_kernel_overflows():
         greens_finite(chain, free_greens_for("oscillator", center=0.5), 0.5, 0.5, 1e-310)
 
 
+@pytest.mark.parametrize("geometry, walls, param", [
+    ("rectangular", [1e8, 2e8], 1e300),  # log p = k0 z overflows at the second wall
+    ("rectangular", [1e300, 2e300], 1e8),
+    ("spherical", [1e300, 2e300], 1e-300),  # the weight r^2 overflows
+])
+def test_chain_results_outside_double_range_raise_range_error(geometry, walls, param):
+    # each of these answered NaN: the wall sweep formed inf - inf
+    g0 = free_greens_for(geometry)
+    finite = DeltaChain.from_couplings(geometry, walls, [1.0, 1.0])
+    strong = DeltaChain.from_couplings(geometry, walls, ALL_INFINITE)
+    at = 1.5 * walls[0]
+    calls = [lambda: greens_finite(finite, g0, at, at, param)]
+    if geometry == "rectangular":
+        calls += [lambda: greens_strong(strong, g0, at, at, param),
+                  lambda: char_func(finite, g0, param)]
+    for call in calls:
+        with pytest.raises(RangeError, match=re.escape(f"parameter {param}")):
+            call()
+
+
 def test_oscillator_spectrum_past_the_kummer_range_raises_domain_error():
     # alpha^2 overflows at alpha = 7e199; it used to raise a raw OverflowError
     with pytest.raises(DomainError, match="alpha"):
@@ -115,6 +156,8 @@ def test_oscillator_spectrum_past_the_kummer_range_raises_domain_error():
 
 
 RECT = {"geometry": "rectangular", "positions": [0.0, 1.0], "couplings": [1.0, 1.0]}
+RECT_FAR = {"geometry": "rectangular", "positions": [1e8, 2e8], "couplings": [1.0, 1.0]}
+SPH_FAR = {"geometry": "spherical", "positions": [1e300, 2e300], "couplings": [1.0, 1.0]}
 OSC = {"geometry": "oscillator", "positions": [0.0, 1.0], "couplings": [1.0, 1.0],
        "oscillator": {"box_length": 1.0}}
 
@@ -126,8 +169,10 @@ OSC = {"geometry": "oscillator", "positions": [0.0, 1.0], "couplings": [1.0, 1.0
     ["spectrum", "--geometry", "delta-well", "--mu", "-1e300", "--mass", "1e300"],
     ["greens", RECT, "0.5", "0.5", "1e-320"],
     ["greens", OSC, "0.5", "0.5", "1e-310"],
+    ["greens", RECT_FAR, "1.5e8", "1.5e8", "1e300"],
+    ["greens", SPH_FAR, "1.5e300", "1.5e300", "1e-300"],
 ], ids=["well-tiny-mu", "well-large-hbar", "well-tiny-mass", "well-infinite-lambda",
-        "greens-rect", "greens-osc"])
+        "greens-rect", "greens-osc", "greens-rect-far", "greens-sph-far"])
 def test_cli_extreme_inputs_exit_2_with_one_line(tmp_path, capsys, argv):
     if isinstance(argv[1], dict):
         path = tmp_path / "chain.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from greenchain import specfun as sf
+from greenchain._arrays import _ik_array
 from greenchain.errors import DomainError, GreenChainError, NumericError, RangeError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -504,8 +505,9 @@ X_IK = np.concatenate([
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 40])
 def test_bessel_ik_arrays_bitwise_equal_scalar_on_every_branch(m):
-    # x <= 6 series rows, the 6 < x < 14 trapezoid, the x >= 14 asymptotic sums
-    i_arr, k_arr = sf.bessel_i(m, X_IK), sf.bessel_k(m, X_IK)
+    # x <= 6 series rows, the 6 < x < 14 trapezoid, the x >= 14 asymptotic sums: the
+    # array route of long cylindrical chains against the scalar bessel_i and bessel_k
+    i_arr, k_arr = _ik_array(m, X_IK)
     raised_i = _array_matches_scalar([i_arr], lambda x: sf.bessel_i(m, x), X_IK)
     raised_k = _array_matches_scalar([k_arr], lambda x: sf.bessel_k(m, x), X_IK)
     assert raised_i >= 6  # 0, -1, 5e-324, nan, inf and x past the 700 guard
@@ -518,7 +520,7 @@ def test_bessel_ik_arrays_bitwise_equal_scalar_on_every_branch(m):
         assert raised_k > 5  # the upward recurrence overflows at small x
     if m == 1:
         assert np.isnan(k_arr[X_IK == 1e-309])  # 1/x overflows: K_1 is inf, the scalar raises
-    assert [part.shape for part in sf._ik_array(m, X_IK[:650].reshape(5, -1))] == [(5, 130)] * 2
+    assert [part.shape for part in _ik_array(m, X_IK[:650].reshape(5, -1))] == [(5, 130)] * 2
 
 
 # the array fold of the large-argument sums takes int(2 x.max) + 3 terms while x.max < 19
@@ -533,9 +535,8 @@ def test_large_argument_arrays_bitwise_equal_scalar_in_each_window(m, name, lo, 
     if hi == 18.5:
         xs = xs[1:-1]  # the open windows (12, 18.5) and (14, 18.5)
     fn = getattr(sf, name)
-    got = fn(m, xs)
-    assert _array_matches_scalar(got if name == "bessel_jy" else [got],
-                                 lambda x: fn(m, x), xs) == 0
+    got = sf.bessel_jy(m, xs) if name == "bessel_jy" else [_ik_array(m, xs)[1]]
+    assert _array_matches_scalar(got, lambda x: fn(m, x), xs) == 0
 
 
 @pytest.mark.parametrize("rows, rel, tol", [
@@ -556,7 +557,7 @@ def test_asymptotic_fold_stops_each_element_where_the_scalar_loop_does(rows, rel
 
 
 def test_array_bessel_sums_the_large_argument_band_in_one_call(monkeypatch):
-    # one fold per array bessel_jy / bessel_k call with any x past its seam, none otherwise
+    # one fold per array bessel_jy / _ik_array call with any x past its seam, none otherwise
     from greenchain import _arrays
 
     calls = []
@@ -564,7 +565,7 @@ def test_array_bessel_sums_the_large_argument_band_in_one_call(monkeypatch):
     monkeypatch.setattr(_arrays, "_asymptotic01_array",
                         lambda *args: calls.append(args) or real(*args))
     for fn, below, past in ((sf.bessel_jy, [1e-3, 0.5, 5.0, sf._JY_SERIES_MAX], 12.5),
-                            (sf.bessel_k, [1e-3, 3.0, 6.0, 10.0, 13.9], sf._K_ASYMPTOTIC_MIN)):
+                            (_ik_array, [1e-3, 3.0, 6.0, 10.0, 13.9], sf._K_ASYMPTOTIC_MIN)):
         for m in (0, 1, 2, 5):
             for xs, n_calls in ((below, 0), (below + [past], 1), (below + [past, 50.0, 700.0], 1),
                                 ([past, 30.0], 1)):
@@ -634,35 +635,41 @@ V_LATTICE = np.arange(20001) * 0.01  # v in [0, 200] at step 0.01
 @pytest.mark.parametrize("box_length", [1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
 def test_kummer_array_bitwise_equals_scalar(box_length):
     # the two oscillator wall factors M(-v/2, 1/2, x) and M((1-v)/2, 3/2, x),
-    # x = alpha^2 / 2 with alpha = L / sqrt(2) in natural units
+    # x = alpha^2 / 2 with alpha = L / sqrt(2) in natural units, summed over the
+    # lattice in one array call against the scalar kummer_m
     x = 0.5 * (box_length / math.sqrt(2.0)) ** 2
     for a, b in ((-0.5 * V_LATTICE, 0.5), (0.5 * (1.0 - V_LATTICE), 1.5)):
-        got = sf.kummer_m(a, b, x)
+        got = sf._kummer_series_array(a, b, x)[0]
         want = [sf.kummer_m(ai, b, x) for ai in a.tolist()]
         assert np.array_equal(bits(got), bits(want))
 
 
 def test_kummer_array_marks_scalar_errors_with_nan():
+    # the array sum is NaN where the series does not converge (a = nan), as the scalar
+    # series raises; the |a| <= 300 range is kummer_m's, so a = 301 is summed
     a = np.array([[1.0, 301.0], [math.nan, -300.0]])
-    got = sf.kummer_m(a, 0.5, 2.0)
+    got = sf._kummer_series_array(a, 0.5, 2.0)[0]
     assert got.shape == a.shape
-    assert np.isnan(got[0, 1]) and np.isnan(got[1, 0])
+    assert np.isnan(got[1, 0])
     assert bits(got[0, 0]) == bits(sf.kummer_m(1.0, 0.5, 2.0))
     assert bits(got[1, 1]) == bits(sf.kummer_m(-300.0, 0.5, 2.0))
-    assert sf.kummer_m(np.empty(0), 0.5, 2.0).shape == (0,)
-    # the scalar arguments raise as in the scalar call
+    assert bits(got[0, 1]) == bits(sf._kummer_series(301.0, 0.5, 2.0)[0])
+    assert sf._kummer_series_array(np.empty(0), 0.5, 2.0)[0].shape == (0,)
+    # the scalar call raises on each argument
     with pytest.raises(DomainError):
-        sf.kummer_m(a, 0.5, 51.0)
+        sf.kummer_m(1.0, 0.5, 51.0)
     with pytest.raises(DomainError):
-        sf.kummer_m(a, -1.0, 2.0)
+        sf.kummer_m(1.0, -1.0, 2.0)
     with pytest.raises(DomainError):
         sf.kummer_m(math.nan, 0.5, 2.0)
+    with pytest.raises(DomainError):
+        sf.kummer_m(301.0, 0.5, 2.0)
 
 
 def test_kummer_array_nan_where_the_series_does_not_converge(monkeypatch):
     monkeypatch.setattr(sf, "_MAX_TERMS", 20)
     a = np.array([-2.0, -40.5])  # M(-2, 1/2, x) is a quadratic: three terms, then zeros
-    got = sf.kummer_m(a, 0.5, 30.0)
+    got = sf._kummer_series_array(a, 0.5, 30.0)[0]
     with pytest.raises(NumericError):
         sf.kummer_m(-40.5, 0.5, 30.0)
     assert bits(got[0]) == bits(sf.kummer_m(-2.0, 0.5, 30.0))
@@ -688,8 +695,8 @@ def _scalar_series_calls(monkeypatch):
 @pytest.mark.parametrize("size", KUMMER_ROUTE_SIZES)
 def test_kummer_route_is_bitwise_at_the_crossover(monkeypatch, size):
     # at any size the sum at one x runs one array loop and no scalar series:
-    # it gives the scalar bits, NaN where the scalar call raises (|a| > 300;
-    # with 20 terms, a series that does not converge)
+    # it gives the scalar bits, NaN where the scalar series raises (with 20
+    # terms, a series that does not converge: a = -40.5 and a = 301)
     x = 0.5 * (3.0 / math.sqrt(2.0)) ** 2
     orders = -0.5 * (np.arange(size) * 0.37)
     calls = _scalar_series_calls(monkeypatch)
@@ -704,12 +711,12 @@ def test_kummer_route_is_bitwise_at_the_crossover(monkeypatch, size):
     for start in range(len(pattern)):
         a = np.resize(np.roll(pattern, -start), size)
         calls.clear()
-        got = sf.kummer_m(a, 0.5, 30.0)
+        got = sf._kummer_series_array(a, 0.5, 30.0)[0]
         assert calls == []
         for i, ai in enumerate(a.tolist()):
             try:
-                want = sf.kummer_m(ai, 0.5, 30.0)
-            except (DomainError, NumericError):
+                want = sf._kummer_series(ai, 0.5, 30.0)[0]
+            except NumericError:
                 assert np.isnan(got[i]), ai
                 raised += 1
                 continue

@@ -29,7 +29,7 @@ from greenchain import (
 )
 from greenchain.errors import DomainError, GreenChainError, NumericError, RangeError
 from greenchain.spectrum import Bracket, RootKind, brent, scan_grid
-from greenchain.specfun import gamma, kummer_m, pcf_d, pcf_d_pair_signlog
+from greenchain.specfun import _kummer_series_array, gamma, kummer_m, pcf_d, pcf_d_pair_signlog
 
 FIG1_ROOTS = (4.45, 19.27, 43.95, 78.49, 122.91, 177.19)
 
@@ -433,11 +433,16 @@ def test_spectrum_kummer_call_counts(monkeypatch, unit_box):
 
 
 def _dense_lattice_brackets(prob):
-    """Both parity factors scanned on the whole lattice: [20 k, 20 k + 20] at 2001 points."""
+    """Both parity factors scanned on the whole lattice, [20 k, 20 k + 20] at 2001 points,
+    each window in one array Kummer sum, with the scalar wall value to refine on."""
+    x = 0.5 * (prob.alpha * prob.alpha)  # the wall values' x, bit for bit
     even = lambda v: even_wall_value(v, prob)
     odd = lambda v: odd_wall_value(v, prob)
-    return [[(f, kind, scan_sign_changes(f, 20.0 * k, 20.0 * k + 20.0, 2001))
-             for f, kind in ((even, RootKind.EVEN_BRACKET), (odd, RootKind.ODD_BRACKET))]
+    even_grid = lambda vs: _kummer_series_array(-0.5 * vs, 0.5, x)[0]
+    odd_grid = lambda vs: _kummer_series_array(0.5 * (1.0 - vs), 1.5, x)[0]
+    return [[(f, kind, scan_sign_changes(grid, 20.0 * k, 20.0 * k + 20.0, 2001))
+             for f, grid, kind in ((even, even_grid, RootKind.EVEN_BRACKET),
+                                   (odd, odd_grid, RootKind.ODD_BRACKET))]
             for k in range(10)]
 
 

@@ -1,7 +1,8 @@
 """Surface guard: every name the traced benchmark and the README reach must resolve,
 every README `scan`, `spectrum` and `table1` command must run, every name a
-library module imports must be used, and every module-level private name must be
-read somewhere in the library.
+library module imports must be used, every module-level private name must be
+read somewhere in the library, and a private name read as `module._name` must
+be defined in that module, not imported into it.
 
 The benchmark's span table (``WRAPPED`` in ``benchmark/spans.py``) names the
 module attributes it wraps, and the README examples import from the
@@ -100,10 +101,28 @@ def test_library_imports_are_used(path):
     assert not _unused_imports(path)
 
 
+def _library_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "greenchain").glob("*.py"))}
+
+
+def _defined(node):
+    """The names a module-level statement defines: a def, a class or an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _dead_private_names():
     """Module-level private names defined in `src/greenchain` and read nowhere in it."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted((ROOT / "src" / "greenchain").glob("*.py"))}
+    trees = _library_trees()
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -111,20 +130,33 @@ def _dead_private_names():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    dead = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            dead += [f"{name}:{node.lineno} {d}" for d in defined
-                     if d.startswith("_") and not d.startswith("__") and d not in read]
-    return dead
+    return [f"{name}:{node.lineno} {d}" for name, tree in trees.items() for node in tree.body
+            for d in _defined(node) if _is_private(d) and d not in read]
 
 
 def test_private_names_are_read():
     assert not _dead_private_names()
+
+
+def _borrowed_private_reads():
+    """Reads of `module._name` in `src/greenchain`, `module` bound by `from . import module`,
+    where `module` does not define `_name` (it only imports it)."""
+    trees = _library_trees()
+    defined = {name[:-3]: {d for node in tree.body for d in _defined(node)}
+               for name, tree in trees.items()}
+    borrowed = []
+    for name, tree in trees.items():
+        modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+                   for alias in node.names}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id in modules
+                    and _is_private(node.attr)
+                    and node.attr not in defined[modules[node.value.id]]):
+                borrowed.append(f"{name}:{node.lineno} {node.value.id}.{node.attr}")
+    return borrowed
+
+
+def test_private_reads_name_the_defining_module():
+    assert not _borrowed_private_reads()
