@@ -32,16 +32,15 @@ operations on one element, so its value is bitwise the array's.
 
 Every spectrum goes through one refine loop, `_levels`: Brent refines the
 sign-change brackets of a source in ascending order until n roots are in
-hand.  The oscillator's source scans each parity factor only inside the
-min-max brackets of its own levels,
+hand.  The oscillator's source scans nothing: level j's bracket is its
+min-max bracket
 
     max(E_j, j - 1/2) - 1/2 <= v_j <= E_j + alpha^2/4 - 1/2,  E_j = (j pi / 2 alpha)^2
 
 (the box level plus the minimum and maximum of the potential y^2/4, and
-the free oscillator's level j), each narrowed to a Ritz / Kato-Temple
-enclosure of the level, on the points of the 0.01 lattice of the windows
-[20 k, 20 k + 20] inside them, taken on the scalar path through
-`pointwise` as Brent does.  A Dirichlet spectrum scans windows in turn;
+the free oscillator's level j) narrowed to a Ritz / Kato-Temple enclosure
+of the level, with its parity factor taken at both ends on the scalar
+path, as Brent takes it.  A Dirichlet spectrum scans windows in turn;
 it is one interval factor of a real-energy solution pair (u1, u2) =
 (sin kz / k, cos kz), (J_m, Y_m) or (j_l, y_l): u1(k, b) alone on
 [0, b], and u1(k, b1) u2(k, b2) - u1(k, b2) u2(k, b1) on [b1, b2].
@@ -175,18 +174,6 @@ def _grid_values(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.nd
     return vals
 
 
-def _sign_change_brackets(xs: np.ndarray, vals: np.ndarray) -> List[Bracket]:
-    """The sign-change brackets of values `vals` at increasing points `xs`, as in a scan."""
-    finite = np.isfinite(vals)
-    for x, val in zip(xs[~finite].tolist(), vals[~finite].tolist()):
-        warnings.warn(f"scan: skipping grid point {x} ({val})")
-    kept = finite & (vals != 0.0)  # a zero lands between the surrounding kept points
-    negative = vals[kept] < 0.0
-    flips = np.flatnonzero(negative[1:] != negative[:-1]).tolist()
-    x_kept, f_kept = xs[kept].tolist(), vals[kept].tolist()
-    return [Bracket(x_kept[i], x_kept[i + 1], f_kept[i], f_kept[i + 1]) for i in flips]
-
-
 def scan_sign_changes(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                       n_grid: int) -> List[Bracket]:
     """Brackets around every sign change of f on a uniform n_grid-point grid.
@@ -203,7 +190,15 @@ def scan_sign_changes(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: floa
     step = (hi - lo) / (n_grid - 1)
     xs = lo + np.arange(n_grid) * step
     xs[-1] = hi
-    return _sign_change_brackets(xs, _grid_values(f, xs))
+    vals = _grid_values(f, xs)
+    finite = np.isfinite(vals)
+    for x, val in zip(xs[~finite].tolist(), vals[~finite].tolist()):
+        warnings.warn(f"scan: skipping grid point {x} ({val})")
+    kept = finite & (vals != 0.0)  # a zero lands between the surrounding kept points
+    negative = vals[kept] < 0.0
+    flips = np.flatnonzero(negative[1:] != negative[:-1]).tolist()
+    x_kept, f_kept = xs[kept].tolist(), vals[kept].tolist()
+    return [Bracket(x_kept[i], x_kept[i + 1], f_kept[i], f_kept[i + 1]) for i in flips]
 
 
 def brent(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10,
@@ -490,93 +485,75 @@ def _level_enclosures(alpha: float, levels: range) -> Tuple[List[float], List[fl
     return lower, upper
 
 
-def _minmax_runs(alpha: float, levels: range) -> List[np.ndarray]:
-    """The lattice orders in the brackets of `levels`, one parity from its first level.
-
-    A level's bracket is its min-max bracket (see oscillator_spectrum)
-    narrowed to its `_level_enclosures`, padded by one step on each side and
-    clipped to [0, _PCF_V_MAX]; brackets that share a lattice point merge
-    into one run.  The lattice is that of a scan of the windows
-    [20 k, 20 k + 20] at 2001 points: v = 20 k + i fl(0.01).
-    """
-    per_window = 2000  # steps of _STEP in a window 20 wide
-    last = int(round(_PCF_V_MAX / _STEP))
-    a2 = alpha * alpha
-    spans: List[List[int]] = []
-    for j, below, above in zip(levels, *_level_enclosures(alpha, levels)):
-        box = (0.5 * j * math.pi) ** 2 / a2 if a2 else math.inf
-        lo = max(max(box, j - 0.5) - 0.5, below) - _STEP
-        if lo > _PCF_V_MAX:
-            break
-        hi = min(min(box + 0.25 * a2 - 0.5, above) + _STEP, _PCF_V_MAX)
-        first, final = max(0, math.floor(lo / _STEP)), min(last, math.ceil(hi / _STEP))
-        if spans and first <= spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], final)
-        else:
-            spans.append([first, final])
-    runs = []
-    for first, final in spans:
-        k, i = np.divmod(np.arange(first, final + 1), per_window)
-        runs.append(20.0 * k + i * _STEP)
-    return runs
-
-
 def _minmax_brackets(prob: OscillatorProblem, n: int):
-    """The boxed oscillator's brackets for `_levels`: sign changes inside its min-max runs.
+    """The boxed oscillator's brackets for `_levels`: each level's enclosure.
 
-    Each run is evaluated on its own, point by point, by `pointwise` over the
-    scalar wall factor that Brent refines, and sign changes are sought inside
-    a run only.  The one batch holds the brackets of both parities in
-    ascending order.  A run without a value at an end point may hide a level:
-    the batch then stops below that run, and NumericError follows it.
+    Level j's bracket is its min-max bracket (see oscillator_spectrum)
+    narrowed to its `_level_enclosures` and clipped at _PCF_V_MAX, with the
+    scalar wall factor that Brent refines evaluated once at each end.  The
+    levels end quietly at the first bracket that starts past _PCF_V_MAX, is
+    empty after the clip or has ends of one sign.  The one batch holds the
+    brackets of both parities in level order.  A level without a finite
+    enclosure, or with an end where its wall factor has no value, may lie
+    anywhere in its min-max bracket: the batch then stops below that level,
+    and NumericError naming it follows.
     """
+    a2 = prob.alpha * prob.alpha
     even = lambda v: even_wall_value(v, prob)
     odd = lambda v: odd_wall_value(v, prob)
-    found, broken = [], math.inf
+    found, stop, failure = [], n + 1, ""
     for first, f, kind in ((1, even, RootKind.EVEN_BRACKET), (2, odd, RootKind.ODD_BRACKET)):
-        for xs in _minmax_runs(prob.alpha, range(first, n + 1, 2)):
-            fs = pointwise(f)(xs)
-            if not (math.isfinite(fs[0]) and math.isfinite(fs[-1])):
-                broken = min(broken, float(xs[0]))
-            found += [(br, f, kind) for br in _sign_change_brackets(xs, fs)]
-    found.sort(key=lambda item: item[0].lo)
-    yield [item for item in found if item[0].lo < broken]
-    if broken < math.inf:
-        raise NumericError(f"a wall factor has no value at an end of its scan run from v = "
-                           f"{broken}")
+        levels = range(first, n + 1, 2)
+        for j, below, above in zip(levels, *_level_enclosures(prob.alpha, levels)):
+            box = (0.5 * j * math.pi) ** 2 / a2 if a2 else math.inf
+            lo = max(max(box, j - 0.5) - 0.5, below)
+            hi = min(box + 0.25 * a2 - 0.5, above, _PCF_V_MAX)
+            why = ""
+            if lo <= _PCF_V_MAX and not (math.isfinite(below) and math.isfinite(above)):
+                why = "no finite Ritz / Kato-Temple enclosure"
+            elif lo < hi:
+                f_lo, f_hi = pointwise(f)(np.array([lo, hi])).tolist()
+                if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+                    why = f"the wall factor has no value at an end of its enclosure [{lo}, {hi}]"
+                elif f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
+                    found.append((j, Bracket(lo, hi, f_lo, f_hi), f, kind))
+                    continue
+            if j < stop:
+                stop, failure = j, why
+            break
+    found.sort(key=lambda item: item[0])
+    yield [item[1:] for item in found if item[0] < stop]
+    if failure:
+        raise NumericError(f"oscillator level {stop}: {failure}")
 
 
 def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-10,
                         include_node_factor: bool = False) -> List[SpectrumLine]:
     """First `n_roots` levels of the boxed oscillator, energies attached.
 
-    Scans the even/odd wall-value factors for sign changes, refines each with
-    Brent to the tolerance `tol` in v, and classifies the root by the factor
-    that produced it.  A factor is scanned only inside the min-max brackets
-    of its own levels: level j lies in
+    Brackets each level in a zero of its even/odd wall-value factor, refines
+    it with Brent to the tolerance `tol` in v, and classifies the root by the
+    factor that produced it.  Level j lies in its min-max bracket
 
         max(E_j, j - 1/2) - 1/2 <= v <= E_j + alpha^2/4 - 1/2,  E_j = (j pi / 2 alpha)^2,
 
     narrowed to an enclosure of the level: the Rayleigh-Ritz value in the
     first len(levels) + 16 box sines of the parity above, the Kato-Temple
     bound below, both padded by 1e-9 (1 + max theta); see
-    `_level_enclosures`.  The enclosure is narrower than one lattice step
-    from alpha = 0.2 to 10, so a level costs three or four lattice points.
-    At alpha = 0, where eigh fails, or where the Kato-Temple condition
-    fails, the min-max bound stands.  The scan takes the points of the 0.01
-    lattice of the windows [20 k, 20 k + 20] inside each bracket padded by
-    one step, so the brackets are those of a scan of the whole lattice, and
-    a narrowed bracket changes no root.  The degenerate
-    integer-v zeros of the reduced ratio never enter because the wall-value
-    factors do not vanish there; node-factor zeros (D_v(alpha) = 0) are
-    excluded from the default list and reported flagged when
-    `include_node_factor` is set.
+    `_level_enclosures`.  The enclosure, clipped at v = 200, is the bracket
+    Brent starts from, so a level costs two wall-factor evaluations plus
+    Brent.  The degenerate integer-v zeros of the reduced ratio never enter
+    because the wall-value factors do not vanish there; node-factor zeros
+    (D_v(alpha) = 0) are excluded from the default list and reported flagged
+    when `include_node_factor` is set.
 
     alpha^2/2 > 50 raises DomainError first.  Fewer than `n_roots` levels are
     returned when the validated order range v <= 200 is exhausted first.  A
-    NumericError from Brent or from a scan run without a value at an end
-    carries the levels below the failure as `partial`; one from the
-    node-factor scan carries all the levels.
+    level without a finite enclosure (where eigh fails or the Kato-Temple
+    condition fails) or with an end where its factor has no value raises
+    NumericError naming it; that error, and one from Brent, carry the levels
+    below the failure as `partial`; one from the node-factor scan carries all
+    the levels.
     """
     if not 0.5 * (prob.alpha * prob.alpha) <= _KUMMER_X_MAX:
         raise DomainError(f"alpha = {prob.alpha}: alpha^2/2 is past {_KUMMER_X_MAX:g}, "

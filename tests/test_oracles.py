@@ -1,0 +1,41 @@
+"""High-precision oracles for what greenchain prints; skipped without mpmath.
+
+Boxed-oscillator levels: each refined level must lie within
+max(tol, eps peak / |f'|) of the mpmath zero of its Kummer wall factor,
+where peak is the largest term of the float series at the level (its
+rounding noise is about eps peak) and f' the factor's slope there.
+"""
+
+import numpy as np
+import pytest
+
+from greenchain import OscillatorProblem, oscillator_spectrum
+from greenchain.spectrum import RootKind
+from greenchain.specfun import _kummer_series
+
+mpmath = pytest.importorskip("mpmath")
+
+EPS = 2.220446049250313e-16
+TOL = 1e-10  # oscillator_spectrum's default tolerance in v
+
+
+@pytest.mark.parametrize("box_length",
+                         sorted(set(np.linspace(0.3, 14.1, 24).tolist()
+                                    + [1.0, 1.5, 2.0, 3.0, 5.0, 8.0])))
+def test_oscillator_levels_lie_at_the_mpmath_zeros(box_length):
+    prob = OscillatorProblem(box_length)
+    x = 0.5 * (prob.alpha * prob.alpha)  # the wall factors' x, bit for bit
+    lines = oscillator_spectrum(prob, 12)
+    assert lines
+    for j, line in enumerate(lines, start=1):
+        v, kind = line.root.value, line.root.classification
+        assert kind is (RootKind.EVEN_BRACKET if j % 2 else RootKind.ODD_BRACKET)
+        b = 0.5 if j % 2 else 1.5  # even: M(-v/2, 1/2, x); odd: M((1 - v)/2, 3/2, x)
+        a = -0.5 * v if j % 2 else 0.5 * (1.0 - v)
+        with mpmath.workdps(30):
+            f = lambda t: mpmath.hyp1f1((b - 0.5 - t) / 2, b, x)
+            zero = mpmath.findroot(f, (mpmath.mpf(v) - 1e-7, mpmath.mpf(v) + 1e-7))
+            slope = float(mpmath.diff(f, zero))
+            err = abs(float(v - zero))
+        bound = max(TOL, EPS * _kummer_series(a, b, x)[1] / abs(slope))
+        assert err <= bound, (j, v, err, bound)

@@ -29,9 +29,11 @@ from greenchain import (
 )
 from greenchain.errors import DomainError, GreenChainError, NumericError, RangeError
 from greenchain.spectrum import Bracket, RootKind, brent, scan_grid
-from greenchain.specfun import _kummer_series_array, gamma, kummer_m, pcf_d, pcf_d_pair_signlog
+from greenchain.specfun import (_kummer_series, _kummer_series_array, gamma, kummer_m, pcf_d,
+                                pcf_d_pair_signlog)
 
 FIG1_ROOTS = (4.45, 19.27, 43.95, 78.49, 122.91, 177.19)
+EPS = 2.220446049250313e-16
 
 
 # ----------------------------------------------------------------------
@@ -379,34 +381,9 @@ def test_wide_box_recovers_free_oscillator():
     assert abs(lines[1].root.value - 1.0) <= 0.05
 
 
-def _scalar_grid(monkeypatch):
-    """Evaluate the wall factors point by point through the scalar kummer_m."""
-    import greenchain.spectrum as spectrum_mod
-
-    scalar = spectrum_mod.kummer_m
-
-    def per_point(a, b, x):
-        if isinstance(a, np.ndarray):
-            return np.array([scalar(ai, b, x) for ai in a.tolist()])
-        return scalar(a, b, x)
-
-    monkeypatch.setattr(spectrum_mod, "kummer_m", per_point)
-
-
-@pytest.mark.parametrize("box_length", [1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
-def test_spectrum_equals_scalar_grid_reference(monkeypatch, box_length):
-    prob = OscillatorProblem(box_length)
-    n = min(12, int(20.0 * box_length / math.pi))
-    got = oscillator_spectrum(prob, n, include_node_factor=box_length == 1.0)
-    _scalar_grid(monkeypatch)
-    want = oscillator_spectrum(prob, n, include_node_factor=box_length == 1.0)
-    assert len(got) >= n
-    assert got == want
-
-
 def test_spectrum_kummer_call_counts(monkeypatch, unit_box):
-    # deterministic work gate: no array call; one scalar call per lattice point
-    # of the min-max runs of both parities, and one per Brent evaluation
+    # deterministic work gate: no array call; one scalar call at each end of
+    # a level's enclosure, and one per Brent evaluation
     import greenchain.spectrum as spectrum_mod
 
     real_kummer, real_brent = spectrum_mod.kummer_m, spectrum_mod.brent
@@ -425,11 +402,9 @@ def test_spectrum_kummer_call_counts(monkeypatch, unit_box):
     monkeypatch.setattr(spectrum_mod, "brent", brent_spy)
     lines = oscillator_spectrum(unit_box, 6)
     assert len(lines) == 6
-    points = sum(len(xs) for first in (1, 2)
-                 for xs in spectrum_mod._minmax_runs(unit_box.alpha, range(first, 7, 2)))
     assert calls["array"] == 0
-    assert calls["scalar"] == points + calls["brent_evals"]
-    assert 0 < points <= 5 * 6 and calls["scalar"] < 200
+    assert calls["scalar"] == 2 * len(lines) + calls["brent_evals"]
+    assert calls["scalar"] < 200
 
 
 def _dense_lattice_brackets(prob):
@@ -460,15 +435,21 @@ def _dense_lattice_levels(windows, n):
 @pytest.mark.parametrize("box_length",
                          np.linspace(0.3, 14.1, 24).tolist() + [1.0, 2.0, 3.0, 5.0, 8.0])
 def test_minmax_runs_equal_the_dense_lattice(box_length):
-    # the min-max runs hold the dense scan's brackets, so every level is bitwise the same
+    # Brent from the enclosures finds the dense scan's levels: the same count,
+    # parities and order, each root within twice the larger of the tolerance
+    # and the series noise eps peak over the slope of the dense bracket's secant
     prob = OscillatorProblem(box_length)
+    x = 0.5 * (prob.alpha * prob.alpha)
     windows = _dense_lattice_brackets(prob)
     for n in (1, 5, 12):
-        got = [(line.root.value.hex(), line.root.residual.hex(), line.root.iterations,
-                line.root.classification) for line in oscillator_spectrum(prob, n)]
-        want = [(root.value.hex(), root.residual.hex(), root.iterations, kind)
-                for root, kind in _dense_lattice_levels(windows, n)]
-        assert got == want, n
+        lines = oscillator_spectrum(prob, n)
+        want = _dense_lattice_levels(windows, n)
+        assert [line.root.classification for line in lines] == [kind for _, kind in want], n
+        for line, (root, kind) in zip(lines, want):
+            v, br = line.root.value, root.bracket
+            a, b = (-0.5 * v, 0.5) if kind is RootKind.EVEN_BRACKET else (0.5 * (1.0 - v), 1.5)
+            noise = EPS * _kummer_series(a, b, x)[1] * (br.hi - br.lo) / abs(br.f_hi - br.f_lo)
+            assert abs(v - root.value) <= 2.0 * max(1e-10, noise), (n, v, root.value, noise)
 
 
 @pytest.mark.parametrize("box_length", [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 14.1])
@@ -484,27 +465,6 @@ def test_levels_lie_in_their_minmax_brackets(box_length):
         assert max(box, j - 0.5) - 0.5 - 1e-10 <= line.root.value <= box + a2 / 4.0 - 0.5 + 1e-10
         parity = RootKind.EVEN_BRACKET if j % 2 else RootKind.ODD_BRACKET
         assert line.root.classification is parity
-
-
-def _plain_minmax_runs(alpha, levels):
-    """The lattice runs of the min-max brackets alone, each padded by one step, merged."""
-    step, spans = 0.01, []
-    for j in levels:
-        box = (0.5 * j * math.pi) ** 2 / alpha ** 2
-        lo, hi = max(box, j - 0.5) - 0.5 - step, min(box + 0.25 * alpha ** 2 - 0.5 + step, 200.0)
-        if lo > 200.0:
-            break
-        first, final = max(0, math.floor(lo / step)), math.ceil(hi / step)
-        if spans and first <= spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], final)
-        else:
-            spans.append([first, final])
-    return [20.0 * (i // 2000) + (i % 2000) * step
-            for first, final in spans for i in range(first, final + 1)]
-
-
-def _run_points(runs):
-    return np.concatenate(runs).tolist() if runs else []
 
 
 @pytest.mark.parametrize("box_length", np.linspace(0.3, 14.1, 24).tolist())
@@ -527,82 +487,47 @@ def test_levels_lie_in_their_enclosures(box_length):
                 assert below <= values[j - 1] <= above, (j, below, values[j - 1], above)
 
 
-def test_kato_temple_bound_falls_back_where_its_condition_fails(monkeypatch):
-    # Ritz values pushed above the next level's lower bound beta break the
-    # condition (beta - theta)(theta - a) > eta^2 of every level: the lower
-    # bounds are dropped, the runs are the min-max runs, and the levels stay
-    import greenchain.spectrum as spectrum_mod
-
-    prob = OscillatorProblem(3.0)
-    want = oscillator_spectrum(prob, 12)
-    real_eigh = np.linalg.eigh
-
-    def raised_eigh(h):
-        theta, vecs = real_eigh(h)
-        return theta + 100.0, vecs
-
-    monkeypatch.setattr(np.linalg, "eigh", raised_eigh)
-    for first in (1, 2):
-        levels = range(first, 13, 2)
-        lower, upper = spectrum_mod._level_enclosures(prob.alpha, levels)
-        assert lower == [-math.inf] * 6 and all(above > 100.0 for above in upper)
-        plain = _run_points(spectrum_mod._minmax_runs(prob.alpha, levels))
-        assert plain == _plain_minmax_runs(prob.alpha, levels)
-    assert oscillator_spectrum(prob, 12) == want
-
-
-def test_enclosure_fallback_gives_the_min_max_runs(monkeypatch):
-    # alpha = 0 or a failing eigh: no enclosure, so the runs are the min-max
-    # runs; with the enclosure every run lies inside them, and both give the
-    # same levels
+def test_levels_without_an_enclosure_raise_with_the_levels_below(monkeypatch):
+    # alpha = 0 has no enclosure.  A failing eigh, or Ritz values raised past
+    # the next level's lower bound beta, which breaks the Kato-Temple
+    # condition (beta - theta)(theta - a) > eta^2 of every level, leave the
+    # odd levels without one: level 2 may lie anywhere in its min-max
+    # bracket, so the spectrum stops below it
     import greenchain.spectrum as spectrum_mod
 
     lower, upper = spectrum_mod._level_enclosures(0.0, range(1, 13, 2))
     assert lower == [-math.inf] * 6 and upper == [math.inf] * 6
     prob = OscillatorProblem(3.0)
     want = oscillator_spectrum(prob, 12)
-    narrow = {first: _run_points(spectrum_mod._minmax_runs(prob.alpha, range(first, 13, 2)))
-              for first in (1, 2)}
+    real_eigh = np.linalg.eigh
 
-    def failing_eigh(*args, **kwargs):
+    def failing_eigh(h):
         raise np.linalg.LinAlgError("forced failure")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    for first in (1, 2):
-        levels = range(first, 13, 2)
-        plain = _run_points(spectrum_mod._minmax_runs(prob.alpha, levels))
-        assert plain == _plain_minmax_runs(prob.alpha, levels)
-        assert set(narrow[first]) <= set(plain) and len(narrow[first]) < len(plain)
-    assert oscillator_spectrum(prob, 12) == want
+    def raised_eigh(h):
+        theta, vecs = real_eigh(h)
+        return theta + 100.0, vecs
 
+    monkeypatch.setattr(np.linalg, "eigh", raised_eigh)
+    lower, upper = spectrum_mod._level_enclosures(prob.alpha, range(2, 13, 2))
+    assert lower == [-math.inf] * 6 and all(above > 100.0 for above in upper)
+    for broken in (failing_eigh, raised_eigh):
+        calls = []
 
-@pytest.mark.parametrize("box_length", [8.0, 14.1])
-def test_minmax_fallback_merges_the_runs_of_a_parity(monkeypatch, box_length):
-    # without the enclosures the min-max brackets of one parity's levels
-    # overlap and merge into one run of thousands of lattice points; the
-    # levels are float.hex-identical to the enclosure route's
-    import greenchain.spectrum as spectrum_mod
+        def odd_broken(h):  # the even levels' enclosures come first
+            calls.append(h)
+            return (broken if len(calls) == 2 else real_eigh)(h)
 
-    prob = OscillatorProblem(box_length)
-    want = [(line.root.value.hex(), line.root.residual.hex(), line.root.iterations,
-             line.root.classification) for line in oscillator_spectrum(prob, 12)]
-
-    def failing_eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("forced failure")
-
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    for first in (1, 2):
-        runs = spectrum_mod._minmax_runs(prob.alpha, range(first, 13, 2))
-        assert len(runs) == 1 and 1500 < len(runs[0]) < 3000, [len(xs) for xs in runs]
-    got = [(line.root.value.hex(), line.root.residual.hex(), line.root.iterations,
-            line.root.classification) for line in oscillator_spectrum(prob, 12)]
-    assert got == want and len(got) == 12
+        monkeypatch.setattr(np.linalg, "eigh", odd_broken)
+        with pytest.raises(NumericError, match="level 2: no finite") as info:
+            oscillator_spectrum(prob, 12)
+        assert info.value.partial == want[:1]
 
 
 @pytest.mark.parametrize("box_length", [1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
 def test_enclosures_scan_a_few_lattice_points_per_level(monkeypatch, box_length):
-    # work gate: the scalar kummer_m calls of a request outside Brent, one per
-    # lattice point, are at most five per level asked (the min-max runs saw up
+    # work gate: outside Brent a request makes two scalar kummer_m calls per
+    # level, one at each end of its enclosure (the min-max lattice runs saw up
     # to 3,455 at L = 5)
     import greenchain.spectrum as spectrum_mod
 
@@ -623,7 +548,7 @@ def test_enclosures_scan_a_few_lattice_points_per_level(monkeypatch, box_length)
     n = min(12, int(20.0 * box_length / math.pi))
     assert len(oscillator_spectrum(OscillatorProblem(box_length), n)) == n
     assert calls["array"] == 0
-    assert 0 < calls["scalar"] - calls["brent_evals"] <= 5 * n
+    assert calls["scalar"] - calls["brent_evals"] == 2 * n
 
 
 def test_array_char_functions_match_scalar(unit_box):
@@ -954,9 +879,9 @@ def test_bessel_spectra_reject_negative_order(spectrum, monkeypatch):
     lambda: scan_grid(0.0, 1.0, math.inf),
     lambda: kummer_m(1.0, math.nan, 1.0),
     lambda: kummer_m(1.0, -math.inf, 1.0),
-    lambda: kummer_m(np.linspace(-2.0, 2.0, 50), math.nan, 1.0),
+    lambda: kummer_m(1.0, 0.5, math.nan),
 ], ids=["box-inf", "box-nan", "disk", "ball", "annulus", "shell", "scan-step", "kummer-nan",
-        "kummer-minus-inf", "kummer-array"])
+        "kummer-minus-inf", "kummer-x-nan"])
 def test_non_finite_inputs_raise_up_front(call, monkeypatch):
     # each used to return [], NaN or run a 10,000-term series before failing;
     # none may reach a scan or a series now
@@ -1149,7 +1074,7 @@ def test_levels_partial_keeps_every_level_below_the_failure(monkeypatch):
 
 
 def test_run_without_an_end_value_raises_with_the_levels_below(monkeypatch):
-    # no value at the first point of the odd factor's first run: its level
+    # no value at the lower end of the second level's enclosure: the level
     # could hide there, so the spectrum stops below it instead of dropping it
     import greenchain.spectrum as spectrum_mod
 
@@ -1157,7 +1082,7 @@ def test_run_without_an_end_value_raises_with_the_levels_below(monkeypatch):
     real_kummer, odd_calls = spectrum_mod.kummer_m, []
 
     def odd_run_without_a_start(a, b, x):
-        # the even runs are evaluated first: the first odd call is that run's first point
+        # the even levels are bracketed first: the first odd call is level 2's lower end
         if b == 1.5:
             odd_calls.append(a)
             if len(odd_calls) == 1:
