@@ -487,41 +487,64 @@ def test_levels_lie_in_their_enclosures(box_length):
                 assert below <= values[j - 1] <= above, (j, below, values[j - 1], above)
 
 
-def test_levels_without_an_enclosure_raise_with_the_levels_below(monkeypatch):
-    # alpha = 0 has no enclosure.  A failing eigh, or Ritz values raised past
-    # the next level's lower bound beta, which breaks the Kato-Temple
-    # condition (beta - theta)(theta - a) > eta^2 of every level, leave the
-    # odd levels without one: level 2 may lie anywhere in its min-max
-    # bracket, so the spectrum stops below it
-    import greenchain.spectrum as spectrum_mod
-
-    lower, upper = spectrum_mod._level_enclosures(0.0, range(1, 13, 2))
-    assert lower == [-math.inf] * 6 and upper == [math.inf] * 6
-    prob = OscillatorProblem(3.0)
+def _raises_below_level_2(monkeypatch, prob, broken):
+    """oscillator_spectrum(prob, 12) with `broken` as the odd levels' eigh:
+    NumericError naming level 2, with level 1 as partial."""
     want = oscillator_spectrum(prob, 12)
     real_eigh = np.linalg.eigh
+    calls = []
 
-    def failing_eigh(h):
-        raise np.linalg.LinAlgError("forced failure")
+    def odd_broken(h):  # the even levels' enclosures come first
+        calls.append(h)
+        return (broken if len(calls) == 2 else real_eigh)(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", odd_broken)
+    with pytest.raises(NumericError, match="level 2: no finite") as info:
+        oscillator_spectrum(prob, 12)
+    assert info.value.partial == want[:1]
+
+
+def test_kato_temple_bound_falls_back_where_its_condition_fails(monkeypatch):
+    # Ritz values pushed above the next level's lower bound beta break the
+    # condition (beta - theta)(theta - a) > eta^2 of every level: the lower
+    # bounds fall back to -inf, and a level without one may lie anywhere in
+    # its min-max bracket, so the spectrum raises below it
+    import greenchain.spectrum as spectrum_mod
+
+    prob = OscillatorProblem(3.0)
+    real_eigh = np.linalg.eigh
 
     def raised_eigh(h):
         theta, vecs = real_eigh(h)
         return theta + 100.0, vecs
 
-    monkeypatch.setattr(np.linalg, "eigh", raised_eigh)
-    lower, upper = spectrum_mod._level_enclosures(prob.alpha, range(2, 13, 2))
-    assert lower == [-math.inf] * 6 and all(above > 100.0 for above in upper)
-    for broken in (failing_eigh, raised_eigh):
-        calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", raised_eigh)
+        for first in (1, 2):
+            lower, upper = spectrum_mod._level_enclosures(prob.alpha, range(first, 13, 2))
+            assert lower == [-math.inf] * 6 and all(above > 100.0 for above in upper)
+    _raises_below_level_2(monkeypatch, prob, raised_eigh)
 
-        def odd_broken(h):  # the even levels' enclosures come first
-            calls.append(h)
-            return (broken if len(calls) == 2 else real_eigh)(h)
 
-        monkeypatch.setattr(np.linalg, "eigh", odd_broken)
-        with pytest.raises(NumericError, match="level 2: no finite") as info:
-            oscillator_spectrum(prob, 12)
-        assert info.value.partial == want[:1]
+def test_enclosure_fallback_gives_the_min_max_runs(monkeypatch):
+    # alpha = 0 or a failing eigh: no enclosure, both bounds fall back to
+    # +-inf and leave the whole min-max bracket, so the spectrum raises below
+    # the first level without one
+    import greenchain.spectrum as spectrum_mod
+
+    lower, upper = spectrum_mod._level_enclosures(0.0, range(1, 13, 2))
+    assert lower == [-math.inf] * 6 and upper == [math.inf] * 6
+    prob = OscillatorProblem(3.0)
+
+    def failing_eigh(h):
+        raise np.linalg.LinAlgError("forced failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", failing_eigh)
+        for first in (1, 2):
+            lower, upper = spectrum_mod._level_enclosures(prob.alpha, range(first, 13, 2))
+            assert lower == [-math.inf] * 6 and upper == [math.inf] * 6
+    _raises_below_level_2(monkeypatch, prob, failing_eigh)
 
 
 @pytest.mark.parametrize("box_length", [1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
