@@ -3,8 +3,8 @@
 The package splits into five layers:
 
 * :mod:`greenchain.specfun` — special functions (gamma, Bessel, spherical
-  Bessel, Kummer M, parabolic cylinder D_v), array paths for Kummer M and
-  the D_v(+-y) pair, and the overflow-safe SignLog scalar;
+  Bessel, Kummer M of one order, parabolic cylinder D_v), the D_v(+-y) pair
+  over an array of orders or of y, and the overflow-safe SignLog scalar;
 * :mod:`greenchain.greens` — the four concrete free-space kernels and the
   pluggable FreeGreens interface: a kernel is its factor pair
   g0(x, x') = p(x_<) q(x_>) plus a measure weight;

@@ -273,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=_positive, default=1.0, help="radius (cylinder/sphere)")
     p.add_argument("--mode", type=_order, default=0, help="azimuthal m or angular l")
     p.add_argument("--mu", type=_finite, default=-1.0, help="delta-well strength")
-    p.add_argument("--include-node-factor", action="store_true",
-                   help="also report node-factor roots (oscillator only)")
     _add_unit_flags(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -341,8 +339,7 @@ def cmd_scan(args) -> int:
 def _spectrum_lines(args, units: UnitSystem, prob: Optional[spectrum_mod.OscillatorProblem]):
     kwargs = {} if args.tol is None else {"tol": args.tol}
     if prob is not None:
-        return spectrum_mod.oscillator_spectrum(
-            prob, args.n_roots, include_node_factor=args.include_node_factor, **kwargs)
+        return spectrum_mod.oscillator_spectrum(prob, args.n_roots, **kwargs)
     kwargs["units"] = units
     if args.geometry == "box":
         return spectrum_mod.box_spectrum_rect(args.a, args.n_roots, **kwargs)

@@ -486,45 +486,43 @@ def _level_enclosures(alpha: float, levels: range) -> Tuple[List[float], List[fl
 
 
 def _minmax_brackets(prob: OscillatorProblem, n: int):
-    """The boxed oscillator's brackets for `_levels`: each level's enclosure.
+    """The boxed oscillator's brackets for `_levels`: one pass over the levels in order.
 
     Level j's bracket is its min-max bracket (see oscillator_spectrum)
     narrowed to its `_level_enclosures` and clipped at _PCF_V_MAX, with the
-    scalar wall factor that Brent refines evaluated once at each end.  The
-    levels end quietly at the first bracket that starts past _PCF_V_MAX, is
-    empty after the clip or has ends of one sign.  The one batch holds the
-    brackets of both parities in level order.  A level without a finite
-    enclosure, or with an end where its wall factor has no value, may lie
-    anywhere in its min-max bracket: the batch then stops below that level,
-    and NumericError naming it follows.
+    scalar wall factor that Brent refines evaluated once at each end.  A
+    parity's enclosures are built at its first level, once that level's
+    min-max bracket starts at or below _PCF_V_MAX.  The levels end quietly at
+    the first bracket that starts past _PCF_V_MAX, is empty after the clip or
+    has ends of one sign.  A level without a finite enclosure, or with an end
+    where its wall factor has no value, may lie anywhere in its min-max
+    bracket: NumericError naming it ends the levels there.
     """
     a2 = prob.alpha * prob.alpha
-    even = lambda v: even_wall_value(v, prob)
-    odd = lambda v: odd_wall_value(v, prob)
-    found, stop, failure = [], n + 1, ""
-    for first, f, kind in ((1, even, RootKind.EVEN_BRACKET), (2, odd, RootKind.ODD_BRACKET)):
-        levels = range(first, n + 1, 2)
-        for j, below, above in zip(levels, *_level_enclosures(prob.alpha, levels)):
-            box = (0.5 * j * math.pi) ** 2 / a2 if a2 else math.inf
-            lo = max(max(box, j - 0.5) - 0.5, below)
-            hi = min(box + 0.25 * a2 - 0.5, above, _PCF_V_MAX)
-            why = ""
-            if lo <= _PCF_V_MAX and not (math.isfinite(below) and math.isfinite(above)):
-                why = "no finite Ritz / Kato-Temple enclosure"
-            elif lo < hi:
-                f_lo, f_hi = pointwise(f)(np.array([lo, hi])).tolist()
-                if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-                    why = f"the wall factor has no value at an end of its enclosure [{lo}, {hi}]"
-                elif f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
-                    found.append((j, Bracket(lo, hi, f_lo, f_hi), f, kind))
-                    continue
-            if j < stop:
-                stop, failure = j, why
-            break
-    found.sort(key=lambda item: item[0])
-    yield [item[1:] for item in found if item[0] < stop]
-    if failure:
-        raise NumericError(f"oscillator level {stop}: {failure}")
+    walls = ((lambda v: even_wall_value(v, prob), RootKind.EVEN_BRACKET),
+             (lambda v: odd_wall_value(v, prob), RootKind.ODD_BRACKET))
+    enclosures = []  # per parity, (lower, upper) of its levels from the first
+    for j in range(1, n + 1):
+        box = (0.5 * j * math.pi) ** 2 / a2 if a2 else math.inf
+        lo = max(box, j - 0.5) - 0.5
+        if lo > _PCF_V_MAX:
+            return
+        if j <= 2:  # the first level of its parity
+            enclosures.append(zip(*_level_enclosures(prob.alpha, range(j, n + 1, 2))))
+        below, above = next(enclosures[(j - 1) % 2])
+        if not (math.isfinite(below) and math.isfinite(above)):
+            raise NumericError(f"oscillator level {j}: no finite Ritz / Kato-Temple enclosure")
+        f, kind = walls[(j - 1) % 2]
+        lo, hi = max(lo, below), min(box + 0.25 * a2 - 0.5, above, _PCF_V_MAX)
+        if not lo < hi:
+            return
+        f_lo, f_hi = pointwise(f)(np.array([lo, hi])).tolist()
+        if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+            raise NumericError(f"oscillator level {j}: the wall factor has no value at an end "
+                               f"of its enclosure [{lo}, {hi}]")
+        if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
+            return
+        yield [(Bracket(lo, hi, f_lo, f_hi), f, kind)]
 
 
 def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-10,
@@ -542,10 +540,11 @@ def oscillator_spectrum(prob: OscillatorProblem, n_roots: int, tol: float = 1e-1
     bound below, both padded by 1e-9 (1 + max theta); see
     `_level_enclosures`.  The enclosure, clipped at v = 200, is the bracket
     Brent starts from, so a level costs two wall-factor evaluations plus
-    Brent.  The degenerate integer-v zeros of the reduced ratio never enter
-    because the wall-value factors do not vanish there; node-factor zeros
-    (D_v(alpha) = 0) are excluded from the default list and reported flagged
-    when `include_node_factor` is set.
+    Brent.  The levels are taken in order, and a parity's eigenproblem is
+    built only if one of its levels starts below v = 200.  The degenerate
+    integer-v zeros of the reduced ratio never enter because the wall-value
+    factors do not vanish there; node-factor zeros (D_v(alpha) = 0) are left
+    out, and with `include_node_factor` a 0.01-step scan reports them flagged.
 
     alpha^2/2 > 50 raises DomainError first.  Fewer than `n_roots` levels are
     returned when the validated order range v <= 200 is exhausted first.  A

@@ -46,6 +46,12 @@ def _spectrum_calls():
                                         even_wall_value, odd_wall_value), PARAMS):
             yield f"{fn.__name__}({v}, {length})", \
                 lambda fn=fn, v=v, L=length: fn(v, OscillatorProblem(L))
+    for length in LENGTHS + [1e-100]:
+        yield f"oscillator({length}, 12)", \
+            lambda L=length: oscillator_spectrum(OscillatorProblem(L), 12)
+    for units in UNITS + [UnitSystem(hbar=1e300)]:
+        yield f"oscillator(1.0, {units}, 12)", \
+            lambda u=units: oscillator_spectrum(OscillatorProblem(1.0, u), 12)
     for mu, units in itertools.product(MUS, UNITS):
         yield f"delta_well({mu}, {units})", lambda mu=mu, u=units: delta_well_bound_state(mu, u)
 
@@ -80,7 +86,8 @@ def test_extreme_inputs_raise_only_greenchain_errors():
     # every call raises a GreenChainError or answers finite numbers
     escaped, non_finite, answered = [], [], 0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # skipped grid points
+        warnings.simplefilter("error")  # a warning escapes as an exception
+        warnings.filterwarnings("ignore", message="scan: skipping grid point")
         for name, call in itertools.chain(_spectrum_calls(), _chain_calls()):
             try:
                 answer = call()

@@ -574,6 +574,24 @@ def test_enclosures_scan_a_few_lattice_points_per_level(monkeypatch, box_length)
     assert calls["scalar"] - calls["brent_evals"] == 2 * n
 
 
+@pytest.mark.parametrize("box_length, levels, builds", [(0.15, 0, 0), (0.25, 1, 1), (1.0, 6, 2)])
+def test_a_parity_builds_its_enclosures_only_below_v_200(monkeypatch, box_length, levels, builds):
+    # a parity's eigenproblem is built at its first level, and only if that
+    # level's min-max bracket starts below v = 200: none at L = 0.15, the even
+    # one alone at L = 0.25, where the first odd level starts past v = 200
+    import greenchain.spectrum as spectrum_mod
+
+    real_enclosures, calls = spectrum_mod._level_enclosures, []
+
+    def enclosures_spy(alpha, parity_levels):
+        calls.append(parity_levels)
+        return real_enclosures(alpha, parity_levels)
+
+    monkeypatch.setattr(spectrum_mod, "_level_enclosures", enclosures_spy)
+    assert len(oscillator_spectrum(OscillatorProblem(box_length), 12)) == levels
+    assert calls == [range(1, 13, 2), range(2, 13, 2)][:builds]
+
+
 def test_array_char_functions_match_scalar(unit_box):
     # NaN exactly where the scalar call raises (Gamma poles at integer v for
     # Delta, orders past 200 for both); bitwise equal values elsewhere
