@@ -1,9 +1,11 @@
 """Special functions in double precision.
 
 Everything here is a pure function of its arguments: no caching, no global
-state, safe to call from any number of threads.  Every infinite series uses
-a term recurrence with compensated (Kahan) summation and stops once three
-consecutive terms fall below 1e-16 of the running partial sum.
+state but constant row tables of series coefficients built at import
+(``_ASCENDING``, ``_K_ROWS``, ``_KUMMER_ROWS``), safe to call from any
+number of threads.  Every infinite series uses a term recurrence with
+compensated (Kahan) summation and stops once three consecutive terms fall
+below 1e-16 of the running partial sum.
 
 The functions take scalars (:func:`kummer_m`, :func:`bessel_i` and
 :func:`bessel_k` among them), except where grid scans and long chains pass
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, count, islice, pairwise
 
 import numpy as np
 
@@ -567,16 +569,22 @@ def sph_ordinary(l: int, x):
 # Kummer M and the parabolic cylinder function D_v
 # ----------------------------------------------------------------------
 
+# Rows k and (b + k)(k + 1), both exact, of the Kummer series at b = 1/2 and 3/2 (the D_v pair).
+# The longest series sampled in kummer_m's validated range at these b ends at row 291.
+_KUMMER_ROWS = {b: [(float(k), (b + k) * (k + 1.0)) for k in range(512)] for b in (0.5, 1.5)}
+
+
 def _kummer_series(a: float, b: float, x: float) -> tuple[float, float]:
-    """Kummer sum plus the largest |term| seen (the cancellation scale)."""
-    term = 1.0
-    total = 1.0
+    """Kummer sum plus the largest |term| seen (the cancellation scale); its rows k and
+    (b + k)(k + 1) come from _KUMMER_ROWS in kummer_m's validated range, else inline."""
+    rows = _KUMMER_ROWS.get(b) if abs(a) <= _KUMMER_A_MAX and abs(x) <= _KUMMER_X_MAX else None
+    if rows is None:
+        rows = ((k, (b + k) * (k + 1.0)) for k in map(float, count()))
+    term = total = peak = 1.0
     comp = 0.0
-    peak = 1.0
     small = 0
-    k = 0
-    while k < _MAX_TERMS:
-        term *= (a + k) * x / ((b + k) * (k + 1.0))
+    for k, den in islice(rows, _MAX_TERMS):
+        term *= (a + k) * x / den
         at = abs(term)
         if at > peak:
             peak = at
@@ -584,7 +592,6 @@ def _kummer_series(a: float, b: float, x: float) -> tuple[float, float]:
         t = total + y
         comp = (t - total) - y
         total = t
-        k += 1
         if at <= _REL_EPS * abs(total):
             small += 1
             if small >= _SMALL_RUN:
@@ -600,9 +607,9 @@ def _kummer_series_array(a, b, x) -> tuple[np.ndarray, np.ndarray]:
 
     Every element runs the scalar recurrence, operation for operation, with
     its own Kahan compensation, peak and run of small terms.  At one ``x``
-    (many orders) one array loop runs, which an element leaves as soon as its
-    run reaches three; an array of ``x`` (one order over many points) runs
-    the blocked sum of :func:`_kahan_blocks`.
+    (many orders) one array loop runs in place, which an element leaves as
+    soon as its last three terms are flagged small; an array of ``x`` (one
+    order over many points) runs the blocked sum of :func:`_kahan_blocks`.
     """
     shape = np.broadcast(a, b, x).shape
     a, b = (np.broadcast_to(np.asarray(arr, dtype=float), shape).ravel() for arr in (a, b))
@@ -619,29 +626,40 @@ def _kummer_series_array(a, b, x) -> tuple[np.ndarray, np.ndarray]:
     x = float(x)
     sums, peaks = np.full((2,) + shape, np.nan)
     idx = np.arange(a.size)
-    term = np.ones(a.size)
-    total = np.ones(a.size)
+    term, total, peak = np.ones((3, a.size))
     comp = np.zeros(a.size)
-    peak = np.ones(a.size)
-    small = np.zeros(a.size, dtype=np.int64)
-    k = 0
-    while k < _MAX_TERMS and idx.size:
-        term *= (a + k) * x / ((b + k) * (k + 1.0))
-        at = np.abs(term)
+    work = np.empty((4, a.size))
+    ratio, den, y, t = work  # ratio, then |term|; the denominator, then eps |total|
+    small1 = small2 = np.zeros(a.size, dtype=bool)  # the last two terms were small
+    for k in range(_MAX_TERMS):
+        if not idx.size:
+            break
+        np.add(b, k, out=den)
+        den *= k + 1.0
+        np.add(a, k, out=ratio)
+        ratio *= x
+        ratio /= den
+        term *= ratio
+        at = np.abs(term, out=ratio)
         np.maximum(peak, at, out=peak)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        k += 1
-        small = np.where(at <= _REL_EPS * np.abs(total), small + 1, 0)
-        done = small >= _SMALL_RUN
+        np.subtract(term, comp, out=y)
+        np.add(total, y, out=t)
+        np.subtract(t, total, out=comp)
+        comp -= y
+        total, t = t, total
+        np.abs(total, out=den)
+        den *= _REL_EPS
+        small = at <= den
+        done = small & small1
+        done &= small2
+        small1, small2 = small, small1
         if done.any():
             sums.flat[idx[done]] = total[done]
             peaks.flat[idx[done]] = peak[done]
             keep = ~done
-            idx, a, b, term, total, comp, peak, small = (
-                arr[keep] for arr in (idx, a, b, term, total, comp, peak, small))
+            idx, a, b, term, total, comp, peak, small1, small2 = (
+                arr[keep] for arr in (idx, a, b, term, total, comp, peak, small1, small2))
+            ratio, den, y, t = work[:, :idx.size]
     return sums, peaks
 
 
@@ -650,7 +668,8 @@ def kummer_m(a: float, b: float, x: float) -> float:
 
     Term recurrence with compensated summation; stops after three
     consecutive terms below 1e-16 of the partial sum.  Validated for
-    |x| <= 50 and |a| <= 300 with b away from non-positive integers.
+    |x| <= 50 and |a| <= 300 with b away from non-positive integers; at
+    b = 1/2 and 3/2 it reads the constant rows ``_KUMMER_ROWS``.
     """
     if not math.isfinite(b):
         raise DomainError(f"kummer_m: b={b} is not finite")

@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, List, Optional, Tuple, Union
@@ -280,9 +280,7 @@ def _levels(batches: Iterable[List[Tuple[Bracket, Callable[[float], float], Root
     try:
         for br, point_f, kind in itertools.chain.from_iterable(batches):
             root = brent(point_f, br, tol=tol)
-            # dataclasses.replace costs about two Bessel evaluations: skip it if it is a no-op
-            roots.append(root if root.classification is kind
-                         else replace(root, classification=kind))
+            roots.append(Root(root.value, root.residual, root.bracket, root.iterations, kind))
             if len(roots) == n:
                 break
     except NumericError as exc:
@@ -381,7 +379,7 @@ def even_wall_value(v: float, prob: OscillatorProblem) -> float:
     Proportional to D_v(-alpha) + D_v(alpha) with a factor that never
     vanishes at non-integer v; its zeros are exactly the even levels of the
     boxed oscillator.  Takes one order; lift it with :func:`pointwise` to
-    scan a grid, as :func:`oscillator_spectrum` does.
+    scan a grid.
     """
     return kummer_m(-0.5 * v, 0.5, 0.5 * (prob.alpha * prob.alpha))
 
@@ -423,7 +421,8 @@ def _node_factor_roots(prob: OscillatorProblem, v_hi: float, tol: float) -> List
         surrogate = lambda v, _lead=lead: rescaled(pcf_d_signlog(v, alpha), _lead)
         root = brent(surrogate, Bracket(br.lo, br.hi, *(rescaled(end, lead) for end in ends)),
                      tol=tol)
-        roots.append(replace(root, classification=RootKind.NODE_FACTOR))
+        roots.append(Root(root.value, root.residual, root.bracket, root.iterations,
+                          RootKind.NODE_FACTOR))
     return roots
 
 
@@ -516,7 +515,10 @@ def _minmax_brackets(prob: OscillatorProblem, n: int):
         lo, hi = max(lo, below), min(box + 0.25 * a2 - 0.5, above, _PCF_V_MAX)
         if not lo < hi:
             return
-        f_lo, f_hi = pointwise(f)(np.array([lo, hi])).tolist()
+        try:
+            f_lo, f_hi = f(lo), f(hi)
+        except GreenChainError:
+            f_lo = f_hi = math.nan
         if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
             raise NumericError(f"oscillator level {j}: the wall factor has no value at an end "
                                f"of its enclosure [{lo}, {hi}]")

@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+import greenchain
 from greenchain.cli import main, parse_config
 from greenchain.errors import ConfigError
 from mp_reference import rect_chain_greens_50_digits
@@ -564,9 +566,12 @@ def test_scan_bytes_deterministic_across_runs_and_processes(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     out3 = tmp_path / "c.csv"
+    # the child imports the greenchain under test, whatever put it on this process's path
+    src = os.path.dirname(os.path.dirname(greenchain.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "greenchain"] + args + ["--out", str(out3)],
-        capture_output=True,
+        capture_output=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert out3.read_bytes() == out1.read_bytes()

@@ -624,6 +624,85 @@ def test_kummer_domain_errors():
         sf.kummer_m(301.0, 0.5, 1.0)
 
 
+# a seeded sweep of kummer_m's validated range |a| <= 300, |x| <= 50, its edges, integer
+# orders (whose series end in zeros) and x = 0, points just outside both bounds, and a = NaN,
+# whose series never stops
+_KUMMER_RNG = np.random.default_rng(24)
+KUMMER_POINTS = (list(zip(_KUMMER_RNG.uniform(-300.0, 300.0, 150).tolist(),
+                          _KUMMER_RNG.uniform(-50.0, 50.0, 150).tolist()))
+                 + [(a, x) for a in (-300.0, -41.0, -2.0, 0.0, 0.5, 7.0, 293.93, 300.0)
+                    for x in (-50.0, -3.5, 0.0, 2.25, 50.0)]
+                 + [(a, x) for a in (-300.25, 300.25) for x in (-50.0, 1.0, 50.0)]
+                 + [(a, x) for a in (-120.5, 120.5) for x in (-50.25, 50.25)]
+                 + [(math.nan, 1.0)])
+
+
+@pytest.mark.parametrize("b", [0.5, 1.5, 0.3, 2.7])
+def test_kummer_series_bitwise_equals_the_reference(b):
+    # the row tables (b = 1/2, 3/2) and the inline rows (any other b) against the loop
+    # they replaced, kept verbatim in kummer_reference: sum and peak to the bit
+    import kummer_reference as ref
+
+    for a, x in KUMMER_POINTS:
+        assert _outcome(sf._kummer_series, a, b, x) == _outcome(ref._kummer_series, a, b, x), (a, x)
+
+
+def test_kummer_series_cut_at_max_terms_like_the_reference(monkeypatch):
+    # a lowered term limit stops both loops alike: the same sum and peak where the series
+    # ends in time, the same NumericError where it does not
+    import kummer_reference as ref
+
+    raised = 0
+    for cut in (1, 3, 5, 20, 40):
+        monkeypatch.setattr(sf, "_MAX_TERMS", cut)
+        monkeypatch.setattr(ref, "_MAX_TERMS", cut)
+        for b in (0.5, 1.5, 0.3, 2.7):
+            for a, x in ((-2.0, 30.0), (-40.5, 30.0), (-39.0, 2.25), (1.0, 0.5), (300.0, -50.0)):
+                got = _outcome(sf._kummer_series, a, b, x)
+                assert got == _outcome(ref._kummer_series, a, b, x), (cut, b, a, x)
+                raised += got[0] == "NumericError"
+    assert raised >= 40
+
+
+class _DrawnRows(list):
+    """A row table that records the most rows one loop drew from it."""
+
+    drawn = 0
+
+    def __iter__(self):
+        for n, row in enumerate(super().__iter__(), 1):
+            self.drawn = max(self.drawn, n)
+            yield row
+
+
+def test_kummer_rows_outlast_every_series_of_the_validated_range(monkeypatch):
+    # no series at b = 1/2 or 3/2 in |a| <= 300, |x| <= 50 draws every row of _KUMMER_ROWS:
+    # the longest run at x = -50 with a near 300 (291 terms at a = 293.93)
+    tables = {b: _DrawnRows(rows) for b, rows in sf._KUMMER_ROWS.items()}
+    monkeypatch.setattr(sf, "_KUMMER_ROWS", tables)
+    for b, table in tables.items():
+        for a in np.arange(250.0, 300.01, 0.25).tolist() + [293.93, 297.46]:
+            for x in (-50.0, -49.99, 50.0):
+                sf._kummer_series(a, b, x)
+                sf._kummer_series(-a, b, x)
+        assert 285 <= table.drawn < len(table), b
+
+
+def test_kummer_series_outside_the_validated_range_makes_its_rows_inline(monkeypatch):
+    # past |a| = 300 or |x| = 50 a series may outrun the tables (574 terms at a = 800,
+    # x = -120): it draws no row of them and matches the reference to the bit
+    import kummer_reference as ref
+
+    tables = {b: _DrawnRows(rows) for b, rows in sf._KUMMER_ROWS.items()}
+    monkeypatch.setattr(sf, "_KUMMER_ROWS", tables)
+    for b, table in tables.items():
+        for a, x in ((800.0, -120.0), (300.25, -50.0), (-300.25, 1.0), (2.0, 50.25), (2.0, -50.25)):
+            assert _outcome(sf._kummer_series, a, b, x) == _outcome(ref._kummer_series, a, b, x)
+        assert table.drawn == 0
+        sf._kummer_series(300.0, b, -50.0)
+        assert table.drawn > 0
+
+
 def bits(values):
     """The float64 bit patterns of a sequence, so NaN == NaN and -0.0 != 0.0."""
     return np.asarray(values, dtype=float).view(np.int64)

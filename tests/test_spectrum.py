@@ -1115,24 +1115,31 @@ def test_levels_partial_keeps_every_level_below_the_failure(monkeypatch):
 
 
 def test_run_without_an_end_value_raises_with_the_levels_below(monkeypatch):
-    # no value at the lower end of the second level's enclosure: the level
-    # could hide there, so the spectrum stops below it instead of dropping it
+    # no value at the lower end of the second level's enclosure (NaN there, or a
+    # library error from the wall factor): the level could hide there, so the
+    # spectrum stops below it instead of dropping it
     import greenchain.spectrum as spectrum_mod
 
     want = oscillator_spectrum(OscillatorProblem(3.0), 12)
-    real_kummer, odd_calls = spectrum_mod.kummer_m, []
+    real_kummer = spectrum_mod.kummer_m
 
-    def odd_run_without_a_start(a, b, x):
-        # the even levels are bracketed first: the first odd call is level 2's lower end
-        if b == 1.5:
-            odd_calls.append(a)
-            if len(odd_calls) == 1:
-                return math.nan
-        return real_kummer(a, b, x)
+    def raising(a, b, x):
+        raise NumericError("injected")
 
-    monkeypatch.setattr(spectrum_mod, "kummer_m", odd_run_without_a_start)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(NumericError, match="no value") as info:
-            oscillator_spectrum(OscillatorProblem(3.0), 12)
-    assert info.value.partial == want[:1]
+    for failure in (lambda a, b, x: math.nan, raising):
+        odd_calls = []
+
+        def odd_run_without_a_start(a, b, x):
+            # the even levels are bracketed first: the first odd call is level 2's lower end
+            if b == 1.5:
+                odd_calls.append(a)
+                if len(odd_calls) == 1:
+                    return failure(a, b, x)
+            return real_kummer(a, b, x)
+
+        monkeypatch.setattr(spectrum_mod, "kummer_m", odd_run_without_a_start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericError, match="level 2: the wall factor has no value") as info:
+                oscillator_spectrum(OscillatorProblem(3.0), 12)
+        assert info.value.partial == want[:1]
