@@ -23,8 +23,8 @@ that holds x and x'.  All three calls then need the kernel factors at the
 walls (and at x, x') only: O(n) work for any n and any kernel.  A long
 chain takes its wall factors from one array call of the pair.  The dense
 boundary matrix and its partial-pivot LU stay here as the reference the
-tests compare against; no chain call uses them.  Determinants are
-accumulated as SignLog so they survive any magnitude.
+tests compare against; no chain call uses them.  The determinant is a
+running sign and log magnitude, so it survives any magnitude.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, NearPoleError, RangeError, SingularMatrixError
 from .greens import FreeGreens, Geometry, NATURAL_UNITS, UnitSystem
-from .specfun import SignLog
+from .specfun import _LOG_MAX, SignLog
 
 _MAX_LU_ROWS = 64
 # Walls from which one array call of the factor pair is no slower than the
@@ -247,9 +247,8 @@ def _wall_factors(g0: FreeGreens, positions, param: float):
             parts[:, i] = p.sign, p.log_mag, q.sign, q.log_mag
         sp, lp, sq, lq = parts.tolist()
     else:
-        pairs = [g0.factors(a, param) for a in positions]
-        sp, lp = [p.sign for p, _ in pairs], [p.log_mag for p, _ in pairs]
-        sq, lq = [q.sign for _, q in pairs], [q.log_mag for _, q in pairs]
+        sp, lp, sq, lq = zip(*[(p.sign, p.log_mag, q.sign, q.log_mag)
+                               for p, q in (g0.factors(a, param) for a in positions)])
     if 0 in sp or 0 in sq:
         raise SingularMatrixError(
             "a kernel factor vanishes at a wall; the boundary matrix is singular"
@@ -258,15 +257,23 @@ def _wall_factors(g0: FreeGreens, positions, param: float):
 
 
 def _factor_det(factors) -> SignLog:
-    """det G0 = p_1 q_n prod_i d_i, with d_i = p_{i+1} q_i - p_i q_{i+1}."""
-    sp, lp, sq, lq = (np.array(part, dtype=float) for part in factors)
-    la, lb = lp[1:] + lq[:-1], lp[:-1] + lq[1:]
-    top = np.maximum(la, lb)
-    dhat = sp[1:] * sq[:-1] * np.exp(la - top) - sp[:-1] * sq[1:] * np.exp(lb - top)
-    out = SignLog(int(sp[0] * sq[-1]), float(lp[0] + lq[-1] + np.sum(top)))
-    for d in dhat.tolist():
-        out = out * SignLog.from_value(d)
-    return out
+    """det G0 = p_1 q_n prod_i d_i, d_i = p_{i+1} q_i - p_i q_{i+1}, as one sign and log
+    sum; d_i is e^top times a float, top the larger log of its two products."""
+    exp, log = math.exp, math.log  # local names for the per-wall loop
+    sp, lp, sq, lq = factors
+    sign, log_mag = sp[0] * sq[-1], lp[0] + lq[-1]
+    for sp0, lp0, sq0, lq0, sp1, lp1, sq1, lq1 in zip(*factors, sp[1:], lp[1:], sq[1:], lq[1:]):
+        la, lb = lp1 + lq0, lp0 + lq1
+        if la >= lb:
+            top, d = la, sp1 * sq0 - sp0 * sq1 * exp(lb - la)
+        else:
+            top, d = lb, sp1 * sq0 * exp(la - lb) - sp0 * sq1
+        if d == 0.0:
+            return SignLog(0, 0.0)
+        if d < 0.0:
+            sign = -sign
+        log_mag += top + log(abs(d))  # not finite where a log left double range
+    return SignLog(int(sign), log_mag)
 
 
 def _terms(coef, p: SignLog, q: SignLog):
@@ -283,10 +290,12 @@ def _terms(coef, p: SignLog, q: SignLog):
 
 def _value(hat: float, log_mag: float, param: float) -> float:
     """hat * e^log_mag, raising RangeError past double range or where it is not finite."""
-    out = (SignLog.from_value(hat) * SignLog(1, log_mag)).value()
-    if not math.isfinite(out):  # a factor's log or a weight left double range: inf - inf
+    if hat == 0.0:
+        return 0.0
+    log_mag += math.log(abs(hat))
+    if not log_mag <= _LOG_MAX:  # NaN where a factor's log or a weight left double range
         raise RangeError(f"the Green's function at parameter {param} is not a finite double")
-    return out
+    return math.copysign(math.exp(log_mag), hat)
 
 
 def _sweep(walls, sigma: float):
@@ -422,9 +431,7 @@ def greens_strong(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
 def char_func(chain: DeltaChain, g0: FreeGreens, param: float) -> SignLog:
     """Characteristic function det[g0(a_i, a_j)] at the given parameter; RangeError
     where its log magnitude is not finite (a factor's log left double range)."""
-    factors = _wall_factors(g0, chain.positions, param)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: raised below
-        out = _factor_det(factors)
+    out = _factor_det(_wall_factors(g0, chain.positions, param))
     if not math.isfinite(out.log_mag):
         raise RangeError(f"char_func at parameter {param}: log|det G0| is not a finite double")
     return out

@@ -71,12 +71,8 @@ class ChainConfig:
             raise ConfigError(f"invalid chain: {exc}") from None
 
     def to_free_greens(self) -> greens_mod.FreeGreens:
-        return greens_mod.free_greens_for(
-            self.geometry,
-            mode=self.mode if self.mode is not None else 0,
-            units=self.units,
-            center=self.center if self.center is not None else 0.0,
-        )
+        return greens_mod.free_greens_for(self.geometry, 0 if self.mode is None else self.mode,
+                                          self.units, 0.0 if self.center is None else self.center)
 
 
 def _finite_number(value, name: str) -> float:
@@ -157,14 +153,7 @@ def parse_config(data: dict) -> ChainConfig:
     if geometry is Geometry.OSCILLATOR and box_length is None:
         raise ConfigError("oscillator geometry requires the 'oscillator' section")
 
-    cfg = ChainConfig(
-        geometry=geometry,
-        positions=positions,
-        couplings=couplings_val,
-        mode=mode,
-        units=units,
-        center=center,
-    )
+    cfg = ChainConfig(geometry, positions, couplings_val, mode, units, center)
     cfg.to_chain()  # validate wall ordering/couplings eagerly
     return cfg
 
@@ -227,11 +216,8 @@ def _add_unit_flags(parser):
 
 
 def _units_from_args(args, base: UnitSystem = greens_mod.NATURAL_UNITS) -> UnitSystem:
-    return UnitSystem(
-        hbar=args.hbar if args.hbar is not None else base.hbar,
-        mass=args.mass if args.mass is not None else base.mass,
-        omega0=args.omega0 if args.omega0 is not None else base.omega0,
-    )
+    flags = {name: getattr(args, name) for name in ("hbar", "mass", "omega0")}
+    return replace(base, **{name: value for name, value in flags.items() if value is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,6 +278,9 @@ def cmd_greens(args) -> int:
     if cfg.geometry is not Geometry.OSCILLATOR and not args.param > 0.0:
         raise ConfigError(f"k0 must be positive for the {cfg.geometry.value} geometry, "
                           f"got {_fmt(args.param)}")
+    if cfg.geometry in (Geometry.CYLINDRICAL, Geometry.SPHERICAL) and min(args.x, args.xp) <= 0.0:
+        raise ConfigError(f"x and x' must be positive radii for the {cfg.geometry.value} "
+                          f"geometry, got {_fmt(args.x)} and {_fmt(args.xp)}")
     delta_chain = cfg.to_chain()
     g0 = cfg.to_free_greens()
     if args.strong or delta_chain.is_strong:

@@ -81,14 +81,10 @@ def _k0_value(k0) -> float:
 def weight(geometry, position: float) -> float:
     """Measure weight multiplying the coupling in the Lambda matrix: 1, rho or r^2."""
     g = Geometry(geometry)
-    if g is Geometry.CYLINDRICAL:
+    if g in (Geometry.CYLINDRICAL, Geometry.SPHERICAL):
         if not position > 0.0:
-            raise DomainError(f"cylindrical position must be positive, got {position}")
-        return position
-    if g is Geometry.SPHERICAL:
-        if not position > 0.0:
-            raise DomainError(f"spherical position must be positive, got {position}")
-        return position * position
+            raise DomainError(f"{g.value} position must be positive, got {position}")
+        return position if g is Geometry.CYLINDRICAL else position * position
     return 1.0
 
 

@@ -669,7 +669,9 @@ def kummer_m(a: float, b: float, x: float) -> float:
     Term recurrence with compensated summation; stops after three
     consecutive terms below 1e-16 of the partial sum.  Validated for
     |x| <= 50 and |a| <= 300 with b away from non-positive integers; at
-    b = 1/2 and 3/2 it reads the constant rows ``_KUMMER_ROWS``.
+    b = 1/2 and 3/2 it reads the constant rows ``_KUMMER_ROWS``.  At x < 0 the
+    terms alternate: NumericError is raised where their rounding noise, the
+    peak term times 1e-16, exceeds 1e-12 of the value (x >= 0 is not guarded).
     """
     if not math.isfinite(b):
         raise DomainError(f"kummer_m: b={b} is not finite")
@@ -679,7 +681,11 @@ def kummer_m(a: float, b: float, x: float) -> float:
         raise DomainError(f"kummer_m: |x|={abs(x)} outside the validated range {_KUMMER_X_MAX:g}")
     if not abs(a) <= _KUMMER_A_MAX:
         raise DomainError(f"kummer_m: |a|={abs(a)} outside the validated range {_KUMMER_A_MAX:g}")
-    return _kummer_series(a, b, x)[0]
+    total, peak = _kummer_series(a, b, x)
+    if x < 0.0 and peak * _REL_EPS > 1e-12 * abs(total):
+        raise NumericError(f"kummer_m({a}, {b}, {x}): the alternating series cancelled "
+                           "past 1e-12 of its value")
+    return total
 
 
 def _pcf_check(v: float, y: float) -> None:

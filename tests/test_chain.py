@@ -2,6 +2,7 @@
 reference (boundary matrix, LU, and I + G0 W built inline)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from greenchain import (
     sph_free_greens,
 )
 from greenchain.chain import boundary_matrix, det, lu, solve
-from greenchain.errors import DomainError, NearPoleError, NumericError, SingularMatrixError
+from greenchain.errors import (DomainError, NearPoleError, NumericError, RangeError,
+                               SingularMatrixError)
 from mp_reference import chain_greens_50_digits, rect_chain_greens_50_digits
 
 # frozen oracle products (series / quadrature oracles, see test_specfun)
@@ -842,3 +844,148 @@ def test_built_in_kernels_make_no_scalar_call_at_a_wall_above_the_crossover(geom
         calls.clear()
         greens_finite(DeltaChain(geometry, positions, (1.5,) * n), g0, x, xp, param)
         assert calls == walls + ["scalar", "scalar"]
+
+
+# ----------------------------------------------------------------------
+# The determinant's float pass against the numpy reference
+# ----------------------------------------------------------------------
+
+DET_KERNELS = [("rectangular", 0), ("cylindrical", 1), ("spherical", 2), ("oscillator", 0),
+               ("custom", 0)]
+DET_WALLS = [1, 2, 8, 31, 32, 64, 512]
+
+
+def _quadratic_pair(x, k):
+    """A custom pair (e^{k (x - 1/2)^2}, 1): the interval factor of two walls placed
+    symmetrically about 1/2 cancels exactly."""
+    return SignLog(1, k * (x - 0.5) ** 2), SignLog(1, 0.0)
+
+
+def _det_chains(geometry, mode):
+    """(kernel, walls, parameter, cell edges) of seeded chains at every size in DET_WALLS,
+    plus chains where a wall raises, an interval factor vanishes or a log leaves double
+    range."""
+    rng = np.random.default_rng(26 + 10 * mode + len(geometry))
+    g0 = _kernel(geometry, mode)
+    cases = [(g0,) + _random_chain(geometry, n, rng, 4.0 if n == 512 else 1.0)
+             for n in DET_WALLS]
+    if FAILING[geometry]:
+        param, span = FAILING[geometry]
+        positions, _, edges = _random_chain(geometry, 64, rng, span)
+        cases.append((g0, positions, param, edges))
+    if geometry == "rectangular":
+        for walls, k0 in (([1e8, 2e8], 1e300), ([1e300, 2e300], 1e8), ([0.0, 1.0], 1e-309)):
+            cases.append((g0, walls, k0, [walls[0] - 1.0] + walls + [walls[1] + 1.0]))
+    if geometry == "custom":
+        quadratic = custom_free_greens(_quadratic_pair)
+        for walls in ([0.25, 0.75], [0.1, 0.2, 0.3, 0.375, 0.625, 0.7, 0.8, 0.9]):
+            cases.append((quadratic, walls, 3.0, [0.0] + walls + [1.0]))
+    return cases
+
+
+def _det_outcome(call):
+    """(sign, log_mag) of a determinant, or the type and message of what it raised."""
+    try:
+        out = call()
+    except Exception as exc:  # noqa: BLE001 - raw exceptions must match too
+        return type(exc).__name__, str(exc)
+    return out.sign, out.log_mag
+
+
+def _assert_same_det(got, want):
+    """The same sign, exact zero or exception; log_mag within 1e-12 max(1, |ref|)."""
+    if isinstance(want[0], str) or want[0] == 0:
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        assert abs(got[1] - want[1]) <= 1e-12 * max(1.0, abs(want[1])), (got, want)
+
+
+@pytest.mark.parametrize("geometry,mode", DET_KERNELS)
+def test_char_func_matches_the_numpy_reference(geometry, mode, monkeypatch):
+    # the float pass against the numpy/SignLog determinant it replaced (kept in
+    # chain_reference), and both Green's functions to the bit against the two-SignLog
+    # scaling, on the same chains
+    import chain_reference as ref
+    import greenchain.chain as chain_mod
+
+    zeros = raised = 0
+    for g0, positions, param, edges in _det_chains(geometry, mode):
+        strong = DeltaChain(geometry, positions, ALL_INFINITE)
+        want = _det_outcome(lambda: ref.char_func(strong, g0, param))
+        _assert_same_det(_det_outcome(lambda: char_func(strong, g0, param)), want)
+        zeros += want[0] == 0
+        raised += isinstance(want[0], str)
+        n = len(positions)
+        finite = DeltaChain(geometry, positions, tuple(np.linspace(0.1, 10.0, n).tolist()))
+        calls = []
+        for x, xp in _placements(positions, edges).values():
+            calls += [lambda x=x, xp=xp: greens_finite(finite, g0, x, xp, param),
+                      lambda x=x, xp=xp: greens_strong(strong, g0, x, xp, param)]
+        got = [_outcome(call) for call in calls]
+        monkeypatch.setattr(chain_mod, "_value", ref._value)
+        want = [_outcome(call) for call in calls]
+        monkeypatch.undo()
+        assert got == want, (geometry, n, param)
+    assert raised == (2 if geometry == "rectangular" else 1)
+    assert zeros == (1 if geometry == "rectangular" else 2 if geometry == "custom" else 0)
+
+
+def test_greens_past_double_range_names_the_parameter(monkeypatch):
+    # |g| = 1 / (2 k0) = 1e308 is past e^709: RangeError, which the two-SignLog scaling
+    # raised naming only the magnitude
+    import chain_reference as ref
+    import greenchain.chain as chain_mod
+
+    chain = DeltaChain("rectangular", (0.0, 1.0), (1e-310, 1e-310))
+    with pytest.raises(RangeError, match=re.escape("at parameter 5e-309 is not a finite")):
+        greens_finite(chain, rect_free_greens(), -0.3, -0.1, 5e-309)
+    monkeypatch.setattr(chain_mod, "_value", ref._value)
+    with pytest.raises(RangeError, match=re.escape("exp(709.18) overflows double range")):
+        greens_finite(chain, rect_free_greens(), -0.3, -0.1, 5e-309)
+
+
+EDGE_FACTORS = {
+    "exact zero": ([1, 1], [0.5, 0.25], [1, 1], [0.0, -0.25]),
+    "zero, then inf - inf": ([1, 1, 1], [0.0, 0.0, math.inf], [1, 1, 1], [0.0, 0.0, -math.inf]),
+    "inf - inf, then zero": ([1, 1, 1], [math.inf, 0.0, 0.0], [1, 1, 1], [0.0, 0.0, 0.0]),
+    "inf - inf": ([1, 1], [math.inf, 0.0], [1, 1], [-math.inf, 0.0]),
+    "both logs -inf": ([1, -1], [-math.inf, -math.inf], [1, 1], [0.0, 0.0]),
+    "one infinite wall": ([-1], [math.inf], [1], [0.0]),
+    "one NaN wall": ([1], [math.nan], [1], [0.0]),
+    "log overflow": ([1, 1], [1e308, 1e308], [1, 1], [1e308, 0.0]),
+    "signs": ([1.0, -1.0, 1.0], [0.1, 0.5, 2.0], [-1.0, 1.0, 1.0], [0.3, -0.2, -1.0]),
+    "falling p / q": ([1, 1], [800.0, 0.0], [1, 1], [0.0, 0.0]),  # p_1 q_2 tops p_2 q_1 by e^800
+}
+
+
+@pytest.mark.parametrize("name", EDGE_FACTORS)
+def test_factor_det_edges_match_the_numpy_reference(name):
+    # a vanishing interval factor gives an exact zero even beside an infinite log;
+    # inf - inf logs raise RangeError with char_func's message
+    import chain_reference as ref
+    from greenchain.chain import _factor_det
+
+    factors = EDGE_FACTORS[name]
+    want = _det_outcome(lambda: ref.factor_det(factors, 1.5))
+    assert (want == (0, 0.0)) == ("zero" in name)
+    _assert_same_det(_det_outcome(lambda: ref._checked(_factor_det(factors), 1.5)), want)
+
+
+@pytest.mark.parametrize("geometry", ["rectangular", "cylindrical", "spherical"])
+def test_char_func_builds_one_signlog(geometry, monkeypatch):
+    # a work gate that timing noise cannot hide: 64 walls take one array call of the
+    # pair and one pass in floats, where a SignLog per wall built 127 of them
+    built = []
+    real_check = SignLog.__post_init__
+
+    def counting_check(self):
+        built.append(self)
+        real_check(self)
+
+    g0 = free_greens_for(geometry, mode=1)
+    positions, param, _ = _random_chain(geometry, 64, np.random.default_rng(64))
+    strong = DeltaChain(geometry, positions, ALL_INFINITE)
+    monkeypatch.setattr(SignLog, "__post_init__", counting_check)
+    char_func(strong, g0, param)
+    assert len(built) == 1

@@ -164,6 +164,22 @@ def test_greens_non_positive_k0_exits_1(tmp_path, capsys, geometry, k0):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("geometry", ["cylindrical", "spherical"])
+@pytest.mark.parametrize("points,flags", [
+    (["-0.3", "0.7"], []), (["0", "0.7"], []), (["0.7", "-0.3"], []), (["0.7", "0"], []),
+    (["-0.3", "1.5"], ["--strong"]),  # a wall lies between them: this printed 0
+])
+def test_greens_non_positive_radius_exits_1(tmp_path, capsys, geometry, points, flags):
+    # a radius x or x' <= 0 is bad input, not a numeric failure (it exited 2)
+    cfg = write_config(tmp_path, {"geometry": geometry, "positions": [0.5, 1.0],
+                                  "couplings": [1.0, 1.0]})
+    assert main(["greens", cfg, *points, "1.3", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be positive radii" in captured.err and geometry in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("data,flags", [
     ({"geometry": "rectangular", "positions": [1.0, 0.0], "couplings": [1.0, 1.0]}, []),
     ({"geometry": "rectangular", "positions": [0.5, 0.5], "couplings": [1.0, 1.0]}, []),

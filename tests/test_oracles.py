@@ -4,6 +4,7 @@ Boxed-oscillator levels: each refined level must lie within
 max(tol, eps peak / |f'|) of the mpmath zero of its Kummer wall factor,
 where peak is the largest term of the float series at the level (its
 rounding noise is about eps peak) and f' the factor's slope there.
+Kummer M at x < 0: every value kummer_m returns lies within 1e-12 of mpmath.
 """
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 
 from greenchain import OscillatorProblem, oscillator_spectrum
 from greenchain.spectrum import RootKind
-from greenchain.specfun import _kummer_series
+from greenchain.errors import NumericError
+from greenchain.specfun import _kummer_series, kummer_m
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -39,3 +41,30 @@ def test_oscillator_levels_lie_at_the_mpmath_zeros(box_length):
             err = abs(float(v - zero))
         bound = max(TOL, EPS * _kummer_series(a, b, x)[1] / abs(slope))
         assert err <= bound, (j, v, err, bound)
+
+
+# kummer_m at x < 0: a seeded sweep of |a| <= 300, x in [-50, 0), and a lattice of orders
+# and points; the alternating series often cancels there, and kummer_m must then raise
+_NEG_RNG = np.random.default_rng(57)
+NEGATIVE_X_POINTS = (list(zip(_NEG_RNG.uniform(-300.0, 300.0, 200).tolist(),
+                              _NEG_RNG.uniform(-50.0, 0.0, 200).tolist()))
+                     + [(a, x) for a in (-300.0, -41.0, -2.5, 0.5, 7.0, 40.0, 150.0, 300.0)
+                        for x in (-50.0, -20.0, -3.5, -1e-3)])
+
+
+@pytest.mark.parametrize("b", [0.5, 1.5, 0.3, 2.7])
+def test_kummer_at_negative_x_returns_only_within_its_bound(b):
+    # every point that returns lies within 1e-12 of mpmath's M(a, b, x); the others
+    # raise NumericError
+    kept = raised = 0
+    for a, x in NEGATIVE_X_POINTS:
+        try:
+            got = kummer_m(a, b, x)
+        except NumericError:
+            raised += 1
+            continue
+        with mpmath.workdps(40):
+            want = float(mpmath.hyp1f1(a, b, x))
+        assert abs(got - want) <= 1e-12 * abs(want), (a, x, got, want)
+        kept += 1
+    assert kept >= 80 and raised >= 80

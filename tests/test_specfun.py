@@ -624,6 +624,22 @@ def test_kummer_domain_errors():
         sf.kummer_m(301.0, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("a,x", [(40.0, -20.0), (150.0, -50.0)])
+def test_kummer_raises_where_the_alternating_series_cancels(a, x):
+    # these returned 1.18e12 and -1.19e69, where mpmath gives 9.73e-6 and 7.95e-12: at
+    # x < 0 the terms alternate and the noise of the peak term swamps the value
+    with pytest.raises(NumericError, match="cancelled"):
+        sf.kummer_m(a, 0.5, x)
+
+
+def test_kummer_guard_leaves_the_level_path_alone():
+    # x >= 0 has no relative guard, even where the peak noise passes 1e-12 of the value
+    # (M(-60.7, 1/2, 20) by 1e3); a quiet x < 0 point returns the sum as it is
+    for a, b, x in ((-60.7, 0.5, 20.0), (-40.3, 1.5, 30.0), (-40.0, 0.5, -20.0),
+                    (3.7, 0.5, -3.5)):
+        assert sf.kummer_m(a, b, x).hex() == sf._kummer_series(a, b, x)[0].hex()
+
+
 # a seeded sweep of kummer_m's validated range |a| <= 300, |x| <= 50, its edges, integer
 # orders (whose series end in zeros) and x = 0, points just outside both bounds, and a = NaN,
 # whose series never stops
