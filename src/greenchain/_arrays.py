@@ -9,12 +9,14 @@ take one x.  Each element is bitwise the scalar value: every series
 runs the scalar recurrence operation for operation and stops where the
 scalar loop stops, with ``math`` functions per element where numpy's are
 not bitwise the same, and each element is NaN where the scalar call
-raises.  The ascending series run as the rows of one blocked Kahan sum
-(:func:`_kahan_blocks`, which the Kummer series over an array of points
-share), so an array call costs a number of numpy operations that grows
-with the longest series, not with the number of elements.  The large-argument
-sums of K and of the Hankel P and Q run over the scalar row tables in one
-fold (:func:`_asymptotic01_array`), every term at once.
+raises.  The ascending series of J, Y and I run as the rows of one blocked
+Kahan sum (:func:`_kahan_blocks`, which the Kummer series over an array of
+points share), so an array call costs a number of numpy operations that
+grows with the longest series, not with the number of elements.  K_0 and
+K_1 below x = 14 take the trapezoid nodes of the scalar table in one
+:func:`_k01_cosh_array` call, and the large-argument sums of K and of the
+Hankel P and Q run over the scalar row tables in one fold
+(:func:`_asymptotic01_array`), every term at once.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import math
 
 import numpy as np
 
-from .specfun import (_COSH_CUTOFF, _COSH_STEP, _EULER_GAMMA, _HANKEL_ROWS, _J_RESCALE,
-                      _JY_SERIES_MAX, _K_ASYMPTOTIC_MIN, _K_ROWS, _K_SERIES_MAX, _LN_2, _LOG_MAX,
-                      _LOG_TINY, _MAX_TERMS, _MILLER_SEED, _OVERFLOW_GUARD, _REL_EPS,
+from .specfun import (_COSH_CUTOFF, _COSH_NODES, _COSH_STEP, _EULER_GAMMA, _HANKEL_ROWS,
+                      _J_RESCALE, _JY_SERIES_MAX, _K_ASYMPTOTIC_MIN, _K_ROWS, _K_TINY, _LN_2,
+                      _LOG_MAX, _LOG_TINY, _MAX_TERMS, _MILLER_SEED, _OVERFLOW_GUARD, _REL_EPS,
                       _SPH_RESCALE, _elementwise, _j_miller_start, _sph_miller_start)
 
 
@@ -119,28 +121,26 @@ def _first_block(q_max: float, m: float, stride: int) -> int:
 
 
 def _series_rows(q: np.ndarray, first: np.ndarray, orders: tuple[float, ...],
-                 log_sign: float = 0.0, pending: np.ndarray | None = None) -> np.ndarray:
+                 with_y: bool = False) -> np.ndarray:
     """Ascending Bessel series over an array, as the rows of one blocked Kahan sum.
 
     Row r starts from ``first[r]`` and multiplies its term by q / (k (m_r + k)),
     the scalar denominator, for m_r in `orders`: q = -x^2/4 gives
     :func:`_bessel_j_series` and q = x^2/4 the scaled series of
-    :func:`bessel_i`.  A nonzero `log_sign` adds two rows for the log
-    sums of orders 0 and 1, which add the term times log_sign H_k and
-    H_k + H_{k+1} - 2 gamma: those of Y_0 and Y_1 (-1) or K_0 and K_1 (+1)
-    in :func:`_series01`.  Each wanted element (`pending`,
-    default all) stops where its scalar loop stops, so every sum is bitwise
-    the scalar one; an order row is NaN where its series does not converge,
-    and a log row keeps its last total, as the scalar loops end without
-    raising.
+    :func:`bessel_i`.  `with_y` adds two rows for the log sums of Y_0 and
+    Y_1 in :func:`_series01`, which add the term times -H_k and
+    H_k + H_{k+1} - 2 gamma.  Each element stops where its scalar loop
+    stops, so every sum is bitwise the scalar one; an order row is NaN where
+    its series does not converge, and a log row keeps its last total, as the
+    scalar loops end without raising.
     """
     n_j, n = len(orders), q.size
-    ms = np.array(orders + ((0, 1) if log_sign else ()), dtype=float)
+    ms = np.array(orders + ((0, 1) if with_y else ()), dtype=float)
     shape = (len(ms), n)
     term = np.ones(shape)
     term[:n_j] = first
     total = term.copy()
-    if log_sign:
+    if with_y:
         total[n_j:] = [[0.0], [1.0 - 2.0 * _EULER_GAMMA]]  # the order-0 sum has no k = 0 term
     row = np.repeat(np.arange(len(ms)), n)
     qs, mk = np.tile(q, len(ms)), ms[row]
@@ -156,53 +156,37 @@ def _series_rows(q: np.ndarray, first: np.ndarray, orders: tuple[float, ...],
             hk1.append(hk1[-1] + 1.0 / (k + 1.0))
         h, h1 = np.array(hk[s0 + 1:s1 + 1]), np.array(hk1[s0 + 1:s1 + 1])
         w = np.ones((s1 - s0, len(ms)))
-        w[:, n_j] = log_sign * h  # -term * hk is term * -hk
+        w[:, n_j] = -h  # -term * hk is term * -hk
         w[:, n_j + 1] = h + h1 - 2.0 * _EULER_GAMMA
         return w[:, row[cols]]
 
-    logs = row >= n_j
-    pending = np.ones(row.size, dtype=bool) if pending is None else pending.ravel()
     sums = _kahan_blocks(ratio, term.ravel(), total.ravel(), _MAX_TERMS - 1,
-                         weight if np.count_nonzero(pending & logs) else None, pending, logs,
+                         weight if with_y else None, None, row >= n_j,
                          first_block=_first_block(float(np.abs(q).max(initial=0.0)), ms.min(), 1))
     return sums.reshape(shape)
 
 
-def _i_finish(m: int, lh: np.ndarray, q: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """I_m from its scaled series sums as :func:`bessel_i` finishes them, over an array.
-
-    0.0 where the whole sum underflows, NaN where the scalar raises (no
-    convergence, overflow past double range).
-    """
-    log_t0 = m * lh - math.lgamma(m + 1.0)
-    under = log_t0 + q / (m + 1.0) < _LOG_TINY
-    log_val = log_t0 + _elementwise(math.log, scaled)
-    return np.where(under, 0.0,
-                    _elementwise(math.exp, np.where(log_val > _LOG_MAX, np.nan, log_val)))
+# cosh t at node 0 (t = 0) and at the nodes of _COSH_NODES, as one float table
+_COSH_TABLE = np.array([1.0] + _COSH_NODES)
 
 
 def _k01_cosh_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_k01_cosh_integral` over an array of x in the trapezoid band.
 
-    The nodes t are the scalar loop's, accumulated the same way, and every
+    The nodes are the scalar loop's, from the same table, and every
     exp(-x cosh t) is taken in one elementwise call, shared by K_0 and K_1.
     A node past an element's cutoff adds 0.0, which leaves the running sum
     bitwise unchanged, so each sum is accumulated in the scalar order.
     """
-    h, cutoff = _COSH_STEP, _COSH_CUTOFF
-    ts, t, x_min = [0.0], h, float(x.min())
-    while x_min * math.cosh(t) < cutoff:
-        ts.append(t)
-        t += h
-    cosh_t = np.array([math.cosh(t) for t in ts])  # cosh(0) = 1: node 0 gives exp(-x)
-    arg = x[:, None] * cosh_t
-    live = arg < cutoff
-    e = np.zeros(arg.shape)
-    e[live] = _elementwise(math.exp, -arg[live])
+    top = (1.0 + _COSH_CUTOFF / x)[:, None]  # cosh t at each element's cutoff
+    cosh_t = _COSH_TABLE[:np.count_nonzero(_COSH_TABLE < top.max())]
+    live = cosh_t < top
+    e = np.zeros(live.shape)
+    e[live] = _elementwise(math.exp, -(x[:, None] * cosh_t)[live])
     terms = np.stack([e, e * cosh_t])  # cosh(0 t) = 1 for K_0, cosh(t) for K_1
     terms[:, :, 0] = 0.5 * e[:, 0]  # t = 0 carries half weight
     k0, k1 = np.add.accumulate(terms, axis=2)[:, :, -1]
-    return h * k0, h * k1
+    return _COSH_STEP * k0, _COSH_STEP * k1
 
 
 # Elements per pass of _asymptotic01_array: its tables take about 3 kB per element, so
@@ -252,9 +236,9 @@ def _asymptotic01_array(x: np.ndarray, rows, rel: float, tol: float) -> tuple:
 def _ik_array(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(I_m, K_m) over an array of x: each bitwise the scalar value, NaN where it raises.
 
-    The I_m series, and in the log-series band the I_0 and I_1 series and the two K log
-    sums of :func:`_series01`, run as the rows of one blocked Kahan sum;
-    the trapezoid band and the asymptotic band each take one array call.
+    I_m is one row of :func:`_series_rows`, finished as :func:`bessel_i` finishes it.
+    K_0 and K_1 take their leading terms below _K_TINY, one :func:`_k01_cosh_array`
+    call below 14 and one :func:`_asymptotic01_array` call from there on.
     """
     shape = x.shape
     x = x.astype(float).ravel()
@@ -263,23 +247,15 @@ def _ik_array(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xv = x[ok]
     with np.errstate(all="ignore"):
         lh = _elementwise(math.log, 0.5 * xv)
-        q = 0.25 * xv * xv
-        low, high = xv <= _K_SERIES_MAX, xv >= _K_ASYMPTOTIC_MIN
-        mid = ~(low | high)
-        orders = (0, 1) + ((m,) if m > 1 else ())
-        row = min(m, 2)
-        pending = np.zeros((len(orders) + 2, xv.size), dtype=bool)
-        pending[[0, 1, -2, -1]] = low
-        pending[row] |= xv <= _OVERFLOW_GUARD
-        sums = _series_rows(q, np.ones((len(orders), xv.size)), orders, 1.0, pending=pending)
-        iv = _i_finish(m, lh, q, sums[row])
-        iv[xv > _OVERFLOW_GUARD] = np.nan
-        k0, k1 = np.empty(xv.size), np.empty(xv.size)
-        if low.any():
-            xl, ll, ql = xv[low], lh[low], q[low]
-            i0, i1 = (iv[low] if r == m else _i_finish(r, ll, ql, sums[r][low]) for r in (0, 1))
-            k0[low] = -(ll + _EULER_GAMMA) * i0 + sums[-2][low]
-            k1[low] = 1.0 / xl + ll * i1 - 0.25 * xl * sums[-1][low]
+        g = xv <= _OVERFLOW_GUARD  # past it the scalar bessel_i raises
+        q, log_t0 = 0.25 * xv[g] * xv[g], m * lh[g] - math.lgamma(m + 1.0)
+        log_val = log_t0 + _elementwise(math.log, _series_rows(q, np.ones((1, q.size)), (m,))[0])
+        iv = np.full(xv.size, np.nan)
+        iv[g] = np.where(log_t0 + q / (m + 1.0) < _LOG_TINY, 0.0,  # the whole sum underflows
+                         _elementwise(math.exp, np.where(log_val > _LOG_MAX, np.nan, log_val)))
+        tiny, high = xv < _K_TINY, xv >= _K_ASYMPTOTIC_MIN
+        mid = ~(tiny | high)
+        k0, k1 = -(lh + _EULER_GAMMA), 1.0 / xv  # the leading terms, kept where tiny
         if mid.any():
             k0[mid], k1[mid] = _k01_cosh_array(xv[mid])
         if high.any():
@@ -317,7 +293,7 @@ def _jy_array(m: int, x: np.ndarray, with_y: bool):
                 [[math.lgamma(mm + 1.0)] for mm in orders])
             tiny = log_t0 < _LOG_TINY
             first = _elementwise(math.exp, np.where(tiny, 0.0, log_t0))
-            sums = _series_rows(-(0.25 * xs * xs), first, orders, -1.0 if with_y else 0.0)
+            sums = _series_rows(-(0.25 * xs * xs), first, orders, with_y)
             sums[:len(orders)][tiny] = 0.0
             j[series] = sums[min(m, 2) if with_y else 0]
             if with_y:

@@ -36,7 +36,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, NearPoleError, RangeError, SingularMatrixError
+from .errors import DomainError, NearPoleError, NumericError, RangeError, SingularMatrixError
 from .greens import FreeGreens, Geometry, NATURAL_UNITS, UnitSystem
 from .specfun import _LOG_MAX, SignLog
 
@@ -47,6 +47,7 @@ _ARRAY_WALLS = 32
 _PIVOT_FLOOR = 1e-300
 _NEAR_POLE_RATIO = 1e-12
 _LOG_NEAR_POLE = math.log(_NEAR_POLE_RATIO)
+_EPS, _RESOLVED_RATIO = 2.0 ** -52, 1e-9  # greens_strong: rounding allowed in h_l and h_r
 
 
 class _AllInfinite:
@@ -288,6 +289,17 @@ def _terms(coef, p: SignLog, q: SignLog):
     return fp * p.sign * math.exp(lp - top), fq * q.sign * math.exp(lq - top), top
 
 
+def _resolved(coef, p: SignLog, q: SignLog) -> tuple[float, float]:
+    """`_terms` summed, as (hat, top); NumericError where they cancel past their rounding,
+    the bound that :func:`greens_strong` states."""
+    t_p, t_q, top = _terms(coef, p, q)
+    s = 1.0 + max(abs(coef[0][1]), abs(coef[1][1]), abs(p.log_mag), abs(q.log_mag))
+    if t_p * t_q < 0.0 and _EPS * s * (abs(t_p) + abs(t_q)) > _RESOLVED_RATIO * abs(t_p + t_q):
+        raise NumericError("the solution vanishing on a wall cancelled past its rounding at x "
+                           "or x'; the point is too close to the wall for the parameter")
+    return t_p + t_q, top
+
+
 def _value(hat: float, log_mag: float, param: float) -> float:
     """hat * e^log_mag, raising RangeError past double range or where it is not finite."""
     if hat == 0.0:
@@ -400,12 +412,18 @@ def greens_strong(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
     h_l(x_<) h_r(x_>) / W[h_l, h_r].  h_l = q(a_k) p - p(a_k) q
     vanishes on the interval's left wall (h_l = p left of the chain), h_r
     likewise on its right wall (h_r = q right of the chain), and inside the
-    chain W[h_l, h_r] = -d_k.  Raises NearPoleError when d_k cancels below
-    1e-12 of its two products, i.e. on a Dirichlet level of the interval,
-    and RangeError, naming the parameter, where the result is not finite
-    in double precision.
+    chain W[h_l, h_r] = -d_k.  Raises DomainError for a radius that is not
+    positive, wall or no wall; NearPoleError when d_k cancels below 1e-12
+    of its two products, i.e. on a Dirichlet level of the interval;
+    NumericError where h_l(x_<) or h_r(x_>) cancels past its rounding: each
+    log `_terms` sums is off by up to about 2^-52 s, s = 1 + its largest
+    |log| summed, so t_p + t_q by 2^-52 s (|t_p| + |t_q|), which may not
+    pass 1e-9 |t_p + t_q|; and RangeError, naming the parameter, where the
+    result is not finite in double precision.
     """
     lo, hi = _ordered(x, xp)
+    if chain.geometry in (Geometry.CYLINDRICAL, Geometry.SPHERICAL) and not lo > 0.0:
+        raise DomainError(f"{chain.geometry.value} radius must be positive, got {lo}")
     positions, n = chain.positions, chain.n
     k = bisect_left(positions, lo)
     if k < n and positions[k] <= hi:
@@ -423,9 +441,9 @@ def greens_strong(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
             "an interval factor of the boundary matrix cancelled below 1e-12; "
             "the parameter sits on or near a characteristic root"
         )
-    l1, l2, l_log = _terms(h_l, *g0.factors(lo, param))
-    r1, r2, r_log = _terms(h_r, *g0.factors(hi, param))
-    return _value((l1 + l2) * (r1 + r2) / (t1 + t2), l_log + r_log - w_log, param)
+    l_hat, l_log = _resolved(h_l, *g0.factors(lo, param))
+    r_hat, r_log = _resolved(h_r, *g0.factors(hi, param))
+    return _value(l_hat * r_hat / (t1 + t2), l_log + r_log - w_log, param)
 
 
 def char_func(chain: DeltaChain, g0: FreeGreens, param: float) -> SignLog:

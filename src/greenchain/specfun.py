@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, count, islice, pairwise
+from itertools import accumulate, count, islice, pairwise, repeat, takewhile
 
 import numpy as np
 
@@ -57,10 +57,10 @@ _MAX_TERMS = 10000
 
 # Seams, guards and Miller starts that the scalar functions and their array
 # paths in greenchain._arrays share bit for bit.
-_K_SERIES_MAX = 6.0  # K_0, K_1: log series to here, then the trapezoid
+_K_TINY = 1e-9  # K_0, K_1: leading terms below this, then the trapezoid
 _K_ASYMPTOTIC_MIN = 14.0  # K_0, K_1: the large-argument sums from here on
 _COSH_STEP = 0.2  # trapezoid step in t of _k01_cosh_integral
-_COSH_CUTOFF = 760.0  # its nodes stop where x cosh t reaches this
+_COSH_CUTOFF = 40.0  # its nodes stop where x (cosh t - 1) reaches this
 _ASYMPTOTIC_TERMS = 60  # the K and Hankel large-argument sums end before this term
 _JY_SERIES_MAX = 12.0  # J, Y: ascending series to here, then Hankel or J Miller
 _OVERFLOW_GUARD = 700.0  # I_m and i_l raise RangeError past this x
@@ -226,11 +226,10 @@ _ASCENDING = [(float(k * k), k * (k + 1.0), h, h + h1 - 2.0 * _EULER_GAMMA) for 
               in enumerate(pairwise(accumulate(1.0 / j for j in range(1, 170))), 1)]
 
 
-def _series01(q: float, log_sign: float, first1: float) -> tuple[float, float, float, float]:
-    """In one loop, the J_0, J_1 series (q = -x^2/4, log_sign = -1, first1 = exp(log(x/2)))
-    or scaled I_0, I_1 series (q = x^2/4, +1, first1 = 1) and the log sums of Y_0, Y_1
-    (A&S 9.1.11) or K_0, K_1 (A&S 9.6.11), which add log_sign H_k times the order-0 term
-    and (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!).  Each sum stops as _kahan_series does,
+def _series01(q: float, first1: float) -> tuple[float, float, float, float]:
+    """In one loop, the J_0, J_1 series (q = -x^2/4, first1 = exp(log(x/2))) and the log
+    sums of Y_0, Y_1 (A&S 9.1.11), which add -H_k times the order-0 term and
+    (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!).  Each sum stops as _kahan_series does,
     and a log sum that never stops is kept as is."""
     eps, run = _REL_EPS, _SMALL_RUN
     t0, t1, u1 = 1.0, first1, 1.0  # the order-0 term, the order-1 term, the order-1 log term
@@ -252,7 +251,7 @@ def _series01(q: float, log_sign: float, first1: float) -> tuple[float, float, f
             e1, j1 = (t - j1) - y, t
             n1 = n1 + 1 if abs(t1) <= eps * abs(t) else 0
         if m0 < run:
-            c = log_sign * (t0 * hk)  # negation is exact: -term * hk for Y_0
+            c = -(t0 * hk)
             y = c - f0
             t = s0 + y
             f0, s0 = (t - s0) - y, t
@@ -267,9 +266,14 @@ def _series01(q: float, log_sign: float, first1: float) -> tuple[float, float, f
         elif m0 == run and n0 == run and n1 == run:
             return j0, j1, s0, s1
     if n0 < run or n1 < run:
-        raise NumericError(f"bessel_{'j' if log_sign < 0.0 else 'i'} series did not converge "
-                           f"within {_MAX_TERMS} terms")
+        raise NumericError(f"bessel_j series did not converge within {_MAX_TERMS} terms")
     return j0, j1, s0, s1
+
+
+# cosh t at the trapezoid nodes t = h, 2h, ... (t summed step by step) of _k01_cosh_integral,
+# through the last one below the cutoff at x = _K_TINY, the smallest x it takes
+_COSH_NODES = list(takewhile(lambda c: c < 1.0 + _COSH_CUTOFF / _K_TINY,
+                             map(math.cosh, accumulate(repeat(_COSH_STEP), initial=_COSH_STEP))))
 
 
 def _k01_cosh_integral(x: float) -> tuple[float, float]:
@@ -277,15 +281,16 @@ def _k01_cosh_integral(x: float) -> tuple[float, float]:
 
     The integrand extends to an analytic, doubly-exponentially decaying even
     function of t, so the trapezoid rule with h = 0.2 is already converged to
-    machine precision for the 6 < x < 14 band where it is used.
+    machine precision for every x in [_K_TINY, 14) where it is used.  The
+    nodes stop where exp(-x cosh t) falls to e^-40 exp(-x): the tail left
+    out is below 1e-17 of K_0 and of K_1.
     """
-    h, cutoff = _COSH_STEP, _COSH_CUTOFF
     k0 = k1 = 0.5 * math.exp(-x)  # t = 0 term carries half weight
-    t = h
-    while x * (c := math.cosh(t)) < cutoff:
+    top = 1.0 + _COSH_CUTOFF / x  # cosh t at the cutoff
+    for c in takewhile(top.__gt__, _COSH_NODES):
         e = math.exp(-x * c)
-        k0, k1, t = k0 + e, k1 + e * c, t + h  # cosh(0 t) = 1
-    return h * k0, h * k1
+        k0, k1 = k0 + e, k1 + e * c  # cosh(0 t) = 1
+    return _COSH_STEP * k0, _COSH_STEP * k1
 
 
 # Rows k < _ASYMPTOTIC_TERMS of the large-argument sums at mu = 0 and 4, whose term k is term
@@ -337,18 +342,15 @@ def _asymptotic01(x: float, rows: list, rel: float, tol: float) -> tuple[float, 
 def bessel_k(m: int, x: float) -> float:
     """Modified Bessel function K_m(x) for integer m >= 0, x > 0.
 
-    K_0/K_1 come from the log series (x <= 6), a cosh-transform trapezoid
-    integral (6 < x < 14) or the asymptotic expansion (x >= 14); higher
-    orders use the upward recurrence, which is stable because K grows
-    with order.  RangeError where K_m overflows (small x).  Takes one x.
+    K_0/K_1 come from the leading terms -(log(x/2) + gamma) and 1/x (x < 1e-9, exact to
+    half an ulp), a cosh-transform trapezoid integral (DLMF 10.32.9, x < 14) or the
+    asymptotic expansion (x >= 14); higher orders use the upward recurrence, which is
+    stable because K grows with order.  RangeError where K_m overflows (small x).
     """
     _check_order(m, "bessel_k")
     _check_positive(x, "bessel_k", 0.5)
-    if x <= _K_SERIES_MAX:  # the log series; I_0 and I_1 finished as bessel_i finishes them
-        lh = math.log(0.5 * x)
-        i0, i1, s0, s1 = _series01(0.25 * x * x, 1.0, 1.0)
-        k0 = -(lh + _EULER_GAMMA) * math.exp(math.log(i0)) + s0
-        k1 = 1.0 / x + lh * math.exp(lh + math.log(i1)) - 0.25 * x * s1
+    if x < _K_TINY:  # the node table of the trapezoid ends here
+        k0, k1 = -(math.log(0.5 * x) + _EULER_GAMMA), 1.0 / x
     elif x < _K_ASYMPTOTIC_MIN:
         k0, k1 = _k01_cosh_integral(x)
     else:
@@ -444,7 +446,7 @@ def bessel_jy(m: int, x):
     _check_positive(x, "bessel_jy", 0.5)
     if x <= _JY_SERIES_MAX:  # the log series of Y_0 and Y_1
         lh = math.log(0.5 * x)
-        j0, j1, s0, s1 = _series01(-(0.25 * x * x), -1.0, math.exp(lh))
+        j0, j1, s0, s1 = _series01(-(0.25 * x * x), math.exp(lh))
         y0 = (2.0 / math.pi) * ((lh + _EULER_GAMMA) * j0 + s0)
         y1 = (2.0 / math.pi) * (lh * j1 - 1.0 / x) - 0.5 * x * s1 / math.pi
     else:

@@ -1,12 +1,13 @@
 """Reference for the scalar Bessel kernels: one loop per series.
 
 `_kahan_series` (with its per-term ratio callable), `_log_sums`,
-`_bessel_j_series`, `_y01_series`, `_k01_series`, `_k_cosh_integral`,
-`_jy01_asymptotic` and `_k01_asymptotic` are the library's earlier
-implementation, kept verbatim: J_0, J_1 (or I_0, I_1) and the two log sums
-of K_0/K_1 and Y_0/Y_1 each run their own loop, so do the trapezoids of K_0
-and K_1, and each mu of the large-argument sums runs its own.  The scalar
-entry points below (`bessel_i`, `bessel_k`, `_bessel_j`, `bessel_jy`,
+`_bessel_j_series`, `_y01_series`, `_k_cosh_integral`, `_jy01_asymptotic`
+and `_k01_asymptotic` are the library's earlier implementation, kept
+verbatim: J_0, J_1 and the two log sums of Y_0/Y_1 each run their own loop,
+so do the trapezoids of K_0 and K_1 (now taken for every x below 14 past
+the leading terms at tiny x, their nodes stopping where x (cosh t - 1)
+reaches the cutoff), and each mu of the large-argument sums runs its own.
+The scalar entry points below (`bessel_i`, `bessel_k`, `_bessel_j`, `bessel_jy`,
 `sph_modified`) compose them exactly as the library did.  The fused loops
 in `greenchain.specfun` claim the same operations in the same order, so
 every value must agree to the bit, and every exception in type and message.
@@ -17,7 +18,7 @@ import math
 
 from greenchain.errors import NumericError, RangeError
 from greenchain.specfun import (_ASYMPTOTIC_TERMS, _COSH_CUTOFF, _COSH_STEP, _EULER_GAMMA,
-                                _JY_SERIES_MAX, _K_ASYMPTOTIC_MIN, _K_SERIES_MAX, _LN_2,
+                                _JY_SERIES_MAX, _K_ASYMPTOTIC_MIN, _K_TINY, _LN_2,
                                 _LOG_MAX, _LOG_TINY, _MAX_TERMS, _OVERFLOW_GUARD, _REL_EPS,
                                 _SMALL_RUN, _bessel_j_miller, _check_order, _check_positive)
 
@@ -109,25 +110,17 @@ def _log_sums(q: float, log_sign: float) -> tuple[float, float]:
     return s0, total
 
 
-def _k01_series(x: float) -> tuple[float, float]:
-    """K_0 and K_1 by the ascending log series; good for x <= _K_SERIES_MAX."""
-    lh = math.log(0.5 * x)
-    s0, s1 = _log_sums(0.25 * x * x, 1.0)
-    k0 = -(lh + _EULER_GAMMA) * bessel_i(0, x) + s0
-    return k0, 1.0 / x + lh * bessel_i(1, x) - 0.25 * x * s1
-
-
 def _k_cosh_integral(m: int, x: float) -> float:
     """K_m(x) = integral_0^inf exp(-x cosh t) cosh(m t) dt by trapezoid.
 
     The integrand extends to an analytic, doubly-exponentially decaying even
     function of t, so the trapezoid rule with h = 0.2 is already converged to
-    machine precision for the 6 < x < 14 band where it is used.
+    machine precision for the _K_TINY <= x < 14 band where it is used.
     """
     h, cutoff = _COSH_STEP, _COSH_CUTOFF
     total = 0.5 * math.exp(-x)  # t = 0 term carries half weight
     t = h
-    while x * math.cosh(t) < cutoff:
+    while math.cosh(t) < 1.0 + cutoff / x:
         total += math.exp(-x * math.cosh(t)) * math.cosh(m * t)
         t += h
     return h * total
@@ -154,8 +147,8 @@ def _k01_asymptotic(x: float) -> tuple[float, float]:
 def bessel_k(m: int, x):
     _check_order(m, "bessel_k")
     _check_positive(x, "bessel_k", 0.5)
-    if x <= _K_SERIES_MAX:
-        k0, k1 = _k01_series(x)
+    if x < _K_TINY:
+        k0, k1 = -(math.log(0.5 * x) + _EULER_GAMMA), 1.0 / x
     elif x < _K_ASYMPTOTIC_MIN:
         k0, k1 = _k_cosh_integral(0, x), _k_cosh_integral(1, x)
     else:

@@ -652,6 +652,36 @@ def test_strong_is_exactly_zero_across_a_wall():
         assert greens_strong(ch, g0, xp, x, 1.3) == 0.0
 
 
+@pytest.mark.parametrize("geometry", ["cylindrical", "spherical"])
+def test_strong_rejects_a_radius_that_is_not_positive(geometry):
+    # a wall between x and x' no longer hides the bad radius behind the Dirichlet 0,
+    # and no kernel factor is evaluated to find it
+    def forbidden(*args):
+        raise AssertionError("the radius check must not evaluate a kernel factor")
+
+    g0 = FreeGreens(forbidden, free_greens_for(geometry, mode=1).weight)
+    strong = DeltaChain(geometry, (0.5, 1.0), ALL_INFINITE)
+    for x, xp in ((-0.3, 1.5), (1.5, -0.3), (0.0, 0.7), (-0.3, 0.2)):
+        with pytest.raises(DomainError, match=f"{geometry} radius must be positive"):
+            greens_strong(strong, g0, x, xp, 1.3)
+
+
+def test_strong_raises_where_the_wall_solution_cancels_past_its_rounding():
+    # left of the walls (0, 1), h_r(x_>) = (e^{k x} - e^{-k x}) / (2 k) cancels as k0 -> 0;
+    # it answered 0.2000000159, 0.19895 and 0.0 at these k0 with no error
+    g0 = rect_free_greens()
+    strong = DeltaChain("rectangular", (0.0, 1.0), ALL_INFINITE)
+    x, xp = -0.5, -0.2
+    for k0 in (1e-8, 1e-12, 1e-20):
+        with pytest.raises(NumericError, match="cancelled"):
+            greens_strong(strong, g0, x, xp, k0)
+    k0, near, far = 1e-4, abs(x - xp), -x - xp  # far = 2a - x - x' at the wall a = 0
+    want = -math.expm1(-k0 * (far - near)) * math.exp(-k0 * near) / (2.0 * k0)
+    got = greens_strong(strong, g0, x, xp, k0)
+    assert abs(got - want) <= 1e-12 * g0.evaluate(x, xp, k0)  # the scale of g0, as in oracle
+    assert abs(got - want) <= 1e-10 * want  # 3.7e-11 measured: the bound allows 1e-9
+
+
 def test_finite_attractive_wall_with_nearly_singular_leading_block():
     # lambda_1 puts a bound state on [-inf, a_2] with wall 2 impenetrable, so the
     # sub-problem left of wall 2 is (nearly) singular although Lambda is regular;

@@ -5,15 +5,19 @@ max(tol, eps peak / |f'|) of the mpmath zero of its Kummer wall factor,
 where peak is the largest term of the float series at the level (its
 rounding noise is about eps peak) and f' the factor's slope there.
 Kummer M at x < 0: every value kummer_m returns lies within 1e-12 of mpmath.
+K_m: bessel_k lies within 1e-14 of mpmath below x = 14 and within 6e-14 from there.
 """
+
+import math
+import sys
 
 import numpy as np
 import pytest
 
 from greenchain import OscillatorProblem, oscillator_spectrum
 from greenchain.spectrum import RootKind
-from greenchain.errors import NumericError
-from greenchain.specfun import _kummer_series, kummer_m
+from greenchain.errors import NumericError, RangeError
+from greenchain.specfun import _kummer_series, bessel_k, kummer_m
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -68,3 +72,33 @@ def test_kummer_at_negative_x_returns_only_within_its_bound(b):
         assert abs(got - want) <= 1e-12 * abs(want), (a, x, got, want)
         kept += 1
     assert kept >= 80 and raised >= 80
+
+
+# bessel_k: seeded log-uniform x in (1e-300, 14), where the leading terms (x < 1e-9) and the
+# trapezoid take K_0 and K_1, more of them in (1e-9, 14) where the trapezoid runs, and
+# 5, 6 and 6.1 around the seam of the series band the trapezoid replaced; then the
+# asymptotic band from its seam at 14, whose worst point is the seam itself (5.3e-14)
+_K_RNG = np.random.default_rng(27)
+K_BELOW_14 = np.exp(np.concatenate([_K_RNG.uniform(math.log(1e-300), math.log(14.0), 200),
+                                    _K_RNG.uniform(math.log(1e-9), math.log(14.0), 150)])
+                    ).tolist() + [5.0, 6.0, 6.1]
+K_FROM_14 = [14.0] + np.exp(_K_RNG.uniform(math.log(14.0), math.log(100.0), 40)).tolist()
+
+
+@pytest.mark.parametrize("xs, tol", [(K_BELOW_14, 1e-14), (K_FROM_14, 6e-14)],
+                         ids=["below-14", "from-14"])
+def test_bessel_k_lies_within_its_bound_of_mpmath(xs, tol):
+    # K_2 and K_5 recur upward from mpmath's K_0 and K_1 at 30 digits; bessel_k raises
+    # RangeError exactly where K_m is past double range
+    for x in xs:
+        with mpmath.workdps(30):
+            want = [mpmath.besselk(0, x), mpmath.besselk(1, x)]
+            for j in range(1, 5):
+                want.append(want[-2] + (2 * j / mpmath.mpf(x)) * want[-1])
+            for m in (0, 1, 2, 5):
+                if want[m] > sys.float_info.max:
+                    with pytest.raises(RangeError):
+                        bessel_k(m, x)
+                    continue
+                got = bessel_k(m, x)
+                assert abs(got - want[m]) <= tol * want[m], (m, x, got)

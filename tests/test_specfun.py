@@ -406,17 +406,17 @@ def _counting(monkeypatch, name):
 
 
 def test_scalar_bessel_sums_each_band_in_one_loop(monkeypatch):
-    # one pass of the order-0/1 loop per bessel_jy at x <= 12 and per bessel_k at x <= 6,
+    # one pass of the order-0/1 loop per bessel_jy at x <= 12 and none per bessel_k,
     # one pass of the large-argument loop above the asymptotic seams
     ascending, asymptotic = (_counting(monkeypatch, name)
                              for name in ("_series01", "_asymptotic01"))
-    for fn, xs, beyond in ((sf.bessel_jy, (1e-3, 0.5, 5.0, 12.0), 12.5),
-                           (sf.bessel_k, (1e-3, 0.5, 3.0, 6.0), 14.0)):
+    for fn, xs, beyond, passes in ((sf.bessel_jy, (1e-3, 0.5, 5.0, 12.0), 12.5, 1),
+                                   (sf.bessel_k, (1e-12, 1e-3, 0.5, 3.0, 6.0), 14.0, 0)):
         for m in (0, 1, 2, 5):
             for x in xs:
                 ascending.clear()
                 fn(m, x)
-                assert len(ascending) == 1, (fn.__name__, m, x)
+                assert len(ascending) == passes, (fn.__name__, m, x)
             ascending.clear()
             asymptotic.clear()
             fn(m, beyond)
@@ -425,14 +425,12 @@ def test_scalar_bessel_sums_each_band_in_one_loop(monkeypatch):
 
 def test_ascending_table_outlasts_every_series_in_its_band():
     # every term of the four sums is 0 three rows before the table ends at the largest q
-    # of each band, so each run of small terms completes within the table
-    x_jy, x_k = sf._JY_SERIES_MAX, sf._K_SERIES_MAX
-    for q, first1 in ((-0.25 * x_jy * x_jy, math.exp(math.log(0.5 * x_jy))),
-                      (0.25 * x_k * x_k, 1.0)):
-        t0, t1 = 1.0, first1
-        for kk, kk1, _, _ in sf._ASCENDING[:-3]:
-            t0, t1 = t0 * (q / kk), t1 * (q / kk1)
-        assert t0 == t1 == 0.0
+    # of the J/Y band, so each run of small terms completes within the table
+    x_jy = sf._JY_SERIES_MAX
+    q, t0, t1 = -0.25 * x_jy * x_jy, 1.0, math.exp(math.log(0.5 * x_jy))
+    for kk, kk1, _, _ in sf._ASCENDING[:-3]:
+        t0, t1 = t0 * (q / kk), t1 * (q / kk1)
+    assert t0 == t1 == 0.0
 
 
 def _outcome(fn, *args):
@@ -455,7 +453,7 @@ _ZEROS_BELOW_12 = [2.404825557695773, 5.520078110286311, 8.653727912911013, 11.7
 X_REFERENCE = np.concatenate(
     [np.exp(_RNG.uniform(math.log(lo), math.log(hi), 100))
      for lo, hi in ((1e-3, 6.0), (6.0, 14.0), (14.0, 700.0), (1e-3, 12.0), (12.0, 120.0))]
-    + [_around(sf._K_SERIES_MAX, sf._K_ASYMPTOTIC_MIN, sf._JY_SERIES_MAX, sf._OVERFLOW_GUARD,
+    + [_around(sf._K_TINY, sf._K_ASYMPTOTIC_MIN, sf._JY_SERIES_MAX, sf._OVERFLOW_GUARD,
                *_ZEROS_BELOW_12),
        [1e-3, 1e-30, 1e-170, 1e-309, 1e-320, 1e-323, 5e-324, 0.0, -1.0, math.nan, math.inf,
         1e300, 1.7e308], X_Q_UNDERFLOW]).tolist()
@@ -477,19 +475,20 @@ def test_scalar_bessel_kernels_bitwise_equal_the_reference(m):
 
 def test_scalar_bessel_kernels_cut_at_max_terms_like_the_reference(monkeypatch):
     # a lowered term limit stops both sides alike: the same value where every series
-    # ends in time, and the same NumericError where an order series does not
+    # ends in time, and the same NumericError where an order series does not; K sums
+    # no series, so it never raises
     import bessel_reference as ref
 
-    raised = 0
+    raised = dict.fromkeys(("bessel_jy", "bessel_k", "bessel_i", "sph_modified"), 0)
     for cut in (3, 5, 8, 20):
         monkeypatch.setattr(sf, "_MAX_TERMS", cut)
         monkeypatch.setattr(ref, "_MAX_TERMS", cut)
-        for name in ("bessel_jy", "bessel_k", "bessel_i", "sph_modified"):
+        for name in raised:
             for m, x in ((0, 1e-3), (1, 0.5), (0, 5.0), (2, 11.0)):
                 got = _outcome(getattr(sf, name), m, x)
                 assert got == _outcome(getattr(ref, name), m, x), (cut, name, m, x)
-                raised += got[0] == "NumericError"
-    assert raised >= 8
+                raised[name] += got[0] == "NumericError"
+    assert sum(raised.values()) >= 8 and raised["bessel_k"] == 0
 
 
 # the three K_0/K_1 branches and their seams, I_m up to its overflow guard,
@@ -497,7 +496,7 @@ def test_scalar_bessel_kernels_cut_at_max_terms_like_the_reference(monkeypatch):
 X_IK = np.concatenate([
     np.linspace(0.05, 30.0, 600),
     np.linspace(30.0, 720.0, 40),
-    _around(sf._K_SERIES_MAX, sf._K_ASYMPTOTIC_MIN, sf._OVERFLOW_GUARD),
+    _around(sf._K_TINY, sf._K_ASYMPTOTIC_MIN, sf._OVERFLOW_GUARD),
     [1e-3, 1e-30, 1e-170, 1e-309, 1e-320],
     [0.0, -1.0, 5e-324, math.nan, math.inf], X_Q_UNDERFLOW,
 ])
@@ -505,7 +504,7 @@ X_IK = np.concatenate([
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 40])
 def test_bessel_ik_arrays_bitwise_equal_scalar_on_every_branch(m):
-    # x <= 6 series rows, the 6 < x < 14 trapezoid, the x >= 14 asymptotic sums: the
+    # the x < 1e-9 leading terms, the trapezoid below 14, the x >= 14 asymptotic sums: the
     # array route of long cylindrical chains against the scalar bessel_i and bessel_k
     i_arr, k_arr = _ik_array(m, X_IK)
     raised_i = _array_matches_scalar([i_arr], lambda x: sf.bessel_i(m, x), X_IK)
