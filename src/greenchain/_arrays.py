@@ -5,18 +5,20 @@ and :func:`~greenchain.specfun.sph_ordinary` hand an array of x to the
 functions here, and a long cylindrical chain (``greens.cyl_factors``) calls
 :func:`_ik_array` for I_m and K_m together; the scalar
 :func:`~greenchain.specfun.bessel_i` and :func:`~greenchain.specfun.bessel_k`
-take one x.  Each element is bitwise the scalar value: every series
-runs the scalar recurrence operation for operation and stops where the
+take one x.  Each element is bitwise the scalar value: every series and
+recurrence runs the scalar one operation for operation and stops where the
 scalar loop stops, with ``math`` functions per element where numpy's are
 not bitwise the same, and each element is NaN where the scalar call
-raises.  The ascending series of J, Y and I run as the rows of one blocked
-Kahan sum (:func:`_kahan_blocks`, which the Kummer series over an array of
-points share), so an array call costs a number of numpy operations that
-grows with the longest series, not with the number of elements.  K_0 and
-K_1 below x = 14 take the trapezoid nodes of the scalar table in one
-:func:`_k01_cosh_array` call, and the large-argument sums of K and of the
-Hankel P and Q run over the scalar row tables in one fold
-(:func:`_asymptotic01_array`), every term at once.
+raises.  The ascending series of I and i_l and the Kummer series over an
+array of points run as the rows of one blocked Kahan sum
+(:func:`_kahan_blocks`), so an array call costs a number of numpy
+operations that grows with the longest series, not with the number of
+elements.  J and Y below the Hankel seam, and J_m at x <= m, take one
+Miller pass over the array (:func:`_jy_miller_array`), each element joining
+it at its own start.  K_0 and K_1 below x = 15 take the trapezoid nodes of
+the scalar table in one :func:`_k01_cosh_array` call, and the
+large-argument sums of K and of the Hankel P and Q run over the scalar row
+tables in one fold (:func:`_asymptotic01_array`), every term at once.
 """
 
 from __future__ import annotations
@@ -26,28 +28,27 @@ import math
 import numpy as np
 
 from .specfun import (_COSH_CUTOFF, _COSH_NODES, _COSH_STEP, _EULER_GAMMA, _HANKEL_ROWS,
-                      _J_RESCALE, _JY_SERIES_MAX, _K_ASYMPTOTIC_MIN, _K_ROWS, _K_TINY, _LN_2,
-                      _LOG_MAX, _LOG_TINY, _MAX_TERMS, _MILLER_SEED, _OVERFLOW_GUARD, _REL_EPS,
-                      _SPH_RESCALE, _elementwise, _j_miller_start, _sph_miller_start)
+                      _J_RESCALE, _JY_HANKEL_MIN, _JY_TINY, _K_ASYMPTOTIC_MIN, _K_ROWS, _K_TINY,
+                      _LN_2, _LOG_MAX, _LOG_TINY, _MAX_TERMS, _MILLER_SEED, _OVERFLOW_GUARD,
+                      _REL_EPS, _SPH_RESCALE, _elementwise, _j_miller_start, _miller_rows,
+                      _sph_miller_start, _y01)
 
 
-def _kahan_blocks(ratio, first: np.ndarray, total: np.ndarray, n_steps: int, weight=None,
-                  pending: np.ndarray | None = None, keep_last: np.ndarray | None = None,
-                  with_peak: bool = False, first_block: int = 16):
+def _kahan_blocks(ratio, first: np.ndarray, total: np.ndarray, n_steps: int,
+                  pending: np.ndarray | None = None, with_peak: bool = False,
+                  first_block: int = 16):
     """Compensated sums of many series at once, each stopped where its scalar loop stops.
 
     Element i starts from the term ``first[i]`` and the partial sum
     ``total[i]``.  Step s (0 <= s < n_steps) multiplies the term by its
     ratio, ``ratio(s0, s1, cols)[s - s0]`` for the elements `cols`, and adds
-    it (times ``weight(s0, s1, cols)[s - s0]`` if given) with Kahan
-    compensation.  An element stops after three consecutive steps whose
-    added |c| is <= 1e-16 |sum|, and records that sum and, with
+    it with Kahan compensation.  An element stops after three consecutive
+    steps whose |term| is <= 1e-16 |sum|, and records that sum and, with
     `with_peak`, the largest |term| so far.  The steps run in blocks: one
     cumulative product gives a block's terms, in the order of the scalar
     ``term *=``, and only the compensated additions loop step by step; the
     first block has `first_block` steps.  Elements not `pending` are
-    skipped; one that never stops is NaN, or its last sum where
-    `keep_last`.  Returns the sums, or (sums, peaks).
+    skipped; one that never stops is NaN.  Returns the sums, or (sums, peaks).
     """
     sums = np.full(first.size, np.nan)
     peaks = np.full(first.size, np.nan) if with_peak else None
@@ -72,8 +73,6 @@ def _kahan_blocks(ratio, first: np.ndarray, total: np.ndarray, n_steps: int, wei
             top = np.maximum.accumulate(np.vstack([peak, np.abs(terms)]), axis=0)[1:]
             peak = top[-1]
         c = terms  # the added terms, in place: the block's buffers are reused below
-        if weight is not None:
-            c *= weight(s, s1, cols)
         run = np.empty(c.shape)
         y = np.empty(cols.size)
         for c_j, run_j in zip(c, run):
@@ -103,9 +102,6 @@ def _kahan_blocks(ratio, first: np.ndarray, total: np.ndarray, n_steps: int, wei
             cols, term, total, comp, peak = (arr[keep] for arr in (cols, term, total, comp, peak))
             small = small[:, keep]
         s = s1
-    if keep_last is not None:
-        last = keep_last[cols]
-        sums[cols[last]] = total[last]
     return (sums, peaks) if with_peak else sums
 
 
@@ -118,52 +114,6 @@ def _first_block(q_max: float, m: float, stride: int) -> int:
         t *= q_max / (steps * (m + stride * steps))
         tot += t
     return steps + 3
-
-
-def _series_rows(q: np.ndarray, first: np.ndarray, orders: tuple[float, ...],
-                 with_y: bool = False) -> np.ndarray:
-    """Ascending Bessel series over an array, as the rows of one blocked Kahan sum.
-
-    Row r starts from ``first[r]`` and multiplies its term by q / (k (m_r + k)),
-    the scalar denominator, for m_r in `orders`: q = -x^2/4 gives
-    :func:`_bessel_j_series` and q = x^2/4 the scaled series of
-    :func:`bessel_i`.  `with_y` adds two rows for the log sums of Y_0 and
-    Y_1 in :func:`_series01`, which add the term times -H_k and
-    H_k + H_{k+1} - 2 gamma.  Each element stops where its scalar loop
-    stops, so every sum is bitwise the scalar one; an order row is NaN where
-    its series does not converge, and a log row keeps its last total, as the
-    scalar loops end without raising.
-    """
-    n_j, n = len(orders), q.size
-    ms = np.array(orders + ((0, 1) if with_y else ()), dtype=float)
-    shape = (len(ms), n)
-    term = np.ones(shape)
-    term[:n_j] = first
-    total = term.copy()
-    if with_y:
-        total[n_j:] = [[0.0], [1.0 - 2.0 * _EULER_GAMMA]]  # the order-0 sum has no k = 0 term
-    row = np.repeat(np.arange(len(ms)), n)
-    qs, mk = np.tile(q, len(ms)), ms[row]
-    hk, hk1 = [0.0], [1.0]  # H_k and H_{k+1} after step k, summed as the scalar loops do
-
-    def ratio(s0, s1, cols):
-        k = np.arange(s0 + 1, s1 + 1, dtype=float)[:, None]
-        return qs[cols] / (k * (mk[cols] + k))
-
-    def weight(s0, s1, cols):
-        for k in range(len(hk), s1 + 1):
-            hk.append(hk[-1] + 1.0 / k)
-            hk1.append(hk1[-1] + 1.0 / (k + 1.0))
-        h, h1 = np.array(hk[s0 + 1:s1 + 1]), np.array(hk1[s0 + 1:s1 + 1])
-        w = np.ones((s1 - s0, len(ms)))
-        w[:, n_j] = -h  # -term * hk is term * -hk
-        w[:, n_j + 1] = h + h1 - 2.0 * _EULER_GAMMA
-        return w[:, row[cols]]
-
-    sums = _kahan_blocks(ratio, term.ravel(), total.ravel(), _MAX_TERMS - 1,
-                         weight if with_y else None, None, row >= n_j,
-                         first_block=_first_block(float(np.abs(q).max(initial=0.0)), ms.min(), 1))
-    return sums.reshape(shape)
 
 
 # cosh t at node 0 (t = 0) and at the nodes of _COSH_NODES, as one float table
@@ -188,6 +138,10 @@ def _k01_cosh_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k0, k1 = np.add.accumulate(terms, axis=2)[:, :, -1]
     return _COSH_STEP * k0, _COSH_STEP * k1
 
+
+# Rounding slack of the running bounds of the J Miller array pass: each bound step rounds
+# twice, as does each step of the recurrence it bounds, and (1 + 2^-53)^4 < 1 + 1e-15.
+_BOUND_SLACK = 1.0 + 1e-15
 
 # Elements per pass of _asymptotic01_array: its tables take about 3 kB per element, so
 # one pass over a 66,698-point scan window would peak near 220 MiB (17 MiB in passes).
@@ -236,9 +190,9 @@ def _asymptotic01_array(x: np.ndarray, rows, rel: float, tol: float) -> tuple:
 def _ik_array(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(I_m, K_m) over an array of x: each bitwise the scalar value, NaN where it raises.
 
-    I_m is one row of :func:`_series_rows`, finished as :func:`bessel_i` finishes it.
+    I_m is the blocked Kahan sum of the scalar series, finished as :func:`bessel_i` finishes it.
     K_0 and K_1 take their leading terms below _K_TINY, one :func:`_k01_cosh_array`
-    call below 14 and one :func:`_asymptotic01_array` call from there on.
+    call below 15 and one :func:`_asymptotic01_array` call from there on.
     """
     shape = x.shape
     x = x.astype(float).ravel()
@@ -249,7 +203,14 @@ def _ik_array(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lh = _elementwise(math.log, 0.5 * xv)
         g = xv <= _OVERFLOW_GUARD  # past it the scalar bessel_i raises
         q, log_t0 = 0.25 * xv[g] * xv[g], m * lh[g] - math.lgamma(m + 1.0)
-        log_val = log_t0 + _elementwise(math.log, _series_rows(q, np.ones((1, q.size)), (m,))[0])
+
+        def ratio(s0, s1, cols):  # the scalar denominator k (m + k)
+            k = np.arange(s0 + 1, s1 + 1, dtype=float)[:, None]
+            return q[cols] / (k * (m + k))
+
+        scaled = _kahan_blocks(ratio, np.ones(q.size), np.ones(q.size), _MAX_TERMS - 1,
+                               first_block=_first_block(q.max(initial=0.0), m, 1))
+        log_val = log_t0 + _elementwise(math.log, scaled)
         iv = np.full(xv.size, np.nan)
         iv[g] = np.where(log_t0 + q / (m + 1.0) < _LOG_TINY, 0.0,  # the whole sum underflows
                          _elementwise(math.exp, np.where(log_val > _LOG_MAX, np.nan, log_val)))
@@ -272,34 +233,82 @@ def _ik_array(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i_m.reshape(shape), k_m.reshape(shape)
 
 
+def _jy_miller_array(m: int, x: np.ndarray, lh: np.ndarray, with_y: bool) -> np.ndarray:
+    """:func:`_jy_miller` over an array of x (lh = log(x/2)): the rows J_m, J_0, J_1, S_0
+    and S_1, each element operation for operation the scalar pass, NaN where it raises.
+
+    The pass runs once, down from the highest start.  Each element joins it
+    at its own start; until then its pair is (0, 0), which the recurrence
+    keeps at 0 and which adds 0.0 to every sum.  Without `with_y` the
+    Neumann sums are not taken and stay 0.
+    """
+    out = np.zeros((5, x.size))
+    under = m * lh - math.lgamma(m + 1.0) < _LOG_TINY
+    tiny = x < _JY_TINY
+    lead = tiny & ~under
+    if lead.any():
+        out[0, lead] = _elementwise(lambda t: t ** m, 0.5 * x[lead]) / math.factorial(m)
+    out[1, tiny], out[2, tiny] = 1.0, 0.5 * x[tiny]
+    x, under = x[~tiny], under[~tiny]
+    if not x.size:
+        return out
+    top = _j_miller_start(np.where(under, x, np.maximum(float(m), x))) // 2 - 1  # first rows
+    order = np.argsort(-top, kind="stable")  # the pass takes the elements in order of joining
+    x, x_min = x[order], x.min()
+    rows = list(_miller_rows(2 * int(top[order[0]]) + 2))
+    joined = np.searchsorted(-top[order], [-row[0] for row in rows], side="right").tolist()
+    km, odd = divmod(m, 2)
+    big, shrink = _J_RESCALE, 1.0 / _J_RESCALE
+    fp, fc, jm, norm, s0, s1 = np.zeros((6, x.size))
+    n = 0
+    bp = bc = 0.0  # bounds on |fp| and |fc|: only past big can an element need its rescale
+    for (k, c1, c0, w1, w0), n_k in zip(rows, joined):
+        if n_k > n:
+            fc[n:n_k], n, bc = _MILLER_SEED, n_k, max(bc, _MILLER_SEED)
+        fp, fc = fc, (c1 / x) * fc - fp  # f_{2k+1}
+        fp, fc = fc, (c0 / x) * fc - fp  # f_{2k}
+        bp, bc = bc, (c1 / x_min * bc + bp) * _BOUND_SLACK
+        bp, bc = bc, (c0 / x_min * bc + bp) * _BOUND_SLACK
+        if bc > big:
+            over = np.abs(fc) > big
+            if over.any():
+                fp, fc, jm, norm, s0, s1 = (np.where(over, f * shrink, f)
+                                            for f in (fp, fc, jm, norm, s0, s1))
+            bp, bc = np.abs(fp).max(), np.abs(fc).max()
+        if k == km:
+            jm = (fp if odd else fc).copy()  # a later join writes into fc
+        norm += fc
+        if with_y:
+            s0 += w0 * fc
+            s1 += w1 * fp
+    fp, fc = fc, (4.0 / x) * fc - fp  # f_1
+    fp, fc = fc, (2.0 / x) * fc - fp  # f_0
+    if m < 2:
+        jm = fp if m else fc
+    norm = 2.0 * norm + fc
+    vals = np.empty((5, x.size))
+    vals[:, order] = np.stack([jm, fc, fp, s0, s1]) / norm
+    vals[:, order[(norm == 0.0) | np.isinf(norm)]] = np.nan
+    out[:, ~tiny] = vals
+    return out
+
+
 def _jy_array(m: int, x: np.ndarray, with_y: bool):
     """J_m over an array of x, or with `with_y` the pair (J_m, Y_m) of arrays.
 
     Each element is bitwise the scalar value, and NaN where the scalar call
-    raises.  The J Miller branch (12 < x <= m) is one array loop.
+    raises.  Below the Hankel seam, and for J_m wherever x <= m, the Miller
+    pass runs once over the array (:func:`_jy_miller_array`, the Neumann
+    sums only `with_y`); from the seam on, the Hankel sums run in one fold.
     """
     shape = x.shape
     x = x.astype(float).ravel()
     j = np.full(x.size, np.nan)
     y0, y1 = np.full(x.size, np.nan), np.full(x.size, np.nan)
     ok = (0.5 * x > 0.0) & (x < math.inf)  # else the scalar raises, log(x/2) included
-    series, hankel = ok & (x <= _JY_SERIES_MAX), ok & (x > _JY_SERIES_MAX)
+    hankel = ok & (x >= _JY_HANKEL_MIN)
+    miller = ok & ~(hankel & (x > m))
     with np.errstate(all="ignore"):
-        xs = x[series]
-        if xs.size:
-            lh = _elementwise(math.log, 0.5 * xs)
-            orders = ((0, 1) + ((m,) if m > 1 else ())) if with_y else (m,)
-            log_t0 = np.array(orders, dtype=float)[:, None] * lh - np.array(
-                [[math.lgamma(mm + 1.0)] for mm in orders])
-            tiny = log_t0 < _LOG_TINY
-            first = _elementwise(math.exp, np.where(tiny, 0.0, log_t0))
-            sums = _series_rows(-(0.25 * xs * xs), first, orders, with_y)
-            sums[:len(orders)][tiny] = 0.0
-            j[series] = sums[min(m, 2) if with_y else 0]
-            if with_y:
-                j0, j1, s0, s1 = sums[0], sums[1], sums[-2], sums[-1]
-                y0[series] = (2.0 / math.pi) * ((lh + _EULER_GAMMA) * j0 + s0)
-                y1[series] = (2.0 / math.pi) * (lh * j1 - 1.0 / xs) - 0.5 * xs * s1 / math.pi
         xh = x[hankel]
         if xh.size:
             p0, q0, p1, q1 = _asymptotic01_array(xh, _HANKEL_TABLE, 0.0, _REL_EPS)
@@ -312,9 +321,14 @@ def _jy_array(m: int, x: np.ndarray, with_y: bool):
             for jj in range(1, m):
                 jp, jc = jc, (2.0 * jj / xh) * jc - jp
             j[hankel] = jc if m else jp
-        miller = hankel & (x <= m)
-        if miller.any():
-            j[miller] = _j_miller_array(m, x[miller])
+        xm = x[miller]
+        if xm.size:
+            lh = _elementwise(math.log, 0.5 * xm)
+            j[miller], j0, j1, s0, s1 = _jy_miller_array(m, xm, lh, with_y)
+            if with_y:
+                low = ~hankel[miller]
+                y0[miller & ~hankel], y1[miller & ~hankel] = _y01(
+                    xm[low], lh[low], j0[low], j1[low], s0[low], s1[low])
         if not with_y:
             return j.reshape(shape)
         yp, yc = y0, y1
@@ -408,22 +422,3 @@ def _sph_j_miller_array(l: int, x: np.ndarray, j0: np.ndarray, j1: np.ndarray) -
         if j - 1 == l:
             fl = fc
     return fl * np.where(np.abs(j0) >= np.abs(j1), j0 / fc, j1 / fp)
-
-
-def _j_miller_array(m: int, x: np.ndarray) -> np.ndarray:
-    """:func:`_bessel_j_miller` over an array of x, operation for operation; NaN where it raises."""
-    tox = 2.0 / x
-    big, shrink = _J_RESCALE, 1.0 / _J_RESCALE
-    fp, fc = np.zeros(x.size), np.full(x.size, _MILLER_SEED)
-    norm, ans = np.zeros(x.size), np.zeros(x.size)
-    for j in range(_j_miller_start(m), 0, -1):
-        fp, fc = fc, j * tox * fc - fp
-        over = np.abs(fc) > big
-        if over.any():
-            fc, fp, norm, ans = (np.where(over, f * shrink, f) for f in (fc, fp, norm, ans))
-        if (j - 1) % 2 == 0 and j > 1:
-            norm = norm + fc
-        if j - 1 == m:
-            ans = fc
-    norm = 2.0 * norm + fc
-    return np.where((norm == 0.0) | np.isinf(norm), np.nan, ans / norm)

@@ -47,7 +47,7 @@ _ARRAY_WALLS = 32
 _PIVOT_FLOOR = 1e-300
 _NEAR_POLE_RATIO = 1e-12
 _LOG_NEAR_POLE = math.log(_NEAR_POLE_RATIO)
-_EPS, _RESOLVED_RATIO = 2.0 ** -52, 1e-9  # greens_strong: rounding allowed in h_l and h_r
+_EPS, _RESOLVED_RATIO = 2.0 ** -52, 1e-9  # rounding allowed in P, Q and in h_l, h_r
 
 
 class _AllInfinite:
@@ -291,12 +291,13 @@ def _terms(coef, p: SignLog, q: SignLog):
 
 def _resolved(coef, p: SignLog, q: SignLog) -> tuple[float, float]:
     """`_terms` summed, as (hat, top); NumericError where they cancel past their rounding,
-    the bound that :func:`greens_strong` states."""
+    the bound that :func:`greens_finite` and :func:`greens_strong` state."""
     t_p, t_q, top = _terms(coef, p, q)
     s = 1.0 + max(abs(coef[0][1]), abs(coef[1][1]), abs(p.log_mag), abs(q.log_mag))
     if t_p * t_q < 0.0 and _EPS * s * (abs(t_p) + abs(t_q)) > _RESOLVED_RATIO * abs(t_p + t_q):
-        raise NumericError("the solution vanishing on a wall cancelled past its rounding at x "
-                           "or x'; the point is too close to the wall for the parameter")
+        raise NumericError("the wall-matched solution at x or x' cancelled past its rounding; "
+                           "the parameter is too small, or the point too close to a wall, "
+                           "for double precision")
     return t_p + t_q, top
 
 
@@ -365,8 +366,12 @@ def greens_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
     Wronskian is P's p coefficient A_n right of the chain; NearPoleError is
     raised when A_n cancels below 1e-12 of its largest summand, i.e. on a
     bound-state pole, SingularMatrixError when a factor vanishes at a
-    wall, and RangeError, naming the parameter, where |g0(a, a)| or the
-    result is not finite in double precision.
+    wall, NumericError where P(x_<) or Q(x_>) cancels past its rounding
+    (the bound of :func:`greens_strong`: the two terms of c_p p + c_q q
+    are each off by up to about 2^-52 s, s = 1 + the largest |log| summed
+    into them, which may not pass 1e-9 of their sum), and RangeError,
+    naming the parameter, where |g0(a, a)| or the result is not finite in
+    double precision.
     """
     if chain.is_strong:
         raise DomainError("chain has infinite couplings; use greens_strong")
@@ -392,10 +397,10 @@ def greens_finite(chain: DeltaChain, g0: FreeGreens, x: float, xp: float,
                 for sp, sq, s, kappa in reversed(walls[bisect_left(positions, hi):])]
     sigma_n = walls[-1][2]
     q_coef, p_coef = _sweep(mirrored, -sigma_n)[0][-1]
-    p1, p2, p_log = _terms(left[bisect_left(positions, lo)], *g0.factors(lo, param))
-    q1, q2, q_log = _terms((p_coef, q_coef), *g0.factors(hi, param))
+    p_hat, p_log = _resolved(left[bisect_left(positions, lo)], *g0.factors(lo, param))
+    q_hat, q_log = _resolved((p_coef, q_coef), *g0.factors(hi, param))
     # Q = q e^{sigma_n} right of the chain, so W[P, Q] = a_n e^{log_a + sigma_n}
-    return _value((p1 + p2) * (q1 + q2) / a_n, p_log + q_log - log_a - sigma_n, param)
+    return _value(p_hat * q_hat / a_n, p_log + q_log - log_a - sigma_n, param)
 
 
 def _vanishing_at(sp, lp, sq, lq):

@@ -23,7 +23,7 @@ from . import chain as chain_mod
 from . import greens as greens_mod
 from . import specfun
 from . import spectrum as spectrum_mod
-from .errors import ConfigError, DomainError, GreenChainError
+from .errors import ConfigError, DomainError, GreenChainError, NumericError, RangeError
 from .greens import Geometry, UnitSystem
 
 EXIT_OK = 0
@@ -348,9 +348,7 @@ def cmd_spectrum(args) -> int:
     status = EXIT_OK
     try:
         lines = _spectrum_lines(args, units, prob)
-    except DomainError as exc:  # an input the spectrum rejects, such as a length without a grid
-        raise ConfigError(str(exc)) from None
-    except GreenChainError as exc:
+    except (NumericError, RangeError) as exc:  # a DomainError is bad input: main exits 1
         lines = list(getattr(exc, "partial", None) or [])  # levels refined before the failure
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_NUMERIC
@@ -396,7 +394,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:  # bad input, whichever layer rejects it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GreenChainError as exc:

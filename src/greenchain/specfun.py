@@ -1,11 +1,12 @@
 """Special functions in double precision.
 
 Everything here is a pure function of its arguments: no caching, no global
-state but constant row tables of series coefficients built at import
-(``_ASCENDING``, ``_K_ROWS``, ``_KUMMER_ROWS``), safe to call from any
-number of threads.  Every infinite series uses a term recurrence with
-compensated (Kahan) summation and stops once three consecutive terms fall
-below 1e-16 of the running partial sum.
+state but constant row tables of coefficients built at import
+(``_MILLER_ROWS`` of the J Miller pass, ``_K_ROWS``/``_HANKEL_ROWS`` of the
+large-argument sums, ``_KUMMER_ROWS``, and the trapezoid nodes
+``_COSH_NODES``), safe to call from any number of threads.  Every ascending
+series uses a term recurrence with compensated (Kahan) summation and stops
+once three consecutive terms fall below 1e-16 of the running partial sum.
 
 The functions take scalars (:func:`kummer_m`, :func:`bessel_i` and
 :func:`bessel_k` among them), except where grid scans and long chains pass
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, count, islice, pairwise, repeat, takewhile
+from itertools import accumulate, count, islice, repeat, takewhile
 
 import numpy as np
 
@@ -58,14 +59,15 @@ _MAX_TERMS = 10000
 # Seams, guards and Miller starts that the scalar functions and their array
 # paths in greenchain._arrays share bit for bit.
 _K_TINY = 1e-9  # K_0, K_1: leading terms below this, then the trapezoid
-_K_ASYMPTOTIC_MIN = 14.0  # K_0, K_1: the large-argument sums from here on
+_K_ASYMPTOTIC_MIN = 15.0  # K_0, K_1: the large-argument sums from here on
 _COSH_STEP = 0.2  # trapezoid step in t of _k01_cosh_integral
 _COSH_CUTOFF = 40.0  # its nodes stop where x (cosh t - 1) reaches this
 _ASYMPTOTIC_TERMS = 60  # the K and Hankel large-argument sums end before this term
-_JY_SERIES_MAX = 12.0  # J, Y: ascending series to here, then Hankel or J Miller
+_JY_TINY = 1e-9  # J, Y: leading terms below this, then the J Miller pass
+_JY_HANKEL_MIN = 17.0  # J, Y: the Hankel sums from here on (J_m at x <= m excepted)
 _OVERFLOW_GUARD = 700.0  # I_m and i_l raise RangeError past this x
-_MILLER_SEED = 1e-30  # the J_m and j_l Miller recurrences start from (0, this)
-_J_RESCALE = 1e100  # J_m Miller: a value past this is rescaled by its reciprocal
+_MILLER_SEED = 1e-30  # the J and j_l Miller recurrences start from (0, this)
+_J_RESCALE = 1e100  # J Miller: a value past this is rescaled by its reciprocal
 _SPH_RESCALE = 1e250  # j_l Miller: likewise
 
 # Validated ranges: kummer_m takes |x| <= 50 and |a| <= 300, pcf_d v in [-1, 200] and |y| <= 10.
@@ -75,9 +77,13 @@ _PCF_V_MIN, _PCF_V_MAX = -1.0, 200.0
 _PCF_Y_MAX = 10.0
 
 
-def _j_miller_start(m: int) -> int:
-    """The even order from which the J_m Miller recurrence runs down."""
-    start = m + int(math.sqrt(160.0 * (m + 1))) + 2
+def _j_miller_start(s):
+    """The even order from which the J Miller pass runs down, for s = max(m, x); at an
+    array of s, the array of starts (numpy's sqrt is IEEE, so each is the scalar one)."""
+    if isinstance(s, np.ndarray):
+        start = (s + np.sqrt(160.0 * (s + 1.0))).astype(int) + 2
+    else:
+        start = int(s + math.sqrt(160.0 * (s + 1.0))) + 2
     return start + start % 2
 
 
@@ -219,57 +225,6 @@ def bessel_i(m: int, x: float) -> float:
     return math.exp(log_val)
 
 
-# Rows k = 1..168 of the order-0/1 ascending series: k^2, k (k + 1), H_k and
-# H_k + H_{k+1} - 2 gamma, with H_k summed term by term.  At |q| <= 36 (x <= 12) every
-# term is 0 by row 162, so each sum of _series01 stops within the table.
-_ASCENDING = [(float(k * k), k * (k + 1.0), h, h + h1 - 2.0 * _EULER_GAMMA) for k, (h, h1)
-              in enumerate(pairwise(accumulate(1.0 / j for j in range(1, 170))), 1)]
-
-
-def _series01(q: float, first1: float) -> tuple[float, float, float, float]:
-    """In one loop, the J_0, J_1 series (q = -x^2/4, first1 = exp(log(x/2))) and the log
-    sums of Y_0, Y_1 (A&S 9.1.11), which add -H_k times the order-0 term and
-    (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!).  Each sum stops as _kahan_series does,
-    and a log sum that never stops is kept as is."""
-    eps, run = _REL_EPS, _SMALL_RUN
-    t0, t1, u1 = 1.0, first1, 1.0  # the order-0 term, the order-1 term, the order-1 log term
-    j0, j1, s0, s1 = 1.0, first1, 0.0, 1.0 - 2.0 * _EULER_GAMMA
-    e0 = e1 = f0 = f1 = 0.0  # Kahan compensations
-    n0 = n1 = m0 = m1 = 0  # runs of small terms
-    for kk, kk1, hk, w in islice(_ASCENDING, _MAX_TERMS - 1):
-        t0 *= q / kk
-        r1 = q / kk1
-        if n0 < run:
-            y = t0 - e0
-            t = j0 + y
-            e0, j0 = (t - j0) - y, t
-            n0 = n0 + 1 if abs(t0) <= eps * abs(t) else 0
-        if n1 < run:
-            t1 *= r1
-            y = t1 - e1
-            t = j1 + y
-            e1, j1 = (t - j1) - y, t
-            n1 = n1 + 1 if abs(t1) <= eps * abs(t) else 0
-        if m0 < run:
-            c = -(t0 * hk)
-            y = c - f0
-            t = s0 + y
-            f0, s0 = (t - s0) - y, t
-            m0 = m0 + 1 if abs(c) <= eps * abs(t) else 0
-        if m1 < run:
-            u1 *= r1
-            c = u1 * w
-            y = c - f1
-            t = s1 + y
-            f1, s1 = (t - s1) - y, t
-            m1 = m1 + 1 if abs(c) <= eps * abs(t) else 0
-        elif m0 == run and n0 == run and n1 == run:
-            return j0, j1, s0, s1
-    if n0 < run or n1 < run:
-        raise NumericError(f"bessel_j series did not converge within {_MAX_TERMS} terms")
-    return j0, j1, s0, s1
-
-
 # cosh t at the trapezoid nodes t = h, 2h, ... (t summed step by step) of _k01_cosh_integral,
 # through the last one below the cutoff at x = _K_TINY, the smallest x it takes
 _COSH_NODES = list(takewhile(lambda c: c < 1.0 + _COSH_CUTOFF / _K_TINY,
@@ -281,7 +236,7 @@ def _k01_cosh_integral(x: float) -> tuple[float, float]:
 
     The integrand extends to an analytic, doubly-exponentially decaying even
     function of t, so the trapezoid rule with h = 0.2 is already converged to
-    machine precision for every x in [_K_TINY, 14) where it is used.  The
+    machine precision for every x in [_K_TINY, 15) where it is used.  The
     nodes stop where exp(-x cosh t) falls to e^-40 exp(-x): the tail left
     out is below 1e-17 of K_0 and of K_1.
     """
@@ -343,8 +298,8 @@ def bessel_k(m: int, x: float) -> float:
     """Modified Bessel function K_m(x) for integer m >= 0, x > 0.
 
     K_0/K_1 come from the leading terms -(log(x/2) + gamma) and 1/x (x < 1e-9, exact to
-    half an ulp), a cosh-transform trapezoid integral (DLMF 10.32.9, x < 14) or the
-    asymptotic expansion (x >= 14); higher orders use the upward recurrence, which is
+    half an ulp), a cosh-transform trapezoid integral (DLMF 10.32.9, x < 15) or the
+    asymptotic expansion (x >= 15); higher orders use the upward recurrence, which is
     stable because K grows with order.  RangeError where K_m overflows (small x).
     """
     _check_order(m, "bessel_k")
@@ -370,16 +325,8 @@ def bessel_k(m: int, x: float) -> float:
 # Ordinary Bessel functions J_m, Y_m (integer order)
 # ----------------------------------------------------------------------
 
-def _bessel_j_series(m: int, x: float) -> float:
-    """Ascending series for J_m; accurate for x <= _JY_SERIES_MAX at any order."""
-    log_t0 = m * math.log(0.5 * x) - math.lgamma(m + 1.0)
-    if log_t0 < _LOG_TINY:
-        return 0.0
-    return _kahan_series(math.exp(log_t0), -(0.25 * x * x), m, 1, "bessel_j series")
-
-
 def _jy01_asymptotic(x: float) -> tuple[float, float, float, float]:
-    """J_0, J_1, Y_0, Y_1 from the Hankel expansion (x > 12), truncated at the smallest term."""
+    """J_0, J_1, Y_0, Y_1 from the Hankel expansion (x >= 17), truncated at the smallest term."""
     p0, q0, p1, q1 = _asymptotic01(x, _HANKEL_ROWS, 0.0, _REL_EPS)
     c = math.sqrt(2.0 / (math.pi * x))
     chi0, chi1 = x - 0.25 * math.pi, x - 0.75 * math.pi
@@ -388,39 +335,82 @@ def _jy01_asymptotic(x: float) -> tuple[float, float, float, float]:
             c * (p0 * sin0 + q0 * cos0), c * (p1 * sin1 + q1 * cos1))  # Y_0, Y_1
 
 
-def _bessel_j_miller(m: int, x: float) -> float:
-    """J_m by downward recurrence, normalized with J_0 + 2 sum J_{2k} = 1."""
-    tox = 2.0 / x
+def _miller_row(k: int) -> tuple[int, float, float, float, float]:
+    """Row k >= 1 of the J Miller pass: k; 4k + 4 and 4k + 2, the 2n of
+    f_{n-1} = (2n/x) f_n - f_{n+1} that give f_{2k+1} and f_{2k}; and the signed Neumann
+    weights (-1)^k (2k + 1) / (k (k + 1)) of J_{2k+1} in S_1 and (-1)^k / k of J_{2k} in S_0."""
+    sign = -1.0 if k % 2 else 1.0
+    return k, 4.0 * k + 4.0, 4.0 * k + 2.0, sign * (2.0 * k + 1.0) / (k * (k + 1.0)), sign / k
+
+
+# Rows k = 1..511 of the J Miller pass: every start up to order 1024 (s = max(m, x) up to
+# 690) reads them from here; a pass from higher up makes its rows inline.
+_MILLER_ROWS = [_miller_row(k) for k in range(1, 512)]
+
+
+def _miller_rows(start: int):
+    """The rows of a pass from order `start`, top down: k = start/2 - 1, ..., 1."""
+    k_top = start // 2 - 1
+    if k_top <= len(_MILLER_ROWS):
+        return _MILLER_ROWS[k_top - 1::-1]
+    return map(_miller_row, range(k_top, 0, -1))
+
+
+def _jy_miller(m: int, x: float, lh: float) -> tuple[float, float, float, float, float]:
+    """J_m, J_0, J_1 and the Neumann sums S_0 = sum_k (-1)^k J_{2k} / k and
+    S_1 = sum_k (-1)^k (2k + 1) J_{2k+1} / (k (k + 1)) (k >= 1) of Y_0 and Y_1
+    (A&S 9.1.88-89) from one downward Miller pass; lh = log(x/2).
+
+    The pass runs f_{n-1} = (2n/x) f_n - f_{n+1} down from (0, 1e-30) at an
+    even order start = _j_miller_start(max(m, x)), or _j_miller_start(x)
+    where J_m's leading term (x/2)^m / m! underflows (J_m is then 0.0), and
+    normalizes with J_0 + 2 sum J_{2k} = 1.  Below _JY_TINY it returns the
+    leading terms (x/2)^m / m!, 1, x/2, 0 and 0, exact to half an ulp.
+    """
+    under = m * lh - math.lgamma(m + 1.0) < _LOG_TINY
+    if x < _JY_TINY:
+        return (0.0 if under else (0.5 * x) ** m / math.factorial(m)), 1.0, 0.5 * x, 0.0, 0.0
+    km, odd = divmod(m, 2)
     big, shrink = _J_RESCALE, 1.0 / _J_RESCALE
-    fp, fc = 0.0, _MILLER_SEED  # f_{start+1}, f_{start}
-    norm = ans = 0.0
-    for j in range(_j_miller_start(m), 0, -1):
-        fp, fc = fc, j * tox * fc - fp  # fc is now f_{j-1}
+    fp, fc = 0.0, _MILLER_SEED  # f_{start+1}, f_start
+    jm = norm = s0 = s1 = 0.0
+    for k, c1, c0, w1, w0 in _miller_rows(_j_miller_start(x if under else max(m, x))):
+        fp, fc = fc, (c1 / x) * fc - fp  # f_{2k+1}
+        fp, fc = fc, (c0 / x) * fc - fp  # f_{2k}
         if abs(fc) > big:
-            fc, fp, norm, ans = fc * shrink, fp * shrink, norm * shrink, ans * shrink
-        if (j - 1) % 2 == 0 and j - 1 > 0:
-            norm += fc
-        if j - 1 == m:
-            ans = fc
-    norm = 2.0 * norm + fc  # fc is f_0 here
+            fp, fc, jm, norm, s0, s1 = (f * shrink for f in (fp, fc, jm, norm, s0, s1))
+        if k == km:
+            jm = fp if odd else fc
+        norm += fc
+        s0 += w0 * fc
+        s1 += w1 * fp
+    fp, fc = fc, (4.0 / x) * fc - fp  # f_1
+    fp, fc = fc, (2.0 / x) * fc - fp  # f_0
+    if m < 2:
+        jm = fp if m else fc
+    norm = 2.0 * norm + fc
     if norm == 0.0 or math.isinf(norm):
         raise NumericError(f"bessel_jy: Miller normalization failed for m={m}, x={x}")
-    return ans / norm
+    return jm / norm, fc / norm, fp / norm, s0 / norm, s1 / norm
+
+
+def _y01(x: float, lh: float, j0: float, j1: float, s0: float, s1: float) -> tuple[float, float]:
+    """Y_0 and Y_1 from J_0, J_1 and the Neumann sums of :func:`_jy_miller` (A&S 9.1.88-89)."""
+    return ((2.0 / math.pi) * ((lh + _EULER_GAMMA) * j0 - 2.0 * s0),
+            (2.0 / math.pi) * ((lh + (_EULER_GAMMA - 1.0)) * j1 - j0 / x - s1))
 
 
 def _bessel_j(m: int, x, j01: tuple[float, float] | None = None):
     """J_m(x) alone, bitwise the first value of ``bessel_jy(m, x)``.
 
     Never overflows, so it has a value wherever Y_m would not.  `j01` is
-    (J_0(x), J_1(x)) when the caller has them.  An array of x gives the
-    array of values, NaN where the scalar call raises.
+    (J_0(x), J_1(x)) from the Hankel sums when the caller has them.  An
+    array of x gives the array of values, NaN where the scalar call raises.
     """
     if isinstance(x, np.ndarray):
         return _jy_array(m, x, with_y=False)
-    if x <= _JY_SERIES_MAX:
-        return j01[m] if j01 and m <= 1 else _bessel_j_series(m, x)
-    if x <= m:
-        return _bessel_j_miller(m, x)
+    if x < _JY_HANKEL_MIN or x <= m:
+        return _jy_miller(m, x, math.log(0.5 * x))[0]
     jp, jc = j01 if j01 else _jy01_asymptotic(x)[:2]
     for j in range(1, m):
         jp, jc = jc, (2.0 * j / x) * jc - jp
@@ -430,10 +420,13 @@ def _bessel_j(m: int, x, j01: tuple[float, float] | None = None):
 def bessel_jy(m: int, x):
     """Ordinary Bessel pair (J_m(x), Y_m(x)) for integer m >= 0, x > 0.
 
-    Series below x = 12, Hankel asymptotics above; Y recurs upward (stable),
-    J recurs upward only in the oscillatory regime x > m and switches to
-    Miller's downward recurrence otherwise.  Validated to x = 100; beyond
-    that the phase x - (m/2 + 1/4) pi slowly loses ulps.
+    Below x = _JY_HANKEL_MIN, J_m, J_0, J_1 and the Neumann sums of Y_0 and
+    Y_1 come from one Miller pass (:func:`_jy_miller`, leading terms below
+    x = 1e-9); from there on, J_0, J_1, Y_0 and Y_1 come from the Hankel
+    sums, and J_m recurs upward from them where x > m, else takes the
+    Miller pass.  Y_m recurs upward (stable).  J lies within 1e-15 and Y
+    within 2e-15 max(1, |Y|) of mpmath on (1e-9, 100] (relative below);
+    beyond x = 100 the phase x - (m/2 + 1/4) pi slowly loses ulps.
 
     ``x`` may be a numpy array: the result is then a pair of arrays of its
     shape, bitwise the scalar values, with NaN in both at every element
@@ -444,13 +437,13 @@ def bessel_jy(m: int, x):
     if isinstance(x, np.ndarray):
         return _jy_array(m, x, with_y=True)
     _check_positive(x, "bessel_jy", 0.5)
-    if x <= _JY_SERIES_MAX:  # the log series of Y_0 and Y_1
+    if x < _JY_HANKEL_MIN:
         lh = math.log(0.5 * x)
-        j0, j1, s0, s1 = _series01(-(0.25 * x * x), math.exp(lh))
-        y0 = (2.0 / math.pi) * ((lh + _EULER_GAMMA) * j0 + s0)
-        y1 = (2.0 / math.pi) * (lh * j1 - 1.0 / x) - 0.5 * x * s1 / math.pi
+        jm, j0, j1, s0, s1 = _jy_miller(m, x, lh)
+        y0, y1 = _y01(x, lh, j0, j1, s0, s1)
     else:
         j0, j1, y0, y1 = _jy01_asymptotic(x)
+        jm = _bessel_j(m, x, (j0, j1))
     yp, yc = y0, y1
     for j in range(1, m):
         yp, yc = yc, (2.0 * j / x) * yc - yp
@@ -459,7 +452,7 @@ def bessel_jy(m: int, x):
     y = yc if m else yp
     if math.isinf(y):  # Y_1 = -inf at x below about 1e-308, or Y_m past it
         raise RangeError(f"bessel_jy: Y_{m}({x}) overflows double range")
-    return _bessel_j(m, x, (j0, j1)), y
+    return jm, y
 
 
 # ----------------------------------------------------------------------

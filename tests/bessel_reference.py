@@ -1,28 +1,25 @@
 """Reference for the scalar Bessel kernels: one loop per series.
 
-`_kahan_series` (with its per-term ratio callable), `_log_sums`,
-`_bessel_j_series`, `_y01_series`, `_k_cosh_integral`, `_jy01_asymptotic`
-and `_k01_asymptotic` are the library's earlier implementation, kept
-verbatim: J_0, J_1 and the two log sums of Y_0/Y_1 each run their own loop,
-so do the trapezoids of K_0 and K_1 (now taken for every x below 14 past
-the leading terms at tiny x, their nodes stopping where x (cosh t - 1)
-reaches the cutoff), and each mu of the large-argument sums runs its own.
-The scalar entry points below (`bessel_i`, `bessel_k`, `_bessel_j`, `bessel_jy`,
-`sph_modified`) compose them exactly as the library did.  The fused loops
-in `greenchain.specfun` claim the same operations in the same order, so
-every value must agree to the bit, and every exception in type and message.
-A test that lowers ``_MAX_TERMS`` sets it here as well as in the library.
+`_kahan_series` (with its per-term ratio callable), `_k_cosh_integral` and
+`_k01_asymptotic` are the library's earlier implementation, kept verbatim:
+the trapezoids of K_0 and K_1 each run their own loop (now taken for every
+x below 15 past the leading terms at tiny x, their nodes stopping where
+x (cosh t - 1) reaches the cutoff), and so does each mu of the
+large-argument sums.  The scalar entry points below (`bessel_i`,
+`bessel_k`, `sph_modified`) compose them exactly as the library did.  The
+fused loops in `greenchain.specfun` claim the same operations in the same
+order, so every value must agree to the bit, and every exception in type
+and message.  A test that lowers ``_MAX_TERMS`` sets it here as well as in
+the library.
 """
 
 import math
 
 from greenchain.errors import NumericError, RangeError
 from greenchain.specfun import (_ASYMPTOTIC_TERMS, _COSH_CUTOFF, _COSH_STEP, _EULER_GAMMA,
-                                _JY_SERIES_MAX, _K_ASYMPTOTIC_MIN, _K_TINY, _LN_2,
-                                _LOG_MAX, _LOG_TINY, _MAX_TERMS, _OVERFLOW_GUARD, _REL_EPS,
-                                _SMALL_RUN, _bessel_j_miller, _check_order, _check_positive)
-
-_Y0_FLOOR = 1e-300  # added to |sum| in the stopping test of the Y_0 log sum
+                                _K_ASYMPTOTIC_MIN, _K_TINY, _LN_2, _LOG_MAX, _LOG_TINY,
+                                _MAX_TERMS, _OVERFLOW_GUARD, _REL_EPS, _SMALL_RUN,
+                                _check_order, _check_positive)
 
 
 def _kahan_series(first_term: float, ratio, what: str) -> float:
@@ -65,57 +62,12 @@ def bessel_i(m: int, x):
     return math.exp(log_val)
 
 
-def _log_sums(q: float, log_sign: float) -> tuple[float, float]:
-    """The two compensated log sums of K_0, K_1 (q = x^2/4, log_sign = +1, A&S 9.6.11)
-    or Y_0, Y_1 (q = -x^2/4, log_sign = -1, A&S 9.1.11).
-
-    The order-0 sum adds log_sign H_k q^k / (k!)^2 over k >= 1, and the Y_0
-    stopping test adds _Y0_FLOOR to |sum|; the order-1 sum adds
-    (H_k + H_{k+1} - 2 gamma) q^k / (k! (k+1)!) from its k = 0 term.  Each
-    stops like :func:`_kahan_series` and keeps its last sum if it never does.
-    """
-    floor = _Y0_FLOOR if log_sign < 0.0 else 0.0
-    term, hk, total, comp, small = 1.0, 0.0, 0.0, 0.0, 0
-    for k in range(1, _MAX_TERMS):
-        term *= q / (k * k)
-        hk += 1.0 / k
-        c = log_sign * (term * hk)  # negation is exact: -term * hk for Y_0
-        y = c - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(c) <= _REL_EPS * (abs(total) + floor):
-            small += 1
-            if small >= _SMALL_RUN:
-                break
-        else:
-            small = 0
-    s0 = total
-    term, hk, hk1, total, comp, small = 1.0, 0.0, 1.0, 1.0 - 2.0 * _EULER_GAMMA, 0.0, 0
-    for k in range(1, _MAX_TERMS):
-        term *= q / (k * (k + 1.0))
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1.0)
-        c = term * (hk + hk1 - 2.0 * _EULER_GAMMA)
-        y = c - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(c) <= _REL_EPS * abs(total):
-            small += 1
-            if small >= _SMALL_RUN:
-                break
-        else:
-            small = 0
-    return s0, total
-
-
 def _k_cosh_integral(m: int, x: float) -> float:
     """K_m(x) = integral_0^inf exp(-x cosh t) cosh(m t) dt by trapezoid.
 
     The integrand extends to an analytic, doubly-exponentially decaying even
     function of t, so the trapezoid rule with h = 0.2 is already converged to
-    machine precision for the _K_TINY <= x < 14 band where it is used.
+    machine precision for the _K_TINY <= x < 15 band where it is used.
     """
     h, cutoff = _COSH_STEP, _COSH_CUTOFF
     total = 0.5 * math.exp(-x)  # t = 0 term carries half weight
@@ -160,82 +112,6 @@ def bessel_k(m: int, x):
     if math.isinf(out):
         raise RangeError(f"bessel_k({m}, {x}) overflows double range")
     return out
-
-
-def _bessel_j_series(m: int, x: float) -> float:
-    """Ascending series for J_m; accurate for x <= _JY_SERIES_MAX at any order."""
-    q = 0.25 * x * x
-    log_t0 = m * math.log(0.5 * x) - math.lgamma(m + 1.0)
-    if log_t0 < _LOG_TINY:
-        return 0.0
-    t0 = math.exp(log_t0)
-    return _kahan_series(t0, lambda k: -q / (k * (m + k)), "bessel_j series")
-
-
-def _y01_series(x: float) -> tuple[float, float, float, float]:
-    """J_0, J_1, Y_0 and Y_1 by the ascending (log) series; good for x <= _JY_SERIES_MAX."""
-    lh = math.log(0.5 * x)
-    j0 = _bessel_j_series(0, x)
-    j1 = _bessel_j_series(1, x)
-    s0, s1 = _log_sums(-(0.25 * x * x), -1.0)
-    y0 = (2.0 / math.pi) * ((lh + _EULER_GAMMA) * j0 + s0)
-    y1 = (2.0 / math.pi) * (lh * j1 - 1.0 / x) - 0.5 * x * s1 / math.pi
-    return j0, j1, y0, y1
-
-
-def _jy01_asymptotic(x: float) -> tuple[float, float, float, float]:
-    """J_0, J_1, Y_0, Y_1 from the Hankel expansion, truncated at the smallest term."""
-    out = []
-    for mu in (0.0, 4.0):
-        term = 1.0
-        p = 1.0
-        qsum = 0.0
-        prev = math.inf
-        for k in range(1, _ASYMPTOTIC_TERMS):
-            term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-            if abs(term) >= prev:
-                break
-            prev = abs(term)
-            if k % 2 == 1:
-                qsum += term if (k // 2) % 2 == 0 else -term
-            else:
-                p += term if (k // 2) % 2 == 0 else -term
-            if abs(term) <= _REL_EPS:
-                break
-        out.append((p, qsum))
-    c = math.sqrt(2.0 / (math.pi * x))
-    vals = []
-    for mm, (p, qq) in enumerate(out):
-        chi = x - (0.5 * mm + 0.25) * math.pi
-        vals.append(c * (p * math.cos(chi) - qq * math.sin(chi)))  # J_mm
-        vals.append(c * (p * math.sin(chi) + qq * math.cos(chi)))  # Y_mm
-    return vals[0], vals[2], vals[1], vals[3]
-
-
-def _bessel_j(m: int, x, j01=None):
-    if x <= _JY_SERIES_MAX:
-        return j01[m] if j01 and m <= 1 else _bessel_j_series(m, x)
-    if x <= m:
-        return _bessel_j_miller(m, x)
-    jp, jc = j01 if j01 else _jy01_asymptotic(x)[:2]
-    for j in range(1, m):
-        jp, jc = jc, (2.0 * j / x) * jc - jp
-    return jc if m else jp
-
-
-def bessel_jy(m: int, x):
-    _check_order(m, "bessel_jy")
-    _check_positive(x, "bessel_jy", 0.5)
-    j0, j1, y0, y1 = _y01_series(x) if x <= _JY_SERIES_MAX else _jy01_asymptotic(x)
-    yp, yc = y0, y1
-    for j in range(1, m):
-        yp, yc = yc, (2.0 * j / x) * yc - yp
-        if math.isinf(yc):
-            break
-    y = yc if m else yp
-    if math.isinf(y):  # Y_1 = -inf at x below about 1e-308, or Y_m past it
-        raise RangeError(f"bessel_jy: Y_{m}({x}) overflows double range")
-    return _bessel_j(m, x, (j0, j1)), y
 
 
 def sph_modified(l: int, x):

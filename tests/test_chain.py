@@ -682,6 +682,19 @@ def test_strong_raises_where_the_wall_solution_cancels_past_its_rounding():
     assert abs(got - want) <= 1e-10 * want  # 3.7e-11 measured: the bound allows 1e-9
 
 
+def test_finite_raises_where_the_wall_matched_solution_cancels_past_its_rounding():
+    # left of the walls (0, 1), Q(x_>) cancels as k0 -> 0 as h_r does for greens_strong;
+    # it answered 0.5750000236 (5e-8 off), 0.57387 and 0.0 at these k0 with no error
+    g0 = rect_free_greens()
+    chain = DeltaChain("rectangular", (0.0, 1.0), (2.0, 2.0))
+    x, xp = -0.5, -0.2
+    for k0 in (1e-8, 1e-12, 1e-20):
+        with pytest.raises(NumericError, match="cancelled"):
+            greens_finite(chain, g0, x, xp, k0)
+    want = rect_chain_greens_50_digits((0.0, 1.0), (2.0, 2.0), 1e-4, x, xp)
+    assert abs(greens_finite(chain, g0, x, xp, 1e-4) - want) <= 1e-10 * want  # 1.2e-11 measured
+
+
 def test_finite_attractive_wall_with_nearly_singular_leading_block():
     # lambda_1 puts a bound state on [-inf, a_2] with wall 2 impenetrable, so the
     # sub-problem left of wall 2 is (nearly) singular although Lambda is regular;

@@ -188,3 +188,22 @@ def test_cli_extreme_inputs_exit_2_with_one_line(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+OSC_WIDE = {"geometry": "oscillator", "positions": [-1.0, 7.0], "couplings": [2.0, 2.0],
+            "oscillator": {"box_length": 8.0, "center": 0.0}}
+
+
+@pytest.mark.parametrize("x, v, match", [
+    (0.5, 3.0, "pole"), (0.5, -2.0, "order v=-2.0"), (0.5, 250.5, "order v=250.5"),
+    (50.0, 1.5, r"\|y\|"),
+], ids=["gamma-pole", "v-below", "v-above", "y-past"])
+def test_cli_inputs_outside_a_kernel_domain_exit_1_with_one_line(tmp_path, capsys, x, v, match):
+    # each raises DomainError in the oscillator kernel (a pole of Gamma(-v), v outside
+    # [-1, 200], |y| > 10): bad input, so exit 1, as a ConfigError; they exited 2
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(OSC_WIDE), encoding="utf-8")
+    assert main(["greens", str(path), repr(x), "0.6", repr(v)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert re.search(match, err), err

@@ -291,17 +291,16 @@ def _around(*seams):
     return [x for s in seams for x in (np.nextafter(s, -math.inf), s, np.nextafter(s, math.inf))]
 
 
-# x where q = x^2/4 is subnormal or first underflows (the neighbours of 2 sqrt(tiny)): only
-# there could a floor added to |sum| move the stop of the Y_0 log sum, as the earlier loops
-# in bessel_reference stop it a term sooner at 1e-160 and 2e-158, to the same value
+# x where q = x^2/4 is subnormal or first underflows (the neighbours of 2 sqrt(tiny))
 X_Q_UNDERFLOW = [1e-160, 2e-158, 3e-155, 1e-154, *_around(2.0 * math.sqrt(np.finfo(float).tiny))]
 
 
-# every branch: series, the x = 12 seam, Hankel, J Miller (12 < x <= m),
-# j_l Miller (x <= l), tiny x and points where the scalar call raises
+# every branch: the J/Y leading terms below 1e-9, the Miller pass, the Hankel seam, Hankel,
+# the Miller pass for J_m past the seam (x <= m), j_l Miller (x <= l), tiny x and points
+# where the scalar call raises
 X_BESSEL = np.concatenate([
     np.linspace(0.05, 60.0, 1200),
-    _around(sf._JY_SERIES_MAX), [1e-3, 1e-30, 1e-170, 5e-324], X_Q_UNDERFLOW,
+    _around(sf._JY_TINY, sf._JY_HANKEL_MIN), [1e-3, 1e-30, 1e-170, 5e-324], X_Q_UNDERFLOW,
     [0.0, -1.0, math.nan, math.inf],
 ])
 
@@ -339,27 +338,28 @@ def test_bessel_jy_array_bitwise_equals_scalar(m):
     j_alone = sf._bessel_j(m, X_BESSEL)
     _array_matches_scalar([j_alone], _checked(sf._bessel_j, m), X_BESSEL)
     if m == 13:
-        assert j_alone[X_BESSEL == 1e-30] == 0.0  # log_t0 < _LOG_TINY: the series is skipped
+        assert j_alone[X_BESSEL == 1e-30] == 0.0  # the leading term of J_13 underflows
 
 
 @pytest.mark.parametrize("m", [13, 300, 1000])
 def test_j_miller_branch_is_one_array_loop(m, monkeypatch):
-    # 12 < x <= m: the downward recurrence runs once over the array, bitwise each
-    # scalar call; at m = 300 it rescales by 1e-100 (seven times at x = 13)
+    # below the Hankel seam, and for J_m at any x <= m, the Miller pass runs once over the
+    # array, bitwise each scalar pass; at m = 300 and 1000 it rescales by 1e-100 on its
+    # way down, and where J_m's leading term underflows (x = 13) it starts from x alone
     from greenchain import _arrays
 
-    xs = np.concatenate([np.linspace(sf._JY_SERIES_MAX, m, 40)[1:],
-                         [np.nextafter(sf._JY_SERIES_MAX, math.inf), 13.0]])
-    want = [sf._bessel_j_miller(m, x).hex() for x in xs.tolist()]
+    top = m if m >= sf._JY_HANKEL_MIN else np.nextafter(sf._JY_HANKEL_MIN, 0.0)
+    xs = np.concatenate([np.linspace(1e-3, top, 40), [1e-12, 13.0]])
+    want = [sf._jy_miller(m, x, math.log(0.5 * x))[0].hex() for x in xs.tolist()]
     calls = []
-    real = sf._bessel_j_miller
+    real = sf._jy_miller
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(sf, "_bessel_j_miller", counted)
-    monkeypatch.setattr(_arrays, "_bessel_j_miller", counted, raising=False)
+    monkeypatch.setattr(sf, "_jy_miller", counted)
+    monkeypatch.setattr(_arrays, "_jy_miller", counted, raising=False)
     got = sf._bessel_j(m, xs)
     sf.bessel_jy(m, xs)  # NaN where Y_m overflows, else the same J_m
     assert calls == []
@@ -384,20 +384,6 @@ def test_bessel_arrays_keep_the_shape_and_check_the_order():
             fn(-1, x)
 
 
-def test_bessel_jy_reuses_the_series_j0_j1(monkeypatch):
-    # at x <= 12 the Y_0/Y_1 series already sums J_0 and J_1: m <= 1 sums no third J series
-    calls = []
-    real = sf._bessel_j_series
-    monkeypatch.setattr(sf, "_bessel_j_series", lambda m, x: calls.append(m) or real(m, x))
-    for m in (0, 1):
-        calls.clear()
-        sf.bessel_jy(m, 5.0)
-        assert calls == []
-    calls.clear()
-    sf.bessel_jy(2, 5.0)
-    assert calls == [2]
-
-
 def _counting(monkeypatch, name):
     calls = []
     real = getattr(sf, name)
@@ -406,31 +392,28 @@ def _counting(monkeypatch, name):
 
 
 def test_scalar_bessel_sums_each_band_in_one_loop(monkeypatch):
-    # one pass of the order-0/1 loop per bessel_jy at x <= 12 and none per bessel_k,
-    # one pass of the large-argument loop above the asymptotic seams
-    ascending, asymptotic = (_counting(monkeypatch, name)
-                             for name in ("_series01", "_asymptotic01"))
-    for fn, xs, beyond, passes in ((sf.bessel_jy, (1e-3, 0.5, 5.0, 12.0), 12.5, 1),
-                                   (sf.bessel_k, (1e-12, 1e-3, 0.5, 3.0, 6.0), 14.0, 0)):
+    # one Miller pass per bessel_jy below the Hankel seam, whatever the order (J_m, J_0,
+    # J_1 and the Neumann sums of Y_0 and Y_1 all come from it), and none per bessel_k;
+    # one pass of the large-argument loop from the asymptotic seams on, where J_m (x > m)
+    # recurs upward from the Hankel J_0 and J_1 with no Miller pass
+    miller, asymptotic = (_counting(monkeypatch, name) for name in ("_jy_miller", "_asymptotic01"))
+    jy_below = (1e-12, 1e-3, 0.5, 5.0, 12.0, np.nextafter(sf._JY_HANKEL_MIN, 0.0))
+    k_below = (1e-12, 1e-3, 0.5, 3.0, 6.0)
+    for fn, xs, beyond, passes in ((sf.bessel_jy, jy_below, sf._JY_HANKEL_MIN, 1),
+                                   (sf.bessel_k, k_below, sf._K_ASYMPTOTIC_MIN, 0)):
         for m in (0, 1, 2, 5):
             for x in xs:
-                ascending.clear()
+                miller.clear()
                 fn(m, x)
-                assert len(ascending) == passes, (fn.__name__, m, x)
-            ascending.clear()
+                assert len(miller) == passes, (fn.__name__, m, x)
+            miller.clear()
             asymptotic.clear()
             fn(m, beyond)
-            assert (len(ascending), len(asymptotic)) == (0, 1)
-
-
-def test_ascending_table_outlasts_every_series_in_its_band():
-    # every term of the four sums is 0 three rows before the table ends at the largest q
-    # of the J/Y band, so each run of small terms completes within the table
-    x_jy = sf._JY_SERIES_MAX
-    q, t0, t1 = -0.25 * x_jy * x_jy, 1.0, math.exp(math.log(0.5 * x_jy))
-    for kk, kk1, _, _ in sf._ASCENDING[:-3]:
-        t0, t1 = t0 * (q / kk), t1 * (q / kk1)
-    assert t0 == t1 == 0.0
+            assert (len(miller), len(asymptotic)) == (0, 1)
+    miller.clear()
+    asymptotic.clear()
+    sf.bessel_jy(40, 30.0)  # x <= m past the seam: the Hankel Y_0, Y_1 and a Miller J_40
+    assert (len(miller), len(asymptotic)) == (1, 1)
 
 
 def _outcome(fn, *args):
@@ -443,8 +426,8 @@ def _outcome(fn, *args):
 
 
 # log-uniform x over every band of the scalar kernels, each seam and its neighbours, the
-# zeros of J_0, J_1, Y_0 and Y_1 below 12 (where a sum is small and runs longest),
-# and the edge arguments of the domain checks and of double range
+# zeros of J_0, J_1, Y_0 and Y_1 below 12, and the edge arguments of the domain checks
+# and of double range
 _RNG = np.random.default_rng(7)
 _ZEROS_BELOW_12 = [2.404825557695773, 5.520078110286311, 8.653727912911013, 11.79153443901428,
                    3.831705970207512, 7.015586669815619, 10.17346813506272,
@@ -453,7 +436,7 @@ _ZEROS_BELOW_12 = [2.404825557695773, 5.520078110286311, 8.653727912911013, 11.7
 X_REFERENCE = np.concatenate(
     [np.exp(_RNG.uniform(math.log(lo), math.log(hi), 100))
      for lo, hi in ((1e-3, 6.0), (6.0, 14.0), (14.0, 700.0), (1e-3, 12.0), (12.0, 120.0))]
-    + [_around(sf._K_TINY, sf._K_ASYMPTOTIC_MIN, sf._JY_SERIES_MAX, sf._OVERFLOW_GUARD,
+    + [_around(sf._K_TINY, sf._K_ASYMPTOTIC_MIN, sf._JY_TINY, sf._JY_HANKEL_MIN, sf._OVERFLOW_GUARD,
                *_ZEROS_BELOW_12),
        [1e-3, 1e-30, 1e-170, 1e-309, 1e-320, 1e-323, 5e-324, 0.0, -1.0, math.nan, math.inf,
         1e300, 1.7e308], X_Q_UNDERFLOW]).tolist()
@@ -464,13 +447,10 @@ def test_scalar_bessel_kernels_bitwise_equal_the_reference(m):
     # the fused loops against the loops they replaced, kept verbatim in bessel_reference
     import bessel_reference as ref
 
-    for name in ("bessel_jy", "bessel_k", "bessel_i", "sph_modified"):
+    for name in ("bessel_k", "bessel_i", "sph_modified"):
         fn, want = getattr(sf, name), getattr(ref, name)
         for x in X_REFERENCE:
             assert _outcome(fn, m, x) == _outcome(want, m, x), (name, x)
-    j_alone, j_want = _checked(sf._bessel_j, m), _checked(ref._bessel_j, m)
-    for x in X_REFERENCE:
-        assert _outcome(j_alone, x) == _outcome(j_want, x), ("_bessel_j", x)
 
 
 def test_scalar_bessel_kernels_cut_at_max_terms_like_the_reference(monkeypatch):
@@ -479,7 +459,7 @@ def test_scalar_bessel_kernels_cut_at_max_terms_like_the_reference(monkeypatch):
     # no series, so it never raises
     import bessel_reference as ref
 
-    raised = dict.fromkeys(("bessel_jy", "bessel_k", "bessel_i", "sph_modified"), 0)
+    raised = dict.fromkeys(("bessel_k", "bessel_i", "sph_modified"), 0)
     for cut in (3, 5, 8, 20):
         monkeypatch.setattr(sf, "_MAX_TERMS", cut)
         monkeypatch.setattr(ref, "_MAX_TERMS", cut)
@@ -504,7 +484,7 @@ X_IK = np.concatenate([
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 40])
 def test_bessel_ik_arrays_bitwise_equal_scalar_on_every_branch(m):
-    # the x < 1e-9 leading terms, the trapezoid below 14, the x >= 14 asymptotic sums: the
+    # the x < 1e-9 leading terms, the trapezoid below 15, the x >= 15 asymptotic sums: the
     # array route of long cylindrical chains against the scalar bessel_i and bessel_k
     i_arr, k_arr = _ik_array(m, X_IK)
     raised_i = _array_matches_scalar([i_arr], lambda x: sf.bessel_i(m, x), X_IK)
@@ -523,8 +503,8 @@ def test_bessel_ik_arrays_bitwise_equal_scalar_on_every_branch(m):
 
 
 # the array fold of the large-argument sums takes int(2 x.max) + 3 terms while x.max < 19
-# and 41 from there on: windows all below 18.5 (past the J/Y seam at 12 and the K seam at
-# 14), all at or past 19, and straddling 18.5-19
+# and 41 from there on: windows all below 18.5 (across the J/Y seam at 17 and the K seam at
+# 15), all at or past 19, and straddling 18.5-19
 @pytest.mark.parametrize("name, lo, hi", [
     ("bessel_jy", 12.0, 18.5), ("bessel_k", 14.0, 18.5), ("bessel_jy", 19.0, 80.0),
     ("bessel_k", 19.0, 80.0), ("bessel_jy", 18.5, 19.0), ("bessel_k", 18.5, 19.0)])
@@ -563,8 +543,9 @@ def test_array_bessel_sums_the_large_argument_band_in_one_call(monkeypatch):
     real = _arrays._asymptotic01_array
     monkeypatch.setattr(_arrays, "_asymptotic01_array",
                         lambda *args: calls.append(args) or real(*args))
-    for fn, below, past in ((sf.bessel_jy, [1e-3, 0.5, 5.0, sf._JY_SERIES_MAX], 12.5),
-                            (_ik_array, [1e-3, 3.0, 6.0, 10.0, 13.9], sf._K_ASYMPTOTIC_MIN)):
+    below_jy = [1e-3, 0.5, 5.0, float(np.nextafter(sf._JY_HANKEL_MIN, 0.0))]
+    for fn, below, past in ((sf.bessel_jy, below_jy, sf._JY_HANKEL_MIN),
+                            (_ik_array, [1e-3, 3.0, 6.0, 10.0, 14.9], sf._K_ASYMPTOTIC_MIN)):
         for m in (0, 1, 2, 5):
             for xs, n_calls in ((below, 0), (below + [past], 1), (below + [past, 50.0, 700.0], 1),
                                 ([past, 30.0], 1)):
