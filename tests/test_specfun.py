@@ -391,6 +391,18 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def test_bessel_jy_reuses_the_series_j0_j1(monkeypatch):
+    # below the Hankel seam the Neumann sums of Y_0/Y_1 share the Miller pass that gives
+    # J_0 and J_1: every order sums that one pass, for its own m, and no J_m alone
+    miller, j_alone = (_counting(monkeypatch, name) for name in ("_jy_miller", "_bessel_j"))
+    for m in (0, 1, 2):
+        miller.clear()
+        j_alone.clear()
+        sf.bessel_jy(m, 5.0)
+        assert [args[:2] for args in miller] == [(m, 5.0)]
+        assert j_alone == []
+
+
 def test_scalar_bessel_sums_each_band_in_one_loop(monkeypatch):
     # one Miller pass per bessel_jy below the Hankel seam, whatever the order (J_m, J_0,
     # J_1 and the Neumann sums of Y_0 and Y_1 all come from it), and none per bessel_k;
